@@ -31,6 +31,10 @@ from repro.propagators.base import KernelWorkload
 from repro.utils.errors import ConfigurationError
 
 _CONSTRUCTS = ("kernels", "parallel")
+#: kernels + independent: let PGI do the worksharing
+_PGI_SCHEDULE = LoopSchedule(independent=True, vector_length=128)
+#: explicit gang/worker/vector, which CRAY rewards
+_CRAY_SCHEDULE = LoopSchedule.gwv(vector_length=128)
 
 
 @dataclass(frozen=True)
@@ -158,10 +162,7 @@ class CompilerPersona:
 
     def preferred_schedule(self) -> LoopSchedule:
         """The schedule the paper found best for this compiler."""
-        if self.vendor == "pgi":
-            # kernels + independent, let PGI do the worksharing
-            return LoopSchedule(independent=True, vector_length=128)
-        return LoopSchedule.gwv(vector_length=128)
+        return _PGI_SCHEDULE if self.vendor == "pgi" else _CRAY_SCHEDULE
 
 
 #: PGI 13.7 — first version the authors used; CUDA 5.0 backend, no

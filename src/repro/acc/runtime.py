@@ -31,7 +31,11 @@ import numpy as np
 from repro.acc.clauses import CompileFlags, LoopSchedule
 from repro.acc.compiler import CompilerPersona, PGI_14_6
 from repro.gpusim.device import Device
-from repro.gpusim.kernelmodel import KernelEstimate
+from repro.gpusim.kernelmodel import (
+    KernelEstimate,
+    LaunchConfig,
+    estimate_register_demand,
+)
 from repro.propagators.base import KernelWorkload
 from repro.trace.tracer import NULL_TRACER, Tracer
 from repro.utils.errors import PresentTableError
@@ -91,6 +95,9 @@ class Runtime:
         self._auto_async = compiler.auto_async_kernels if auto is None else auto
         self._next_queue = 1
         self._recorders: list = []
+        # the persona and flags are fixed for this runtime, so lowering is a
+        # pure function of (construct, workload, schedule, queue)
+        self._launches: dict[tuple, LaunchConfig] = {}
 
     # ------------------------------------------------------------------
     # recording hook (repro.analyze)
@@ -434,16 +441,18 @@ class Runtime:
             # the listed queues drain (modelled as a host-side wait)
             self.device.wait(int(q))
         queue = self._queue_for(async_)
-        launch = self.compiler.lower(
-            construct, workload, schedule, self.flags, async_queue=queue
-        )
+        key = (construct, workload, schedule, queue)
+        launch = self._launches.get(key)
+        if launch is None:
+            launch = self.compiler.lower(
+                construct, workload, schedule, self.flags, async_queue=queue
+            )
+            self._launches[key] = launch
         with self.tracer.span(
             f"acc.{construct}", track="acc", cat="acc",
             kernel=workload.name, queue=queue,
         ):
             if self._recorders:
-                from repro.gpusim.kernelmodel import estimate_register_demand
-
                 self._record(
                     "compute",
                     construct=construct,

@@ -24,6 +24,8 @@ The pipeline is physics-free: it moves *names and byte counts* and launches
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.acc.runtime import Runtime
@@ -44,23 +46,13 @@ from repro.utils.errors import ConfigurationError, DeviceOutOfMemoryError
 def _mark_uncoalesced(workloads: list[KernelWorkload]) -> list[KernelWorkload]:
     """The original backward-phase kernels: loop-carried dependencies force
     a non-unit-stride inner parallel loop (paper Figure 13)."""
-    out = []
-    for w in workloads:
-        out.append(
-            KernelWorkload(
-                name=w.name + "_backward_orig",
-                points=w.points,
-                flops_per_point=w.flops_per_point,
-                reads_per_point=w.reads_per_point,
-                writes_per_point=w.writes_per_point,
-                loop_dims=w.loop_dims,
-                address_streams=w.address_streams,
-                has_branches=w.has_branches,
-                inner_contiguous=False,
-                loop_carried=True,
-            )
+    return [
+        replace(
+            w, name=w.name + "_backward_orig",
+            inner_contiguous=False, loop_carried=True,
         )
-    return out
+        for w in workloads
+    ]
 
 
 class OffloadPipeline:

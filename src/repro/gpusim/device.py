@@ -21,7 +21,7 @@ from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.pcie import PCIE_GEN2_X16, PCIeModel, checked_transfer
 from repro.gpusim.profiler import ProfileEvent, Profiler
 from repro.gpusim.specs import CUDA_5_0, CudaToolkit, GPUSpec
-from repro.gpusim.streams import StreamPool
+from repro.gpusim.streams import ASYNC_ENQUEUE_COST, StreamPool
 from repro.propagators.base import KernelWorkload
 from repro.trace.tracer import Tracer
 from repro.utils.timer import SimClock
@@ -79,6 +79,9 @@ class Device:
         self.profiler = Profiler()
         self.times = DeviceTimes()
         self.kernel_launches = 0
+        # launch pricing is a pure function of (workload, launch, toolkit)
+        # on this card, so each distinct launch is estimated once
+        self._estimates: dict[tuple, KernelEstimate] = {}
         # every timeline event flows through the sink list; the profiler is
         # simply the first consumer of the trace stream, and an attached
         # Tracer re-emits the same events on per-queue Perfetto tracks
@@ -219,7 +222,11 @@ class Device:
         """
         if self.injector is not None:
             self.injector.on_kernel_launch(workload.name)
-        est = estimate_kernel_time(self.spec, workload, launch, self.toolkit)
+        key = (workload, launch, self.toolkit)
+        est = self._estimates.get(key)
+        if est is None:
+            est = estimate_kernel_time(self.spec, workload, launch, self.toolkit)
+            self._estimates[key] = est
         queue = launch.async_queue if launch is not None else None
         host_admin = self.PRESENT_LOOKUP_S * (2 + workload.address_streams)
         if queue is None:
@@ -227,8 +234,6 @@ class Device:
                 est.seconds, self.spec.launch_overhead_s + host_admin
             )
         else:
-            from repro.gpusim.streams import ASYNC_ENQUEUE_COST
-
             start, end = self.streams.run_kernel_async(
                 queue,
                 est.seconds,

@@ -23,9 +23,13 @@ from repro.utils.arrays import DTYPE
 from repro.utils.errors import ConfigurationError, StabilityError
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelWorkload:
     """Cost metadata of one compute kernel launched per time step.
+
+    A frozen value: equal workloads hash equal, so the device and the acc
+    runtime price and lower each distinct one once. Derive variants with
+    :func:`dataclasses.replace`.
 
     Attributes
     ----------

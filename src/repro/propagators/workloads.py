@@ -368,7 +368,8 @@ def receiver_injection_workloads(
     Inlined (CRAY): one kernel encapsulating the receiver loop. Not inlined
     (PGI, 'inlining ... could not be processed by the PGI compiler'): one
     kernel launch **per receiver**, paying #receivers launch overheads per
-    time step — the RTM cost the paper calls out.
+    time step — the RTM cost the paper calls out (one shared workload,
+    repeated ``nreceivers`` times).
     """
     if nreceivers < 1:
         raise ConfigurationError("nreceivers must be >= 1")
@@ -387,20 +388,18 @@ def receiver_injection_workloads(
                 inner_contiguous=False,
             )
         ]
-    return [
-        KernelWorkload(
-            name="receiver_injection_single",
-            points=1,
-            flops_per_point=4,
-            reads_per_point=3,
-            writes_per_point=1,
-            loop_dims=(1,),
-            address_streams=3,
-            has_branches=False,
-            inner_contiguous=True,
-        )
-        for _ in range(nreceivers)
-    ]
+    single = KernelWorkload(
+        name="receiver_injection_single",
+        points=1,
+        flops_per_point=4,
+        reads_per_point=3,
+        writes_per_point=1,
+        loop_dims=(1,),
+        address_streams=3,
+        has_branches=False,
+        inner_contiguous=True,
+    )
+    return [single] * nreceivers
 
 
 def imaging_condition_workloads(shape: tuple[int, ...]) -> list[KernelWorkload]:

@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, ContextManager, Iterator
 
 #: event kinds
 SPAN = "span"
 INSTANT = "instant"
+
+#: what every span of a disabled tracer returns (reusable, records nothing)
+_NULL_SPAN = nullcontext()
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,6 @@ class Tracer:
         with self._lock:
             self._events.append(event)
 
-    @contextmanager
     def span(
         self,
         name: str,
@@ -108,11 +110,17 @@ class Tracer:
         track: str = "host",
         cat: str = "phase",
         **args: Any,
-    ) -> Iterator[None]:
-        """Record a nested span around a ``with`` body."""
+    ) -> ContextManager[None]:
+        """Record a nested span around a ``with`` body. A disabled tracer
+        returns one shared no-op context."""
         if not self.enabled:
-            yield
-            return
+            return _NULL_SPAN
+        return self._span(name, process, track, cat, args)
+
+    @contextmanager
+    def _span(
+        self, name: str, process: str, track: str, cat: str, args: dict[str, Any]
+    ) -> Iterator[None]:
         start = self._clock()
         try:
             yield

@@ -1,5 +1,7 @@
 """Compute constructs: execution + timing + interaction with data clauses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,46 @@ class TestExecution:
         r.wait()
         assert r.device.elapsed >= before
         assert r.device.elapsed >= est.seconds
+
+
+class CountingPersona:
+    """A compiler persona that records every launch config it lowers."""
+
+    def __init__(self, persona):
+        self.persona = persona
+        self.lowered = []
+
+    def lower(self, *args, **kwargs):
+        config = self.persona.lower(*args, **kwargs)
+        self.lowered.append(config)
+        return config
+
+    def __getattr__(self, name):
+        return getattr(self.persona, name)
+
+
+class TestLoweringMemo:
+    def test_one_workload_on_two_queues_lowers_twice(self):
+        persona = CountingPersona(PGI_14_6)
+        r = Runtime(Device(K40), compiler=persona)
+        for q in (1, 2, 1, 2):
+            r.kernels(wl(), async_=q)  # a new, value-equal workload each time
+        assert [ev.queue for ev in r.device.profiler.events] == [1, 2, 1, 2]
+        one, two = persona.lowered
+        assert (one.async_queue, two.async_queue) == (1, 2)
+        assert replace(one, async_queue=None) == replace(two, async_queue=None)
+
+    def test_each_runtime_lowers_for_itself(self):
+        persona = CountingPersona(CRAY_8_2_6)
+        device = Device(K40)
+        first = Runtime(device, compiler=persona)
+        for _ in range(3):
+            first.compute(wl(), async_=False)
+        Runtime(device, compiler=persona).compute(wl(), async_=False)
+        expected = CRAY_8_2_6.lower(
+            "parallel", wl(), CRAY_8_2_6.preferred_schedule(), first.flags
+        )
+        assert persona.lowered == [expected, expected]
 
 
 class TestConstructPerformanceShape:

@@ -50,12 +50,9 @@ class TestSnapshotPeriodSweep:
 
 
 class TestJsonExport:
-    def test_results_json_roundtrip(self, tmp_path):
-        from repro.bench.experiments import results_json
-
-        data = results_json()
+    def test_results_json_roundtrip(self, paper_results):
         # must be JSON-serialisable and carry the headline fields
-        text = json.dumps(data)
+        text = json.dumps(paper_results)
         back = json.loads(text)
         assert back["fig10_best_maxregcount"] == 64
         assert back["table3_modeling"]["ELASTIC 3D"]["ibm_pgi"] == {"failed": "oom"}

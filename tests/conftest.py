@@ -8,6 +8,16 @@ import pytest
 from repro.model import constant_model, layered_model
 
 
+@pytest.fixture(scope="session")
+def paper_results():
+    """``repro.bench.experiments.results_json()``, computed once per test
+    session: the whole paper sweep in estimate mode. Treat it as
+    read-only."""
+    from repro.bench.experiments import results_json
+
+    return results_json()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -1,11 +1,18 @@
 """The Figure-4 offload pipeline: phases, data movement, failure gates."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.acc import CRAY_8_2_6, PGI_14_3, PGI_14_6, CompileFlags, Runtime
 from repro.core import GPUOptions, OffloadPipeline
-from repro.core.pipeline import run_pipeline_modeling, run_pipeline_rtm
+from repro.core.pipeline import (
+    _mark_uncoalesced,
+    run_pipeline_modeling,
+    run_pipeline_rtm,
+)
 from repro.gpusim import Device, K40, M2090
+from repro.propagators.base import KernelWorkload
 from repro.utils.errors import ConfigurationError
 
 
@@ -102,6 +109,19 @@ class TestDataMovement:
         assert p.rt.device.times.d2h == d2h0
 
 
+class TestBackwardOriginalKernels:
+    def test_mark_uncoalesced_carries_every_other_field(self):
+        w = KernelWorkload(
+            "k", 10**4, 40.0, 12, 2, (100, 100), address_streams=6,
+            has_branches=True, gather_axes=2,
+        )
+        (orig,) = _mark_uncoalesced([w])
+        assert orig.gather_axes == 2
+        assert orig == replace(
+            w, name="k_backward_orig", inner_contiguous=False, loop_carried=True,
+        )
+
+
 class TestReceiverInjectionLowering:
     def test_cray_inlines_single_kernel(self):
         p = make_pipeline(persona=CRAY_8_2_6)
@@ -111,6 +131,8 @@ class TestReceiverInjectionLowering:
     def test_pgi_one_launch_per_receiver(self):
         p = make_pipeline(persona=PGI_14_6)
         assert len(p.receiver_workloads) == 16
+        # one shared (frozen) workload, launched once per receiver
+        assert len({id(w) for w in p.receiver_workloads}) == 1
 
     def test_pgi_backward_launch_overhead_hurts(self):
         """#receivers x #timesteps kernel launches under PGI (the paper's

@@ -1,9 +1,21 @@
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
+from repro.acc import PGI_14_6, CompileFlags, Runtime
+from repro.core import GPUOptions, OffloadPipeline
+from repro.core.pipeline import run_pipeline_rtm
 from repro.gpusim import Device, K40, M2090, LaunchConfig
+from repro.gpusim.kernelmodel import estimate_kernel_time
 from repro.gpusim.pcie import PCIE_GEN3_X16
+from repro.gpusim.specs import CUDA_5_0, CUDA_5_5
 from repro.propagators.base import KernelWorkload
-from repro.utils.errors import DeviceError, DeviceOutOfMemoryError
+from repro.resilience import FaultInjector, FaultPlan, parse_faults
+from repro.utils.errors import (
+    DeviceError,
+    DeviceOutOfMemoryError,
+    KernelLaunchError,
+)
 from repro.utils.units import GiB, MB
 
 
@@ -99,6 +111,61 @@ class TestKernelLaunch:
         d.launch(wl())
         rep = d.profiler.report()
         assert rep.kernels[0].name == "k"
+
+
+def rtm_times(device):
+    """A short estimate-mode acoustic RTM (PGI: one launch per receiver)
+    on ``device``, through a fresh runtime."""
+    options = GPUOptions(compiler=PGI_14_6, flags=CompileFlags(maxregcount=64))
+    rt = Runtime(device, compiler=PGI_14_6, flags=options.flags)
+    p = OffloadPipeline(rt, "acoustic", (64, 64), nreceivers=8, options=options)
+    return run_pipeline_rtm(p, nt=6, snap_period=3)
+
+
+class TestLaunchPricingMemo:
+    def test_workload_is_frozen(self):
+        w = wl()
+        with pytest.raises(FrozenInstanceError):
+            w.points = 7
+
+    def test_value_equal_launches_price_as_on_fresh_devices(self):
+        d = Device(K40)
+        for cfg in (None, LaunchConfig(async_queue=1)) * 2:
+            # a new, value-equal workload object every launch
+            assert d.launch(wl(), cfg) == Device(K40).launch(wl(), cfg)
+
+    def test_warm_device_gives_bitwise_equal_gpu_times(self):
+        cold = rtm_times(Device(K40))
+        warm_device = Device(K40)
+        rtm_times(warm_device)
+        warm_device.reset()
+        assert rtm_times(warm_device) == cold
+        assert cold.launches > 0
+
+    def test_toolkit_change_reprices(self):
+        branchy = replace(wl(), has_branches=True)
+        d = Device(K40, toolkit=CUDA_5_0)
+        old = d.launch(branchy)
+        d.toolkit = CUDA_5_5
+        new = d.launch(branchy)
+        assert new.seconds != old.seconds
+        assert old == estimate_kernel_time(K40, branchy, None, CUDA_5_0)
+        assert new == estimate_kernel_time(K40, branchy, None, CUDA_5_5)
+
+    def test_fault_fires_on_warm_memo(self):
+        d = Device(K40)
+        for _ in range(3):
+            d.launch(wl())  # the memo is warm before the injector arms
+        FaultInjector(FaultPlan(specs=parse_faults("kernel-launch@3"))).attach_device(d)
+        d.launch(wl())
+        d.launch(wl())
+        before = (d.elapsed, d.kernel_launches, len(d.profiler.events))
+        with pytest.raises(KernelLaunchError):
+            d.launch(wl())
+        # the fault fires before anything is charged
+        assert (d.elapsed, d.kernel_launches, len(d.profiler.events)) == before
+        d.launch(wl())
+        assert d.kernel_launches == 6
 
 
 class TestReset:

@@ -42,12 +42,19 @@ class TestCommands:
         assert main(["sweep", "--nt", "20"]) == 0
         assert "speedup" in capsys.readouterr().out
 
-    def test_json_export(self, tmp_path, capsys):
+    def test_json_export(self, tmp_path, capsys, monkeypatch, paper_results):
+        # the sweep itself is shared with the bench tests; this one checks
+        # the command's argument handling and the file it writes
+        monkeypatch.setattr(
+            "repro.bench.experiments.results_json", lambda: paper_results
+        )
         path = tmp_path / "results.json"
         assert main(["json", str(path)]) == 0
         data = json.loads(path.read_text())
         assert "table3_modeling" in data
         assert data["fig10_best_maxregcount"] == 64
+        assert data == json.loads(json.dumps(paper_results))
+        assert f"wrote {path}" in capsys.readouterr().out
 
 
 class TestTuneCommand:

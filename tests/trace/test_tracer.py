@@ -83,6 +83,23 @@ class TestSpans:
             NULL_TRACER.instant("marker")
         assert NULL_TRACER.events == []
 
+    def test_null_span_is_shared_and_propagates_exceptions(self):
+        span = NULL_TRACER.span("ghost", track="acc", cat="acc", queue=1)
+        assert span is NULL_TRACER.span("other")
+        with pytest.raises(KeyError):
+            with span:
+                raise KeyError("body")
+        with span as entered:  # still usable after an exception
+            assert entered is None
+        assert NULL_TRACER.events == []
+
+    def test_enabled_span_records_on_exception(self):
+        tr = Tracer(clock=FakeClock())
+        with pytest.raises(KeyError):
+            with tr.span("failing"):
+                raise KeyError("body")
+        assert [e.name for e in tr.events] == ["failing"]
+
     def test_bind_default_clock_only_when_unbound(self):
         clk = FakeClock()
         tr = Tracer()  # wall clock by default
