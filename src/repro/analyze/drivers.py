@@ -49,12 +49,9 @@ def record_pipeline_program(
     recorded DirectiveProgram."""
     from repro.core.config import GPUOptions
     from repro.core.modeling import _build_runtime
-    from repro.core.pipeline import (
-        OffloadPipeline,
-        run_pipeline_modeling,
-        run_pipeline_rtm,
-    )
+    from repro.core.pipeline import OffloadPipeline, run_schedule
     from repro.core.platform import CRAY_K40
+    from repro.core.schedule import Schedule
 
     options = options if options is not None else GPUOptions()
     platform = platform if platform is not None else CRAY_K40
@@ -73,12 +70,7 @@ def record_pipeline_program(
         options=options,
         pml_variant=pml_variant,
     )
-    if mode == "rtm":
-        run_pipeline_rtm(pipeline, nt, snap_period)
-    else:
-        run_pipeline_modeling(
-            pipeline, nt, snap_period, snapshot_decimate=snapshot_decimate
-        )
+    run_schedule(pipeline, Schedule(mode, nt, snap_period, snapshot_decimate))
     return recorder.program
 
 

@@ -52,11 +52,7 @@ def _run_interpreted(
     options: "GPUOptions",
     runtime_factory: Callable[[], "Runtime"],
 ) -> None:
-    from repro.core.pipeline import (
-        OffloadPipeline,
-        run_pipeline_modeling,
-        run_pipeline_rtm,
-    )
+    from repro.core.pipeline import OffloadPipeline, run_schedule
 
     pipe = OffloadPipeline(
         runtime_factory(),
@@ -68,12 +64,7 @@ def _run_interpreted(
         options=options,
         pml_variant=request.pml_variant,
     )
-    if request.mode == "rtm":
-        run_pipeline_rtm(pipe, request.nt, request.snap_period)
-    else:
-        run_pipeline_modeling(
-            pipe, request.nt, request.snap_period, request.snapshot_decimate
-        )
+    run_schedule(pipe, request.schedule)
 
 
 def measure_case(

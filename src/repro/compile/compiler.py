@@ -4,11 +4,10 @@ This is the front half of :mod:`repro.compile` (the back half —
 :mod:`repro.compile.lower` — turns the transformed events into bound
 closures).  The pipeline is:
 
-1. **Segmented recording** (:func:`record_segments`) — drive a twin
-   runtime + :class:`~repro.analyze.recorder.ProgramRecorder` through
-   the exact :func:`~repro.core.pipeline.run_pipeline_modeling` /
-   :func:`~repro.core.pipeline.run_pipeline_rtm` schedule, marking which
-   event range each phase-method call produced.
+1. **Segmented recording** (:func:`record_segments`) — interpret the
+   :class:`~repro.core.schedule.Schedule` on a twin runtime + :class:`~
+   repro.analyze.recorder.ProgramRecorder`, marking which event range
+   each schedule action produced.
 2. **Template extraction** — every repeated phase (forward step,
    snapshot, snapshot reload, imaging, backward step) must be
    steady-state: all its slices normalize-identical.  Non-uniform
@@ -58,6 +57,15 @@ from repro.compile.lower import (
     lower_events,
 )
 from repro.core.config import GpuTimes, GPUOptions
+from repro.core.pipeline import device_times, failed_times
+from repro.core.schedule import (
+    PHASE_ORDER,
+    PROLOGUE_GATE,
+    PROLOGUE_OF,
+    REPEATED_PHASES,
+    RESIDENCY_STEPS,
+    Schedule,
+)
 from repro.utils.errors import (
     CompileError,
     DeviceOutOfMemoryError,
@@ -69,23 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import OffloadPipeline
     from repro.core.platform import Platform
     from repro.optim.autotune import TuningPlan
-
-#: phases in schedule order; the repeated ones must be steady-state
-PHASE_ORDER = (
-    "allocate", "forward", "snapshot", "swap", "load_snapshot", "imaging",
-    "backward", "finalize",
-)
-REPEATED_PHASES = ("forward", "snapshot", "load_snapshot", "imaging", "backward")
-
-#: which one-shot prologue a hoisted update lands in, per source phase
-_PROLOGUE_OF = {
-    "forward": "forward_prologue",
-    "snapshot": "forward_prologue",
-    "load_snapshot": "backward_prologue",
-    "imaging": "backward_prologue",
-    "backward": "backward_prologue",
-}
-
 
 @dataclass(frozen=True)
 class CompileRequest:
@@ -115,6 +106,10 @@ class CompileRequest:
     @property
     def name(self) -> str:
         return f"{self.physics}-{self.ndim}d-{self.mode}"
+
+    @property
+    def schedule(self) -> Schedule:
+        return Schedule(self.mode, self.nt, self.snap_period, self.snapshot_decimate)
 
     @classmethod
     def from_case(cls, case: str, mode: str, nt: int = 24) -> "CompileRequest":
@@ -223,13 +218,10 @@ def record_segments(
     source_pipeline: "OffloadPipeline | None" = None,
     name: str | None = None,
 ) -> SegmentedRecording:
-    """Record the interpreted schedule with per-phase event boundaries.
-
-    Replays the exact control flow of
-    :func:`~repro.core.pipeline.run_pipeline_modeling` /
-    :func:`~repro.core.pipeline.run_pipeline_rtm`.  Failures are *not*
-    soft here: a known-failure persona raises :class:`CompileError` and
-    device OOM propagates (callers map both onto the interpreter's
+    """Record the interpreted schedule with per-phase event boundaries:
+    one :class:`Segment` per schedule action.  Failures are *not* soft
+    here: a known-failure persona raises :class:`CompileError` and device
+    OOM propagates (callers map both onto the interpreter's
     ``failed_times`` semantics).
     """
     from repro.core.pipeline import OffloadPipeline
@@ -250,39 +242,22 @@ def record_segments(
             options=options,
             pml_variant=request.pml_variant,
         )
-    if request.mode == "rtm":
-        tag = f"{pipe.physics}-{pipe.ndim}d-rtm"
-        if tag in getattr(rt.compiler, "known_failures", ()):
-            raise CompileError(
-                f"persona {rt.compiler.name} cannot build {tag} "
-                f"(known compiler failure)"
-            )
-    program = recorder.program
+    schedule = request.schedule
+    if schedule.known_failure(rt.compiler, pipe.physics, pipe.ndim):
+        raise CompileError(
+            f"persona {rt.compiler.name} cannot build "
+            f"{pipe.physics}-{pipe.ndim}d-{request.mode} (known compiler failure)"
+        )
+    events = recorder.program.events
     segments: list[Segment] = []
-
-    def run(phase: str, fn, *args, **kwargs) -> None:
-        start = len(program.events)
-        fn(*args, **kwargs)
-        segments.append(Segment(phase, start, len(program.events)))
-
-    run("allocate", pipe.allocate_forward)
-    decimate = 1 if request.mode == "rtm" else request.snapshot_decimate
-    for n in range(request.nt):
-        run("forward", pipe.forward_step)
-        if (n + 1) % request.snap_period == 0:
-            run("snapshot", pipe.snapshot_to_host, decimate=decimate)
-    if request.mode == "rtm":
-        run("swap", pipe.swap_to_backward)
-        for n in range(request.nt - 1, -1, -1):
-            if (n + 1) % request.snap_period == 0:
-                run("load_snapshot", pipe.load_forward_snapshot)
-                run("imaging", pipe.imaging_step)
-            run("backward", pipe.backward_step)
-        run("finalize", pipe.finalize, with_image=options.image_on_gpu)
-    else:
-        run("finalize", pipe.finalize, with_image=False)
+    for step in schedule:
+        for action in step.actions:
+            start = len(events)
+            pipe.perform(action, step)
+            segments.append(Segment(action, start, len(events)))
     return SegmentedRecording(
-        request=request, program=program, segments=segments, pipeline=pipe
+        request=request, program=recorder.program, segments=segments,
+        pipeline=pipe,
     )
 
 
@@ -763,63 +738,33 @@ class BoundPipeline:
         """Execute the full compiled schedule; same failure semantics as
         the interpreted drivers (OOM → ``failed_times('oom')``).
 
-        Tracks the previous phase so a cross-phase fusion's partner
+        Tracks the previous action so a cross-phase fusion's partner
         variant (the phase step minus the launches that moved into the
         predecessor's fused launch) fires exactly where the recording
-        proved the adjacency.  Prologues are injected steps and do not
-        advance the phase sequence.
+        proved the adjacency.  Each prologue runs once, right after its
+        gate action (:data:`~repro.core.schedule.PROLOGUE_GATE`), and does
+        not advance the action sequence.
         """
-        from repro.core.pipeline import failed_times
-
-        req = self.compiled.request
         steps = self.steps
         variants = self.compiled.cross_variants
+        after_gate = {gate: p for p, gate in PROLOGUE_GATE.items() if p in steps}
         prev: str | None = None
-
-        def step(phase: str) -> None:
-            nonlocal prev
-            name = variants.get((prev, phase), phase)
-            steps[name if name in steps else phase]()
-            prev = phase
-
-        try:
-            step("allocate")
-        except DeviceOutOfMemoryError:
-            return failed_times("oom")
-        if "forward_prologue" in steps:
-            steps["forward_prologue"]()
-        for n in range(req.nt):
-            step("forward")
-            if (n + 1) % req.snap_period == 0:
-                step("snapshot")
-        if req.mode == "rtm":
-            try:
-                step("swap")
-            except DeviceOutOfMemoryError:
-                return failed_times("oom")
-            if "backward_prologue" in steps:
-                steps["backward_prologue"]()
-            for n in range(req.nt - 1, -1, -1):
-                if (n + 1) % req.snap_period == 0:
-                    step("load_snapshot")
-                    step("imaging")
-                step("backward")
-        step("finalize")
+        for step in self.compiled.request.schedule:
+            for action in step.actions:
+                name = variants.get((prev, action), action)
+                try:
+                    steps[name if name in steps else action]()
+                except DeviceOutOfMemoryError:
+                    if step.kind not in RESIDENCY_STEPS:
+                        raise
+                    return failed_times("oom")
+                prev = action
+                if action in after_gate:
+                    steps[after_gate[action]]()
         return self.gpu_times()
 
     def gpu_times(self) -> GpuTimes:
-        dev = self.rt.device
-        return GpuTimes(
-            total=dev.elapsed,
-            kernel=dev.times.kernel,
-            h2d=dev.times.h2d,
-            d2h=dev.times.d2h,
-            alloc=dev.times.alloc,
-            launches=dev.kernel_launches,
-            success=True,
-            profile=dev.profiler.report(),
-            categories=dict(dev.clock.categories),
-        )
+        return device_times(self.rt.device)
 
 
 # ----------------------------------------------------------------------
@@ -927,7 +872,7 @@ def compile_case(
             template, by_phase.get(phase, []), program
         )
         if hoisted:
-            prologues.setdefault(_PROLOGUE_OF[phase], []).extend(hoisted)
+            prologues.setdefault(PROLOGUE_OF[phase], []).extend(hoisted)
         if phase in REPEATED_PHASES:
             launches[phase] = {
                 "interpreted": sum(1 for e in template if e.kind == "compute"),

@@ -1,14 +1,17 @@
 """Execution glue: the ``GPUOptions.compiled`` fast path.
 
 :func:`run_pipeline_compiled` is what
-:func:`repro.core.pipeline.run_pipeline_modeling` /
-:func:`~repro.core.pipeline.run_pipeline_rtm` delegate to when
+:func:`repro.core.pipeline.run_schedule` (behind
+:func:`~repro.core.pipeline.run_pipeline_modeling` /
+:func:`~repro.core.pipeline.run_pipeline_rtm`) delegates to when
 ``options.compiled`` is set: compile (memoised per schedule shape),
 then execute the verified :class:`~repro.compile.compiler.BoundPipeline`
-on the pipeline's own runtime.  Binding auto-detects fidelity — a
-runtime with recorders (sanitize sessions) or a live tracer replays
-faithfully through the directive layer; a bare runtime gets the
-straight-to-device closures.
+on the pipeline's own runtime.  The bound pipeline interprets the same
+:class:`~repro.core.schedule.Schedule` as the interpreter, one lowered
+step per action.  Binding auto-detects fidelity — a runtime with
+recorders (sanitize sessions) or a live tracer replays faithfully
+through the directive layer; a bare runtime gets the straight-to-device
+closures.
 
 :func:`compiled_steps_for_rank` serves :mod:`repro.core.multigpu`: each
 rank's interior step loop swaps in the compiled ``forward``/``backward``
@@ -32,6 +35,7 @@ from repro.compile.compiler import (
     CompileRequest,
     compile_case,
 )
+from repro.core.schedule import Schedule
 from repro.observe import runlog
 from repro.utils.errors import DeviceOutOfMemoryError
 
@@ -156,10 +160,11 @@ def run_pipeline_compiled(
     """Compile and execute the full schedule on the pipeline's runtime."""
     from repro.core.pipeline import failed_times
 
-    if mode == "rtm":
-        tag = f"{pipeline.physics}-{pipeline.ndim}d-rtm"
-        if tag in getattr(pipeline.options.compiler, "known_failures", ()):
-            return failed_times("compiler")
+    schedule = Schedule(mode, nt, snap_period, snapshot_decimate)
+    if schedule.known_failure(
+        pipeline.options.compiler, pipeline.physics, pipeline.ndim
+    ):
+        return failed_times("compiler")
     try:
         compiled = compiled_for_pipeline(
             pipeline, mode, nt, snap_period, snapshot_decimate

@@ -51,6 +51,7 @@ from repro.analyze.dataflow.graph import DependenceGraph
 from repro.analyze.framework import Diagnostic, Severity
 from repro.analyze.program import AccEvent, DirectiveProgram
 from repro.analyze.rules import rule
+from repro.core.schedule import PROLOGUE_GATE, PROLOGUE_OF, REPEATED_PHASES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analyze.dataflow.opportunities import OptimizationOpportunity
@@ -314,13 +315,7 @@ def _instance_opportunities(
         anchors = tuple(
             s.start + off for s in slices for off in rec.offsets
         )
-        from repro.compile.compiler import _PROLOGUE_OF
-
-        gate = (
-            "allocate"
-            if _PROLOGUE_OF[rec.phase] == "forward_prologue" else "swap"
-        )
-        gates = recording.slices(gate)
+        gates = recording.slices(PROLOGUE_GATE[PROLOGUE_OF[rec.phase]])
         insert = gates[0].stop - 1 if gates else slices[0].start
         out.append(OptimizationOpportunity(
             kind="hoist-update", events=anchors, var=rec.var,
@@ -517,8 +512,6 @@ def validate_compiled(
     (3) cross-phase variant structure.  ``compile_case`` runs this as a
     pre-replay gate and refuses any ERROR finding.
     """
-    from repro.compile.compiler import REPEATED_PHASES
-
     program = recording.program
     report = ValidationReport(
         name=compiled.request.name, program_sha=compiled.program_sha

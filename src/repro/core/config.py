@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -100,6 +100,20 @@ class ModelingConfig:
             raise ConfigurationError("nt must be >= 1")
         if self.physics.lower() not in ("isotropic", "acoustic", "elastic", "vti"):
             raise ConfigurationError(f"unknown physics '{self.physics}'")
+
+    def source_depth(self) -> int:
+        """The source depth index: the configured one, else just below the
+        absorbing layer."""
+        if self.source_depth_index is not None:
+            return self.source_depth_index
+        return min(self.boundary_width + 4, self.model.grid.shape[0] - 1)
+
+    def for_shot(self, x_index: int):
+        """This configuration with its source at (source depth,
+        ``x_index``): one shot of a survey line."""
+        return replace(
+            self, source_depth_index=self.source_depth(), source_x_index=x_index
+        )
 
 
 @dataclass

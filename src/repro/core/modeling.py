@@ -9,124 +9,12 @@ alone for paper-scale grids.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.acc.runtime import Runtime
 from repro.core.config import GPUOptions, GpuTimes, ModelingConfig, ModelingResult
-from repro.core.pipeline import OffloadPipeline, run_pipeline_modeling
+from repro.core.pipeline import run_pipeline_modeling
 from repro.core.platform import CRAY_K40, Platform
-from repro.core.snapshots import SnapshotStore, default_snap_period
-from repro.gpusim.device import Device
-from repro.propagators.factory import make_propagator
-from repro.source.acquisition import Receivers, line_receivers
-from repro.source.injection import PointSource
-from repro.source.wavelets import integrated_ricker, ricker
+from repro.core.shot import Shot, build_pipeline
+from repro.core.shot import _build_runtime as _build_runtime  # re-exported
 from repro.trace.tracer import Tracer
-from repro.utils.errors import ConfigurationError
-
-
-def _make_wavelet(physics: str, nt: int, dt: float, peak_freq: float) -> np.ndarray:
-    """Physics-appropriate source time function: Eq. 2 injects the time
-    integral of the wavelet; the others inject it directly."""
-    if physics == "acoustic":
-        return integrated_ricker(nt, dt, peak_freq)
-    return ricker(nt, dt, peak_freq)
-
-
-def _default_source(config: ModelingConfig, dt: float) -> PointSource:
-    grid = config.model.grid
-    depth = config.source_depth_index
-    if depth is None:
-        depth = min(config.boundary_width + 4, grid.shape[0] - 1)
-    wavelet = _make_wavelet(config.physics.lower(), config.nt, dt, config.peak_freq)
-    src = PointSource.at_center(grid, wavelet, depth_index=depth)
-    if config.source_x_index is not None:
-        x = int(config.source_x_index)
-        if not 0 <= x < grid.shape[1]:
-            raise ConfigurationError(f"source_x_index {x} outside the grid")
-        idx = list(src.index)
-        idx[1] = x
-        src = PointSource(tuple(idx), src.wavelet)
-    return src
-
-
-def _default_receivers(config: ModelingConfig) -> Receivers:
-    grid = config.model.grid
-    depth = min(config.boundary_width + 2, grid.shape[0] - 1)
-    return line_receivers(grid, depth, stride=4, margin=config.boundary_width)
-
-
-def _build_runtime(
-    options: GPUOptions, platform: Platform, tracer: Tracer | None = None
-) -> Runtime:
-    device = Device(
-        platform.gpu,
-        pcie=platform.pcie,
-        toolkit=options.compiler.default_toolkit,
-        pinned_host=options.flags.pin,
-    )
-    return Runtime(
-        device, compiler=options.compiler, flags=options.flags, tracer=tracer
-    )
-
-
-def _strict_check(
-    options: GPUOptions,
-    platform: Platform,
-    physics: str,
-    shape: tuple[int, ...],
-    mode: str,
-    nreceivers: int,
-    space_order: int,
-    boundary_width: int,
-    pml_variant: str,
-    nt: int = 16,
-    snap_period: int = 4,
-) -> None:
-    """Opt-in strict modes: lint, sanitize and/or statically validate a
-    dry-run recording of this configuration's schedule and refuse (raise
-    AnalysisError) on error-level findings before the real run starts."""
-    if options.strict_lint:
-        from repro.analyze.drivers import check_schedule
-
-        check_schedule(
-            physics,
-            tuple(shape),
-            mode,
-            options,
-            platform,
-            nreceivers=nreceivers,
-            space_order=space_order,
-            boundary_width=boundary_width,
-            pml_variant=pml_variant,
-        )
-    if options.sanitize:
-        from repro.sanitize.drivers import check_sanitize
-
-        check_sanitize(
-            physics,
-            tuple(shape),
-            mode,
-            options,
-            platform,
-            space_order=space_order,
-            boundary_width=boundary_width,
-        )
-    if options.strict_validate:
-        from repro.analyze.validate_cli import check_validate
-
-        check_validate(
-            physics,
-            tuple(shape),
-            mode,
-            options,
-            platform,
-            nt=nt,
-            snap_period=snap_period,
-            space_order=space_order,
-            boundary_width=boundary_width,
-            pml_variant=pml_variant,
-        )
 
 
 def run_modeling(
@@ -137,75 +25,7 @@ def run_modeling(
 ) -> ModelingResult:
     """Run seismic modeling; returns the seismogram, the snapshot movie and
     (when ``gpu_options`` is given) the modelled GPU timing."""
-    if config.model is None:
-        raise ConfigurationError("run_modeling needs an EarthModel")
-    physics = config.physics.lower()
-    prop_kwargs = {}
-    if physics == "isotropic":
-        prop_kwargs["pml_variant"] = config.pml_variant
-    prop = make_propagator(
-        physics,
-        config.model,
-        dt=config.dt,
-        space_order=config.space_order,
-        boundary_width=config.boundary_width,
-        **prop_kwargs,
-    )
-    dt = prop.dt
-    snap_period = (
-        config.snap_period
-        if config.snap_period is not None
-        else default_snap_period(dt, config.peak_freq)
-    )
-    store = SnapshotStore(snap_period, decimate=config.snapshot_decimate)
-    source = _default_source(config, dt)
-    receivers = config.receivers if config.receivers is not None else _default_receivers(config)
-    seismogram = np.zeros((config.nt, receivers.count), dtype=np.float32)
-
-    pipeline: OffloadPipeline | None = None
-    if gpu_options is not None:
-        _strict_check(
-            gpu_options, platform, physics, config.model.grid.shape,
-            "modeling", receivers.count, config.space_order,
-            config.boundary_width, config.pml_variant,
-            nt=config.nt, snap_period=snap_period,
-        )
-        rt = _build_runtime(gpu_options, platform, tracer)
-        pipeline = OffloadPipeline(
-            rt,
-            physics,
-            config.model.grid.shape,
-            nreceivers=receivers.count,
-            space_order=config.space_order,
-            boundary_width=config.boundary_width,
-            options=gpu_options,
-            pml_variant=config.pml_variant,
-        )
-        pipeline.allocate_forward()
-
-    for n in range(config.nt):
-        amp = source.amplitude(n)
-        srcs = [(source.index, amp)] if amp != 0.0 else []
-        prop.step(srcs)
-        seismogram[n, :] = receivers.record(prop.snapshot_field())
-        if pipeline is not None:
-            pipeline.forward_step(inject_source=bool(srcs))
-        if store.is_snap_step(n):
-            store.save(n, prop.snapshot_field())
-            if pipeline is not None:
-                pipeline.snapshot_to_host(decimate=config.snapshot_decimate)
-
-    gpu: GpuTimes | None = None
-    if pipeline is not None:
-        pipeline.finalize(with_image=False)
-        gpu = pipeline.gpu_times()
-    return ModelingResult(
-        seismogram=seismogram,
-        snapshots=store,
-        final_wavefield=prop.snapshot_field().copy(),
-        dt=dt,
-        gpu=gpu,
-    )
+    return Shot(config, "modeling", gpu_options, platform, tracer).run()
 
 
 def run_modeling_gpu(
@@ -234,21 +54,9 @@ def estimate_modeling(
     tracer: Tracer | None = None,
 ) -> GpuTimes:
     """Timing-only modeling run at arbitrary (paper-scale) grid sizes."""
-    options = options if options is not None else GPUOptions()
-    _strict_check(
-        options, platform, physics, shape, "modeling",
-        nreceivers, space_order, boundary_width, pml_variant,
-        nt=nt, snap_period=snap_period,
-    )
-    rt = _build_runtime(options, platform, tracer)
-    pipeline = OffloadPipeline(
-        rt,
-        physics,
-        shape,
-        nreceivers=nreceivers,
-        space_order=space_order,
-        boundary_width=boundary_width,
-        options=options,
-        pml_variant=pml_variant,
+    pipeline = build_pipeline(
+        options if options is not None else GPUOptions(), platform, physics,
+        shape, "modeling", nt, snap_period, nreceivers, space_order,
+        boundary_width, pml_variant, tracer,
     )
     return run_pipeline_modeling(pipeline, nt, snap_period, snapshot_decimate)

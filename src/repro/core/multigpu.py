@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.acc.runtime import Runtime
 from repro.core.config import GpuTimes, GPUOptions
 from repro.core.inventory import device_resident_bytes
 from repro.core.pipeline import OffloadPipeline
 from repro.core.platform import CRAY_K40, Platform
-from repro.gpusim.device import Device
+from repro.core.schedule import PROLOGUE_OF, Schedule
+from repro.core.shot import _build_runtime
 from repro.gpusim.kernelmodel import estimate_kernel_time
 from repro.gpusim.memory import DeviceMemory
 from repro.grid.decomposition import CartesianDecomposition
@@ -368,17 +368,8 @@ class MultiGpuPipeline:
         for r in range(self.ngpus):
             sub = self.decomp.subdomain(r)
             local_shape = sub.local_grid.shape
-            device = Device(
-                platform.gpu,
-                pcie=platform.pcie,
-                toolkit=self.options.compiler.default_toolkit,
-                pinned_host=self.options.flags.pin,
-            )
-            rt = Runtime(
-                device,
-                compiler=self.options.compiler,
-                flags=self.options.flags,
-                tracer=tracers[r] if tracers is not None else None,
+            rt = _build_runtime(
+                self.options, platform, tracers[r] if tracers is not None else None
             )
             if session is not None:
                 rt.attach_recorder(session.recorder(r))
@@ -475,14 +466,7 @@ class MultiGpuPipeline:
         runlog.count("multigpu.exchanges")
 
     # ------------------------------------------------------------------
-    def _compiled_steps(
-        self,
-        mode: str,
-        nt: int,
-        snap_period: int,
-        phase: str,
-        snapshot_decimate: int = 1,
-    ):
+    def _compiled_steps(self, schedule: Schedule, phase: str):
         """Per-rank compiled step callables for ``phase`` when
         ``options.compiled`` is set, else None (interpreted).
 
@@ -505,14 +489,12 @@ class MultiGpuPipeline:
 
         bound = [
             compiled_steps_for_rank(
-                rc.pipe, mode, nt, snap_period, snapshot_decimate
+                rc.pipe, schedule.mode, schedule.nt, schedule.snap_period,
+                schedule.decimate,
             )
             for rc in self.ranks
         ]
-        prologue_name = f"{phase}_prologue"
-        prologue_ranks = [
-            b.steps.get(prologue_name) for b in bound
-        ]
+        prologue_ranks = [b.steps.get(PROLOGUE_OF[phase]) for b in bound]
         if any(p is not None for p in prologue_ranks):
             from repro.analyze.framework import Severity
             from repro.compile.validate import prologue_lift_proof
@@ -563,55 +545,35 @@ class MultiGpuPipeline:
         return [b.steps[phase] for b in bound]
 
     # ------------------------------------------------------------------
-    def run_modeling(
-        self, nt: int, snap_period: int, snapshot_decimate: int = 4
+    def run(
+        self,
+        nt: int,
+        snap_period: int,
+        mode: str = "modeling",
+        snapshot_decimate: int = 4,
     ) -> list[GpuTimes]:
-        """The Figure-4 forward schedule on every card, ghost swaps between
-        steps; returns per-rank modelled timings."""
-        runlog.emit("run", op="modeling", nt=nt, ranks=len(self.ranks))
-        forward = self._compiled_steps("modeling", nt, snap_period, "forward",
-                                       snapshot_decimate)
-        for rc in self.ranks:
-            rc.pipe.allocate_forward()
-        for n in range(nt):
+        """The Figure-4 schedule on every card; returns per-rank modelled
+        timings. Each rank runs a step's actions before its kernels, then
+        the kernels, then one halo exchange of the stepped wavefield
+        across all ranks, then the actions after."""
+        schedule = Schedule(mode, nt, snap_period, snapshot_decimate)
+        runlog.emit("run", op=mode, nt=nt, ranks=len(self.ranks))
+        kernels = ("forward", "backward") if mode == "rtm" else ("forward",)
+        compiled = {phase: self._compiled_steps(schedule, phase) for phase in kernels}
+        for step in schedule:
+            for rc in self.ranks:
+                for action in step.pre:
+                    rc.pipe.perform(action, step)
+            steps = compiled.get(step.kind)
             for r, rc in enumerate(self.ranks):
-                forward[r]() if forward else rc.pipe.forward_step()
-            self.exchange(self.primary)
-            if (n + 1) % snap_period == 0:
-                for rc in self.ranks:
-                    rc.pipe.snapshot_to_host(decimate=snapshot_decimate)
-        for rc in self.ranks:
-            rc.pipe.finalize(with_image=False)
-        runlog.emit("run.done", op="modeling")
-        return [rc.pipe.gpu_times() for rc in self.ranks]
-
-    def run_rtm(self, nt: int, snap_period: int) -> list[GpuTimes]:
-        """Both phases: forward with full-field snapshots, swap, backward
-        with imaging — the backward wavefield's halos swap per step too."""
-        runlog.emit("run", op="rtm", nt=nt, ranks=len(self.ranks))
-        forward = self._compiled_steps("rtm", nt, snap_period, "forward")
-        backward = self._compiled_steps("rtm", nt, snap_period, "backward")
-        for rc in self.ranks:
-            rc.pipe.allocate_forward()
-        for n in range(nt):
-            for r, rc in enumerate(self.ranks):
-                forward[r]() if forward else rc.pipe.forward_step()
-            self.exchange(self.primary)
-            if (n + 1) % snap_period == 0:
-                for rc in self.ranks:
-                    rc.pipe.snapshot_to_host(decimate=1)
-        for rc in self.ranks:
-            rc.pipe.swap_to_backward()
-        bwd = self._backward_name()
-        for n in range(nt - 1, -1, -1):
-            if (n + 1) % snap_period == 0:
-                for rc in self.ranks:
-                    rc.pipe.load_forward_snapshot()
-                    rc.pipe.imaging_step()
-            for r, rc in enumerate(self.ranks):
-                backward[r]() if backward else rc.pipe.backward_step()
-            self.exchange(bwd)
-        for rc in self.ranks:
-            rc.pipe.finalize(with_image=rc.pipe.options.image_on_gpu)
-        runlog.emit("run.done", op="rtm")
+                steps[r]() if steps else rc.pipe.perform(step.kind, step)
+            if step.n is not None:  # a time step: swap the fresh halos
+                self.exchange(
+                    self.primary if step.kind == "forward"
+                    else self._backward_name()
+                )
+            for rc in self.ranks:
+                for action in step.post:
+                    rc.pipe.perform(action, step)
+        runlog.emit("run.done", op=mode)
         return [rc.pipe.gpu_times() for rc in self.ranks]

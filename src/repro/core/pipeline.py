@@ -18,8 +18,9 @@ Drives a :class:`~repro.acc.runtime.Runtime` through:
 
 The pipeline is physics-free: it moves *names and byte counts* and launches
 *workload metadata*, so the same code times the paper's full-size grids
-(estimate mode) and accompanies real NumPy runs (execute mode — drivers call
-:meth:`forward_step` etc. next to the propagator stepping).
+(estimate mode) and accompanies real NumPy runs (execute mode). The step
+sequence itself lives in :mod:`repro.core.schedule`; :meth:`~OffloadPipeline.
+perform` maps each of its actions onto one phase method.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 from repro.acc.runtime import Runtime
 from repro.core.config import GpuTimes, GPUOptions
 from repro.core.inventory import field_inventory, primary_wavefield
+from repro.core.schedule import PHASE_METHOD, RESIDENCY_STEPS, Schedule, Step
 from repro.observe import runlog
 from repro.propagators.base import KernelWorkload
 from repro.propagators.workloads import (
@@ -343,26 +345,73 @@ class OffloadPipeline:
         return self._phase
 
     # ------------------------------------------------------------------
+    def perform(self, action: str, step: Step, inject: bool = True) -> None:
+        """Run one schedule action through its phase method. ``inject``
+        says whether a forward step injects the source (a backward step,
+        the receivers); estimate runs always inject."""
+        if action == "forward":
+            self.forward_step(inject_source=inject)
+        elif action == "backward":
+            self.backward_step(inject_receivers=inject)
+        elif action == "snapshot":
+            self.snapshot_to_host(decimate=step.decimate)
+        elif action == "finalize":
+            self.finalize(with_image=step.image and self.options.image_on_gpu)
+        else:
+            getattr(self, PHASE_METHOD[action])()
+
     def gpu_times(self) -> GpuTimes:
         """Summarise the device's accumulated modelled time."""
-        dev = self.rt.device
-        return GpuTimes(
-            total=dev.elapsed,
-            kernel=dev.times.kernel,
-            h2d=dev.times.h2d,
-            d2h=dev.times.d2h,
-            alloc=dev.times.alloc,
-            launches=dev.kernel_launches,
-            success=True,
-            profile=dev.profiler.report(),
-            categories=dict(dev.clock.categories),
-        )
+        return device_times(self.rt.device)
+
+
+def device_times(dev) -> GpuTimes:
+    """A device's accumulated modelled time as a :class:`GpuTimes`."""
+    return GpuTimes(
+        total=dev.elapsed,
+        kernel=dev.times.kernel,
+        h2d=dev.times.h2d,
+        d2h=dev.times.d2h,
+        alloc=dev.times.alloc,
+        launches=dev.kernel_launches,
+        success=True,
+        profile=dev.profiler.report(),
+        categories=dict(dev.clock.categories),
+    )
 
 
 def failed_times(reason: str) -> GpuTimes:
     """A GpuTimes marking a failed configuration (OOM / compiler) — the
     paper's ``x`` table entries."""
     return GpuTimes(success=False, failure=reason)
+
+
+def run_schedule(pipeline: OffloadPipeline, schedule: Schedule) -> GpuTimes:
+    """Estimate mode (no physics): interpret ``schedule`` on the pipeline.
+
+    A known compiler failure or a device OOM while building residency
+    yields the failed record; ``options.compiled`` hands the schedule to
+    the verified compiled pipeline instead."""
+    if schedule.known_failure(
+        pipeline.options.compiler, pipeline.physics, pipeline.ndim
+    ):
+        return failed_times("compiler")
+    if pipeline.options.compiled:
+        from repro.compile.runner import run_pipeline_compiled
+
+        return run_pipeline_compiled(
+            pipeline, schedule.mode, schedule.nt, schedule.snap_period,
+            schedule.decimate,
+        )
+    for step in schedule:
+        for action in step.actions:
+            try:
+                pipeline.perform(action, step)
+            except DeviceOutOfMemoryError:
+                if step.kind not in RESIDENCY_STEPS:
+                    raise
+                return failed_times("oom")
+    return pipeline.gpu_times()
 
 
 def run_pipeline_modeling(
@@ -373,22 +422,9 @@ def run_pipeline_modeling(
 ) -> GpuTimes:
     """Estimate-mode forward run (no physics): the full Figure-4 forward
     schedule for ``nt`` steps."""
-    if pipeline.options.compiled:
-        from repro.compile.runner import run_pipeline_compiled
-
-        return run_pipeline_compiled(
-            pipeline, "modeling", nt, snap_period, snapshot_decimate
-        )
-    try:
-        pipeline.allocate_forward()
-    except DeviceOutOfMemoryError:
-        return failed_times("oom")
-    for n in range(nt):
-        pipeline.forward_step()
-        if (n + 1) % snap_period == 0:
-            pipeline.snapshot_to_host(decimate=snapshot_decimate)
-    pipeline.finalize(with_image=False)
-    return pipeline.gpu_times()
+    return run_schedule(
+        pipeline, Schedule("modeling", nt, snap_period, snapshot_decimate)
+    )
 
 
 def run_pipeline_rtm(
@@ -398,32 +434,4 @@ def run_pipeline_rtm(
 ) -> GpuTimes:
     """Estimate-mode RTM run (no physics): forward with full-field
     snapshots, swap, backward with imaging + receiver injection."""
-    compiler = pipeline.options.compiler
-    tag = f"{pipeline.physics}-{pipeline.ndim}d-rtm"
-    if tag in getattr(compiler, "known_failures", ()):
-        return failed_times("compiler")
-    if pipeline.options.compiled:
-        from repro.compile.runner import run_pipeline_compiled
-
-        return run_pipeline_compiled(
-            pipeline, "rtm", nt, snap_period, snapshot_decimate=1
-        )
-    try:
-        pipeline.allocate_forward()
-    except DeviceOutOfMemoryError:
-        return failed_times("oom")
-    for n in range(nt):
-        pipeline.forward_step()
-        if (n + 1) % snap_period == 0:
-            pipeline.snapshot_to_host(decimate=1)  # RTM needs full fields
-    try:
-        pipeline.swap_to_backward()
-    except DeviceOutOfMemoryError:
-        return failed_times("oom")
-    for n in range(nt - 1, -1, -1):
-        if (n + 1) % snap_period == 0:
-            pipeline.load_forward_snapshot()
-            pipeline.imaging_step()
-        pipeline.backward_step()
-    pipeline.finalize(with_image=pipeline.options.image_on_gpu)
-    return pipeline.gpu_times()
+    return run_schedule(pipeline, Schedule("rtm", nt, snap_period))

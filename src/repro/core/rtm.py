@@ -13,27 +13,11 @@ pipeline alone at paper-scale sizes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import GPUOptions, GpuTimes, RTMConfig, RTMResult
-from repro.core.imaging import (
-    cross_correlation_update,
-    illumination_update,
-    mute_shallow,
-    normalize_image,
-)
-from repro.core.modeling import (
-    _build_runtime,
-    _default_receivers,
-    _default_source,
-    _strict_check,
-)
-from repro.core.pipeline import OffloadPipeline, run_pipeline_rtm
+from repro.core.pipeline import run_pipeline_rtm
 from repro.core.platform import CRAY_K40, Platform
-from repro.core.snapshots import SnapshotStore, default_snap_period
-from repro.propagators.factory import make_propagator
+from repro.core.shot import Shot, build_pipeline
 from repro.trace.tracer import Tracer
-from repro.utils.errors import ConfigurationError
 
 
 def run_rtm(
@@ -44,123 +28,7 @@ def run_rtm(
 ) -> RTMResult:
     """Run one-shot RTM; returns the migrated image (normalised + muted)
     and, when ``gpu_options`` is given, the modelled GPU timing."""
-    if config.model is None:
-        raise ConfigurationError("run_rtm needs an EarthModel")
-    physics = config.physics.lower()
-    prop_kwargs = {}
-    if physics == "isotropic":
-        prop_kwargs["pml_variant"] = config.pml_variant
-
-    def build_prop():
-        return make_propagator(
-            physics,
-            config.model,
-            dt=config.dt,
-            space_order=config.space_order,
-            boundary_width=config.boundary_width,
-            **prop_kwargs,
-        )
-
-    fwd = build_prop()
-    dt = fwd.dt
-    snap_period = (
-        config.snap_period
-        if config.snap_period is not None
-        else default_snap_period(dt, config.peak_freq)
-    )
-    store = SnapshotStore(snap_period, decimate=1)  # imaging needs full fields
-    source = _default_source(config, dt)
-    receivers = (
-        config.receivers if config.receivers is not None else _default_receivers(config)
-    )
-    seismogram = np.zeros((config.nt, receivers.count), dtype=np.float32)
-    shape = config.model.grid.shape
-    illum = np.zeros(shape, dtype=np.float32)
-
-    pipeline: OffloadPipeline | None = None
-    if gpu_options is not None:
-        _strict_check(
-            gpu_options, platform, physics, shape, "rtm",
-            receivers.count, config.space_order, config.boundary_width,
-            config.pml_variant, nt=config.nt, snap_period=snap_period,
-        )
-        rt = _build_runtime(gpu_options, platform, tracer)
-        pipeline = OffloadPipeline(
-            rt,
-            physics,
-            shape,
-            nreceivers=receivers.count,
-            space_order=config.space_order,
-            boundary_width=config.boundary_width,
-            options=gpu_options,
-            pml_variant=config.pml_variant,
-        )
-        pipeline.allocate_forward()
-
-    # ------------------------------------------------------------------
-    # forward phase
-    # ------------------------------------------------------------------
-    for n in range(config.nt):
-        amp = source.amplitude(n)
-        srcs = [(source.index, amp)] if amp != 0.0 else []
-        fwd.step(srcs)
-        seismogram[n, :] = receivers.record(fwd.snapshot_field())
-        if pipeline is not None:
-            pipeline.forward_step(inject_source=bool(srcs))
-        if store.is_snap_step(n):
-            s = fwd.snapshot_field()
-            store.save(n, s)
-            illumination_update(illum, s)
-            if pipeline is not None:
-                pipeline.snapshot_to_host(decimate=1)
-
-    # ------------------------------------------------------------------
-    # backward phase
-    # ------------------------------------------------------------------
-    if pipeline is not None:
-        pipeline.swap_to_backward()
-    bwd = build_prop()
-    image = np.zeros(shape, dtype=np.float32)
-    scale = np.float32(1.0 / bwd.dt)
-    for n in range(config.nt - 1, -1, -1):
-        traces = seismogram[n, :]
-        bwd.step(())
-        # receiver injection: the time-reversed records drive the backward
-        # wavefield (inject_pressure reaches the real state fields — the
-        # elastic observable is derived, so a plain field write would be
-        # lost)
-        bwd.inject_pressure(receivers.indices, traces, scale=scale)
-        if store.has(n):
-            cross_correlation_update(image, store.load(n), bwd.snapshot_field())
-            if pipeline is not None:
-                pipeline.load_forward_snapshot()
-                pipeline.imaging_step()
-        if pipeline is not None:
-            pipeline.backward_step(inject_receivers=True)
-
-    gpu: GpuTimes | None = None
-    if pipeline is not None:
-        pipeline.finalize(with_image=pipeline.options.image_on_gpu)
-        gpu = pipeline.gpu_times()
-
-    raw = image.copy()
-    out = normalize_image(
-        image, illum if config.illumination_normalize else None
-    )
-    mute = (
-        config.mute_cells
-        if config.mute_cells is not None
-        else config.boundary_width + 8
-    )
-    out = mute_shallow(out, mute)
-    return RTMResult(
-        image=out,
-        raw_image=raw,
-        seismogram=seismogram,
-        dt=dt,
-        gpu=gpu,
-        extras={"snap_period": snap_period, "snapshots": store.count},
-    )
+    return Shot(config, "rtm", gpu_options, platform, tracer).run()
 
 
 def run_rtm_gpu(
@@ -186,21 +54,9 @@ def estimate_rtm(
     tracer: Tracer | None = None,
 ) -> GpuTimes:
     """Timing-only RTM run at arbitrary (paper-scale) grid sizes."""
-    options = options if options is not None else GPUOptions()
-    _strict_check(
-        options, platform, physics, shape, "rtm",
-        nreceivers, space_order, boundary_width, pml_variant,
-        nt=nt, snap_period=snap_period,
-    )
-    rt = _build_runtime(options, platform, tracer)
-    pipeline = OffloadPipeline(
-        rt,
-        physics,
-        shape,
-        nreceivers=nreceivers,
-        space_order=space_order,
-        boundary_width=boundary_width,
-        options=options,
-        pml_variant=pml_variant,
+    pipeline = build_pipeline(
+        options if options is not None else GPUOptions(), platform, physics,
+        shape, "rtm", nt, snap_period, nreceivers, space_order,
+        boundary_width, pml_variant, tracer,
     )
     return run_pipeline_rtm(pipeline, nt, snap_period)

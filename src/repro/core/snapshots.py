@@ -46,11 +46,6 @@ class SnapshotStore:
             raise ConfigurationError("decimate must be >= 1")
 
     # ------------------------------------------------------------------
-    def is_snap_step(self, step: int) -> bool:
-        """Whether snapshots are taken *after* time step ``step``
-        (0-based; the first snap lands on step snap_period - 1)."""
-        return (step + 1) % self.snap_period == 0
-
     def save(self, step: int, wavefield: np.ndarray) -> None:
         """Store the (possibly decimated) wavefield for ``step``."""
         d = self.decimate

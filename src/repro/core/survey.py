@@ -16,7 +16,6 @@ import numpy as np
 from repro.core.config import GPUOptions, GpuTimes, RTMConfig
 from repro.core.imaging import mute_shallow, normalize_image
 from repro.core.platform import CRAY_K40, Platform
-from repro.core.modeling import _default_receivers
 from repro.core.rtm import estimate_rtm, run_rtm
 from repro.model.earth_model import EarthModel
 from repro.trace.tracer import Tracer
@@ -82,44 +81,19 @@ def run_survey(
     )
     if not xs:
         raise ConfigurationError("need at least one shot")
-    depth = (
-        config.source_depth_index
-        if config.source_depth_index is not None
-        else min(config.boundary_width + 4, config.model.grid.shape[0] - 1)
-    )
     stacked = np.zeros(config.model.grid.shape, dtype=np.float32)
     shot_images: list[np.ndarray] = []
     gpu_times: list[GpuTimes] = []
     for x in xs:
         if not 0 <= x < config.model.grid.shape[1]:
             raise ConfigurationError(f"shot x-index {x} outside the grid")
-        shot_cfg = RTMConfig(
-            physics=config.physics,
-            model=config.model,
-            nt=config.nt,
-            dt=config.dt,
-            peak_freq=config.peak_freq,
-            space_order=config.space_order,
-            boundary_width=config.boundary_width,
-            snap_period=config.snap_period,
-            snapshot_decimate=config.snapshot_decimate,
-            receivers=config.receivers,
-            source_depth_index=depth,
-            pml_variant=config.pml_variant,
-            mute_cells=config.mute_cells,
-            illumination_normalize=config.illumination_normalize,
-        )
-        shot_cfg.source_x_index = x
+        shot_cfg = config.for_shot(x)
         if gpu_options is not None and gpu_options.compiled:
             # compiled fast path: physics pipeline-free, timing from the
             # memoised compiled schedule (identical across shots — one
             # compilation per survey, cache hits for the rest)
             result = run_rtm(shot_cfg, gpu_options=None, platform=platform)
-            nrecv = (
-                config.receivers.count
-                if config.receivers is not None
-                else _default_receivers(shot_cfg).count
-            )
+            nrecv = result.seismogram.shape[1]
             times = estimate_rtm(
                 config.physics.lower(),
                 config.model.grid.shape,

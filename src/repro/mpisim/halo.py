@@ -120,9 +120,12 @@ class HaloExchanger:
                             )
                         comm.isend(face, dest=peer, tag=_face_tag(axis, side, fid))
                         if self.tracer is not None:
+                            # stamped on the exchange timeline, which a
+                            # send does not advance
                             self.tracer.instant(
                                 f"isend:{name}", process="mpi",
                                 track=f"rank:{rank}", cat="halo",
+                                at=self.clock.now,
                                 axis=axis, side=side, dest=peer,
                                 bytes=int(face.nbytes),
                             )

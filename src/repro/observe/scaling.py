@@ -204,10 +204,7 @@ def run_scale_point(
         tracers=rank_tracers,
         exchange_tracer=merged,
     )
-    if mode == "rtm":
-        pipeline.run_rtm(nt, snap_period)
-    else:
-        pipeline.run_modeling(nt, snap_period)
+    pipeline.run(nt, snap_period, mode)
     for r, rt in enumerate(rank_tracers):
         merged.absorb(rt, process_prefix=f"rank{r}:")
 

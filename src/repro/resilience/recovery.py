@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -43,24 +44,20 @@ from repro.core.config import (
     RTMConfig,
     RTMResult,
 )
-from repro.core.imaging import (
-    cross_correlation_update,
-    illumination_update,
-    mute_shallow,
-    normalize_image,
-)
-from repro.core.modeling import (
-    _build_runtime,
-    _default_receivers,
-    _default_source,
-)
 from repro.core.multigpu import MultiGpuPipeline
 from repro.core.offload_plan import plan_offload
 from repro.core.pipeline import OffloadPipeline
 from repro.core.platform import CRAY_K40, Platform
-from repro.core.snapshots import SnapshotStore, default_snap_period
+from repro.core.schedule import (
+    PHASE_METHOD,
+    RESIDENCY_STEPS,
+    Schedule,
+    Step,
+    rewindable,
+)
+from repro.core.shot import Shot
+from repro.core.snapshots import SnapshotStore
 from repro.observe import runlog
-from repro.propagators.factory import make_propagator
 from repro.resilience.faults import OOM, PCIE_PERMANENT, RANK_DEAD
 from repro.resilience.injector import TRACE_PROCESS, FaultInjector
 from repro.trace.tracer import NULL_TRACER
@@ -257,8 +254,11 @@ class _Guard:
         ``reset`` (when given) undoes a partial op before a retry —
         residency-building ops are not idempotent, so a transfer fault
         halfway through ``allocate_forward`` must tear down the partial
-        present-table before re-entering."""
+        present-table before re-entering. An OOM that outlasts
+        ``backoff.max_retries`` degrades is real capacity loss and is
+        re-raised."""
         attempt = 0
+        degrades = 0
         while True:
             try:
                 return op()
@@ -281,7 +281,10 @@ class _Guard:
                 raise _RestartNeeded(exc)
             except DeviceOutOfMemoryError as exc:
                 self.stats.detected += 1
+                if degrades >= self.backoff.max_retries:
+                    raise
                 self.degrade_oom(label, exc, pipeline, phase)
+                degrades += 1
                 self.stats.retries += 1
 
     def degrade_oom(
@@ -310,13 +313,109 @@ class _Guard:
         self.stats.note(f"degrade {label}: {action} ({exc})", kind="degrade")
 
 
-class ResilientPipeline:
+def _build_residency(pipe: OffloadPipeline, step: Step) -> None:
+    """The guarded op of an allocate or swap step. A swap retried after a
+    teardown re-enters from idle: rebuild the forward residency, then
+    swap — the same end state as one swap."""
+    if step.kind == "swap" and pipe.phase == "idle":
+        pipe.restore_residency("backward")
+    else:
+        pipe.perform(step.kind, step)
+
+
+class _Recovering:
+    """The restart rungs both guarded runs share, over the schedule's
+    phases: the allocate/swap steps (:meth:`_residency`) and the
+    checkpointed time-step loops (:meth:`_restartable`). A subclass
+    supplies its cards (:meth:`_pipes`) and its host state
+    (:meth:`_capture` / :meth:`_restore_host`)."""
+
+    #: per residency step: the restart span's ``phase`` and the note label
+    _RESIDENCY_RUNG: dict[str, tuple[str, str]]
+
+    def _rung(self, exc, guard: _Guard, note: str, rebuild, **span) -> None:
+        """Spend one restart on ``rebuild`` (re-raising the original fault
+        once the budget is spent), timed on the guard's clock."""
+        if self.stats.restarts >= self.max_restarts:
+            raise exc.cause
+        self.stats.restarts += 1
+        with guard._span("restart", **span, error=str(exc.cause)):
+            t0 = guard.clock.now
+            rebuild()
+            self.stats.recovery_cost_s += guard.clock.now - t0
+        self.stats.note(
+            f"{note} after {type(exc.cause).__name__}", kind="restart"
+        )
+
+    def _rebuild(self, phase: str) -> None:
+        """Reset the link (clearing a latched permanent PCIe fault), tear
+        every card's residency down and rebuild it for ``phase``."""
+        self.injector.resolve(PCIE_PERMANENT)
+        pipes = self._pipes()
+        for pipe in pipes:
+            pipe.drop_residency()
+        for pipe in pipes:
+            pipe.restore_residency(phase)
+
+    def _residency(self, guard: _Guard, step: Step) -> None:
+        """A guarded allocate or swap on every card. Its restart rung needs
+        no checkpoint — the host state is intact — so it rebuilds straight
+        to the phase the step leads into."""
+        target = "forward" if step.kind == "allocate" else "backward"
+        try:
+            for pipe in self._pipes():
+                guard.run(
+                    PHASE_METHOD[step.kind], partial(_build_residency, pipe, step),
+                    pipe, "idle" if step.kind == "allocate" else "forward",
+                    reset=pipe.drop_residency,
+                )
+        except _RestartNeeded as exc:
+            phase, label = self._RESIDENCY_RUNG[step.kind]
+            self._rung(
+                exc, guard, f"{label} restarted",
+                lambda: self._rebuild(target), phase=phase,
+            )
+
+    def _restartable(self, kind: str, steps, ckpt, guard_for, body) -> None:
+        """The ``kind`` phase's time steps under checkpoint/restart:
+        ``guard_for()`` supplies each iteration's guard, a checkpoint is
+        taken where one is due, and a :class:`_RestartNeeded` out of
+        ``body(guard, step)`` restores the latest checkpoint and replays
+        from there."""
+
+        def attempt(i: int, step: Step) -> int:
+            guard = guard_for()
+            if ckpt.is_checkpoint_step(i):
+                ckpt.save(i, *self._capture(kind))
+            try:
+                body(guard, step)
+            except _RestartNeeded as exc:
+                at = ckpt.latest(i)
+
+                def rebuild():
+                    self._restore_host(kind, ckpt.load(at))
+                    self._rebuild(kind)
+
+                self._rung(
+                    exc, guard, f"restart from checkpoint {at}", rebuild,
+                    from_step=i, to_step=at, phase=kind,
+                )
+                return at
+            return i + 1
+
+        rewindable(steps, attempt)
+
+
+class ResilientPipeline(_Recovering):
     """Fault-tolerant executed modeling/RTM on one simulated card.
 
     With an empty fault plan this runs *exactly* the plain drivers'
     operation sequence — the physics is bitwise identical and the device
     timeline matches to the last launch (checkpoint capture is pure host
     work). With faults armed, recovery guarantees the same final answer.
+    The shot itself — physics, strict gates and pipeline — is the plain
+    drivers' :class:`~repro.core.shot.Shot`; this class adds the guard,
+    the checkpoints and the restarts.
 
     Parameters
     ----------
@@ -340,6 +439,8 @@ class ResilientPipeline:
         Restart budget before the run is declared unrecoverable (the
         original fault is re-raised).
     """
+
+    _RESIDENCY_RUNG = {"allocate": ("allocate", "allocate"), "swap": ("swap", "swap")}
 
     def __init__(
         self,
@@ -371,101 +472,24 @@ class ResilientPipeline:
         self.checkpoint_budget = checkpoint_budget
         self.max_restarts = int(max_restarts)
         self.stats = RecoveryStats()
-        self.checkpoints: CheckpointStore | None = None
-        self.backward_checkpoints: CheckpointStore | None = None
+        self._shot: Shot | None = None
 
     # ------------------------------------------------------------------
-    def _setup(self, physics: str):
-        prop_kwargs = {}
-        if physics == "isotropic":
-            prop_kwargs["pml_variant"] = self.config.pml_variant
-        prop = make_propagator(
-            physics,
-            self.config.model,
-            dt=self.config.dt,
-            space_order=self.config.space_order,
-            boundary_width=self.config.boundary_width,
-            **prop_kwargs,
-        )
-        rt = _build_runtime(self.options, self.platform, self.tracer)
-        rt.attach_injector(self.injector)
-        pipeline = OffloadPipeline(
-            rt,
-            physics,
-            self.config.model.grid.shape,
-            nreceivers=(
-                self.config.receivers.count
-                if self.config.receivers is not None
-                else _default_receivers(self.config).count
-            ),
-            space_order=self.config.space_order,
-            boundary_width=self.config.boundary_width,
-            options=self.options,
-            pml_variant=self.config.pml_variant,
-        )
-        guard = _Guard(
-            self.injector, self.backoff, self.stats,
-            pipeline.tracer, rt.device.clock,
-            "rtm" if isinstance(self.config, RTMConfig) else "modeling",
-        )
-        return prop, pipeline, guard
+    def _pipes(self) -> list[OffloadPipeline]:
+        return [self._shot.pipeline]
 
-    def _restart(self, exc, guard, ckpt, prop, pipeline, phase, at_step, aux=None):
-        """Restore the most recent checkpoint; returns the loop index to
-        resume from. Raises the original fault when the restart budget is
-        spent (unrecoverable)."""
-        if self.stats.restarts >= self.max_restarts:
-            raise exc.cause
-        self.stats.restarts += 1
-        step = ckpt.latest(at_step)
-        with guard._span(
-            "restart", from_step=at_step, to_step=step, phase=phase,
-            error=str(exc.cause),
-        ):
-            t0 = guard.clock.now
-            pipeline.drop_residency()
-            # restart-level repair: the modelled link/card reset clears any
-            # latched permanent PCIe fault
-            self.injector.resolve(PCIE_PERMANENT)
-            state = ckpt.load(step)
-            prop.restore_state(state["prop"])
-            if aux is not None:
-                aux(state)
-            pipeline.restore_residency(phase)
-            self.stats.recovery_cost_s += guard.clock.now - t0
-        self.stats.note(
-            f"restart from checkpoint {step} after {type(exc.cause).__name__}",
-            kind="restart",
-        )
-        return step
+    def _capture(self, kind: str):
+        return self._shot.capture(kind)
 
-    def _initial_allocate(self, guard, pipeline) -> None:
-        """Guarded first residency build. No physics has run yet, so the
-        restart rung reduces to: tear down, reset the link (a permanent
-        PCIe fault latched during the copyin), rebuild."""
+    def _restore_host(self, kind: str, state: dict) -> None:
+        self._shot.restore(kind, state)
+
+    def _finalize(self, guard: _Guard, pipeline: OffloadPipeline, step: Step):
         try:
             guard.run(
-                "allocate_forward", pipeline.allocate_forward, pipeline,
-                "idle", reset=pipeline.drop_residency,
+                "finalize", partial(pipeline.perform, "finalize", step),
+                pipeline, "backward" if step.image else "forward",
             )
-        except _RestartNeeded as exc:
-            if self.stats.restarts >= self.max_restarts:
-                raise exc.cause
-            self.stats.restarts += 1
-            with guard._span("restart", phase="allocate", error=str(exc.cause)):
-                t0 = guard.clock.now
-                pipeline.drop_residency()
-                self.injector.resolve(PCIE_PERMANENT)
-                pipeline.restore_residency("forward")
-                self.stats.recovery_cost_s += guard.clock.now - t0
-            self.stats.note(
-                "allocate restarted after " + type(exc.cause).__name__,
-                kind="restart",
-            )
-
-    def _finalize(self, guard, pipeline, phase, with_image: bool):
-        try:
-            guard.run("finalize", lambda: pipeline.finalize(with_image), pipeline, phase)
         except _RestartNeeded:
             # the answer already lives on the host — a finalize that cannot
             # talk to the card degrades to dropping residency outright
@@ -476,254 +500,72 @@ class ResilientPipeline:
 
     # ------------------------------------------------------------------
     def run_modeling(self) -> ModelingResult:
-        config = self.config
-        physics = config.physics.lower()
-        prop, pipeline, guard = self._setup(physics)
-        dt = prop.dt
-        snap_period = (
-            config.snap_period
-            if config.snap_period is not None
-            else default_snap_period(dt, config.peak_freq)
-        )
-        store = SnapshotStore(snap_period, decimate=config.snapshot_decimate)
-        source = _default_source(config, dt)
-        receivers = (
-            config.receivers
-            if config.receivers is not None
-            else _default_receivers(config)
-        )
-        seismogram = np.zeros((config.nt, receivers.count), dtype=np.float32)
-        ckpt = CheckpointStore(
-            config.nt, self.checkpoint_period, self.checkpoint_budget
-        )
-        self.checkpoints = ckpt
+        return self._run("modeling")
 
-        self._initial_allocate(guard, pipeline)
-        n = 0
-        while n < config.nt:
-            if ckpt.is_checkpoint_step(n):
-                ckpt.save(n, prop.snapshot_field(), {"prop": prop.capture_state()})
-            try:
-                amp = source.amplitude(n)
-                srcs = [(source.index, amp)] if amp != 0.0 else []
-                prop.step(srcs)
-                seismogram[n, :] = receivers.record(prop.snapshot_field())
-                guard.run(
-                    "forward_step",
-                    lambda s=srcs: pipeline.forward_step(inject_source=bool(s)),
-                    pipeline, "forward",
-                )
-                if store.is_snap_step(n):
-                    store.save(n, prop.snapshot_field())
-                    guard.run(
-                        "snapshot_to_host",
-                        lambda: pipeline.snapshot_to_host(
-                            decimate=config.snapshot_decimate
-                        ),
-                        pipeline, "forward",
-                    )
-                n += 1
-            except _RestartNeeded as exc:
-                n = self._restart(exc, guard, ckpt, prop, pipeline, "forward", n)
-
-        self._finalize(guard, pipeline, "forward", with_image=False)
-        return ModelingResult(
-            seismogram=seismogram,
-            snapshots=store,
-            final_wavefield=prop.snapshot_field().copy(),
-            dt=dt,
-            gpu=pipeline.gpu_times(),
-            extras={"resilience": self.stats},
-        )
-
-    # ------------------------------------------------------------------
     def run_rtm(self) -> RTMResult:
-        config = self.config
-        if not isinstance(config, RTMConfig):
+        if not isinstance(self.config, RTMConfig):
             raise ConfigurationError("run_rtm needs an RTMConfig")
-        physics = config.physics.lower()
-        fwd, pipeline, guard = self._setup(physics)
-        dt = fwd.dt
-        snap_period = (
-            config.snap_period
-            if config.snap_period is not None
-            else default_snap_period(dt, config.peak_freq)
-        )
-        store = SnapshotStore(snap_period, decimate=1)
-        source = _default_source(config, dt)
-        receivers = (
-            config.receivers
-            if config.receivers is not None
-            else _default_receivers(config)
-        )
-        seismogram = np.zeros((config.nt, receivers.count), dtype=np.float32)
-        shape = config.model.grid.shape
-        illum = np.zeros(shape, dtype=np.float32)
-        ckpt = CheckpointStore(
-            config.nt, self.checkpoint_period, self.checkpoint_budget
-        )
-        self.checkpoints = ckpt
+        return self._run("rtm")
 
-        # ---------------- forward phase ----------------
-        self._initial_allocate(guard, pipeline)
+    def _run(self, mode: str):
+        """Interpret the shot's schedule: every step's physics, then each
+        of its actions under the guard."""
+        shot = self._shot = Shot(
+            self.config, mode, self.options, self.platform, self.tracer,
+            injector=self.injector,
+        )
+        pipeline = shot.pipeline
+        guard = _Guard(
+            self.injector, self.backoff, self.stats,
+            pipeline.tracer, pipeline.rt.device.clock, mode,
+        )
 
-        def restore_illum(state):
-            illum[...] = state["illum"]
-
-        n = 0
-        while n < config.nt:
-            if ckpt.is_checkpoint_step(n):
-                ckpt.save(
-                    n, fwd.snapshot_field(),
-                    {"prop": fwd.capture_state(), "illum": illum.copy()},
-                )
-            try:
-                amp = source.amplitude(n)
-                srcs = [(source.index, amp)] if amp != 0.0 else []
-                fwd.step(srcs)
-                seismogram[n, :] = receivers.record(fwd.snapshot_field())
+        def body(guard: _Guard, step: Step) -> None:
+            inject = shot.advance(step)
+            for action in step.actions:
                 guard.run(
-                    "forward_step",
-                    lambda s=srcs: pipeline.forward_step(inject_source=bool(s)),
-                    pipeline, "forward",
-                )
-                if store.is_snap_step(n):
-                    s = fwd.snapshot_field()
-                    store.save(n, s)
-                    illumination_update(illum, s)
-                    guard.run(
-                        "snapshot_to_host",
-                        lambda: pipeline.snapshot_to_host(decimate=1),
-                        pipeline, "forward",
-                    )
-                n += 1
-            except _RestartNeeded as exc:
-                n = self._restart(
-                    exc, guard, ckpt, fwd, pipeline, "forward", n,
-                    aux=restore_illum,
+                    PHASE_METHOD[action],
+                    partial(pipeline.perform, action, step, inject),
+                    pipeline, step.kind,
                 )
 
-        # ---------------- swap ----------------
-        def do_swap():
-            # a retry after a teardown re-enters from idle: rebuild the
-            # forward residency, then swap — same end state as one swap
-            if pipeline.phase == "idle":
-                pipeline.restore_residency("backward")
+        for kind, steps in shot.schedule.phases():
+            if kind in RESIDENCY_STEPS:
+                shot.advance(steps[0])
+                self._residency(guard, steps[0])
+            elif kind == "finalize":
+                self._finalize(guard, pipeline, steps[0])
             else:
-                pipeline.swap_to_backward()
-
-        try:
-            guard.run("swap_to_backward", do_swap, pipeline, "forward",
-                      reset=pipeline.drop_residency)
-        except _RestartNeeded as exc:
-            if self.stats.restarts >= self.max_restarts:
-                raise exc.cause
-            self.stats.restarts += 1
-            with guard._span("restart", phase="swap", error=str(exc.cause)):
-                t0 = guard.clock.now
-                pipeline.drop_residency()
-                self.injector.resolve(PCIE_PERMANENT)
-                pipeline.restore_residency("backward")
-                self.stats.recovery_cost_s += guard.clock.now - t0
-            self.stats.note("swap restarted after " + type(exc.cause).__name__,
-                            kind="restart")
-
-        # ---------------- backward phase ----------------
-        bwd = make_propagator(
-            physics,
-            config.model,
-            dt=config.dt,
-            space_order=config.space_order,
-            boundary_width=config.boundary_width,
-            **({"pml_variant": config.pml_variant} if physics == "isotropic" else {}),
-        )
-        image = np.zeros(shape, dtype=np.float32)
-        scale = np.float32(1.0 / bwd.dt)
-        bck = CheckpointStore(
-            config.nt, self.checkpoint_period, self.checkpoint_budget
-        )
-        self.backward_checkpoints = bck
-
-        def restore_image(state):
-            image[...] = state["image"]
-
-        n = config.nt - 1
-        while n >= 0:
-            m = config.nt - 1 - n  # completed backward steps
-            if bck.is_checkpoint_step(m):
-                bck.save(
-                    m, bwd.snapshot_field(),
-                    {"prop": bwd.capture_state(), "image": image.copy()},
+                ckpt = CheckpointStore(
+                    self.config.nt, self.checkpoint_period, self.checkpoint_budget
                 )
-            try:
-                traces = seismogram[n, :]
-                bwd.step(())
-                bwd.inject_pressure(receivers.indices, traces, scale=scale)
-                if store.has(n):
-                    cross_correlation_update(image, store.load(n), bwd.snapshot_field())
-                    guard.run(
-                        "load_forward_snapshot",
-                        pipeline.load_forward_snapshot, pipeline, "backward",
-                    )
-                    guard.run(
-                        "imaging_step", pipeline.imaging_step, pipeline, "backward",
-                    )
-                guard.run(
-                    "backward_step",
-                    lambda: pipeline.backward_step(inject_receivers=True),
-                    pipeline, "backward",
-                )
-                n -= 1
-            except _RestartNeeded as exc:
-                m_r = self._restart(
-                    exc, guard, bck, bwd, pipeline, "backward", m,
-                    aux=restore_image,
-                )
-                n = config.nt - 1 - m_r
-
-        self._finalize(
-            guard, pipeline, "backward", with_image=self.options.image_on_gpu
-        )
-        raw = image.copy()
-        out = normalize_image(
-            image, illum if config.illumination_normalize else None
-        )
-        mute = (
-            config.mute_cells
-            if config.mute_cells is not None
-            else config.boundary_width + 8
-        )
-        out = mute_shallow(out, mute)
-        return RTMResult(
-            image=out,
-            raw_image=raw,
-            seismogram=seismogram,
-            dt=dt,
-            gpu=pipeline.gpu_times(),
-            extras={
-                "snap_period": snap_period,
-                "snapshots": store.count,
-                "resilience": self.stats,
-            },
-        )
+                self._restartable(kind, steps, ckpt, lambda: guard, body)
+        return shot.result(pipeline.gpu_times(), resilience=self.stats)
 
 
-class ResilientMultiGpu:
+class ResilientMultiGpu(_Recovering):
     """Fault-tolerant decomposed run over :class:`MultiGpuPipeline`.
 
     Each rank carries a *real* host field (the decomposed scatter of a
     seeded global field) advanced by a deterministic, halo-dependent
     axis-0 smoothing stencil each step — deliberately simple physics whose
     answer is provably wrong if a ghost exchange is lost and not recovered.
-    The per-rank device pipelines and the MPI world run the full
-    instrumented schedule, so every fault kind (device *and* message) has a
-    real injection surface, and recovery must reproduce the fault-free
-    gathered field exactly.
+    The per-rank device pipelines and the MPI world run a reduced form of
+    the schedule: allocate, the forward/backward kernels with a halo
+    exchange per step, swap and finalize — snapshots, their reloads and
+    the imaging stay on the host. Every fault kind (device *and* message)
+    still has a real injection surface, and recovery must reproduce the
+    fault-free gathered field exactly.
 
     Degradation ladder additions over the single-card wrapper: a dead rank
     gathers the global state from the surviving host copies, re-decomposes
     onto ``ngpus - 1`` cards, and continues the same step.
     """
+
+    _RESIDENCY_RUNG = {
+        "allocate": ("forward", "forward residency"),
+        "swap": ("backward", "backward residency"),
+    }
 
     def __init__(
         self,
@@ -861,62 +703,22 @@ class ResilientMultiGpu:
                     kind="retry",
                 )
 
-    def _rank_op(
-        self, guard: _Guard, rc, label: str, op, phase: str, reset=None
-    ) -> None:
-        guard.run(label, op, rc.pipe, phase, reset=reset)
+    def _pipes(self) -> list[OffloadPipeline]:
+        return [rc.pipe for rc in self.mgp.ranks]
 
-    def _restore_residency(self, phase: str) -> None:
-        for rc in self.mgp.ranks:
-            rc.pipe.drop_residency()
-        for rc in self.mgp.ranks:
-            rc.pipe.restore_residency(phase)
+    def _capture(self, kind: str):
+        self._gather()
+        state = {"global": self.global_field.copy()}
+        if kind == "backward":
+            state["image"] = self.image.copy()
+        return self.global_field, state
 
-    def _restart(self, exc, guard, ckpt, phase: str, at: int) -> int:
-        if self.stats.restarts >= self.max_restarts:
-            raise exc.cause
-        self.stats.restarts += 1
-        step = ckpt.latest(at)
-        with guard._span(
-            "restart", from_step=at, to_step=step, phase=phase,
-            error=str(exc.cause),
-        ):
-            t0 = guard.clock.now
-            state = ckpt.load(step)
-            self.global_field[...] = state["global"]
-            if self.image is not None and "image" in state:
-                self.image[...] = state["image"]
-            self.injector.resolve(PCIE_PERMANENT)
-            self.mgp.mpi.flush()
-            self._scatter()
-            self._restore_residency(phase)
-            self.stats.recovery_cost_s += guard.clock.now - t0
-        self.stats.note(
-            f"restart from checkpoint {step} after {type(exc.cause).__name__}",
-            kind="restart",
-        )
-        return step
-
-    def _structural(self, guard: "_Guard", phase: str, body) -> None:
-        """Run a residency-building sweep (allocate / swap) with the
-        allocate-level restart rung: no checkpoint is involved because the
-        host state is intact — tear everything down, reset the link, and
-        rebuild straight to ``phase``."""
-        try:
-            body()
-        except _RestartNeeded as exc:
-            if self.stats.restarts >= self.max_restarts:
-                raise exc.cause
-            self.stats.restarts += 1
-            with guard._span("restart", phase=phase, error=str(exc.cause)):
-                t0 = guard.clock.now
-                self.injector.resolve(PCIE_PERMANENT)
-                self._restore_residency(phase)
-                self.stats.recovery_cost_s += guard.clock.now - t0
-            self.stats.note(
-                f"{phase} residency restarted after {type(exc.cause).__name__}",
-                kind="restart",
-            )
+    def _restore_host(self, kind: str, state: dict) -> None:
+        self.global_field[...] = state["global"]
+        if self.image is not None and "image" in state:
+            self.image[...] = state["image"]
+        self.mgp.mpi.flush()
+        self._scatter()
 
     def _redecompose(self, exc: DeviceLostError, phase: str) -> None:
         """The dead-rank rung: the card is gone but every host slab is
@@ -943,116 +745,66 @@ class ResilientMultiGpu:
         """Run ``nt`` decomposed steps (plus a backward imaging phase for
         ``mode='rtm'``); returns the final gathered global field
         (modeling) or the accumulated image (rtm)."""
-        if mode not in ("modeling", "rtm"):
-            raise ConfigurationError(f"unknown mode '{mode}'")
+        schedule = Schedule(mode, nt, snap_period)
         period = self.checkpoint_period
         if period is None:
             period = max(1, nt // 4)
-        ckpt = CheckpointStore(nt, period)
-        store = SnapshotStore(snap_period) if mode == "rtm" else None
-        guard = self._guard()
+        store = SnapshotStore(snap_period)
+        # allocate runs under the first guard; each time step gets a fresh
+        # one (rank 0's clock may change on rebuild), and swap and
+        # finalize reuse the last
+        current = self._guard()
 
-        def allocate_all():
-            for rc in self.mgp.ranks:
-                self._rank_op(
-                    guard, rc, "allocate_forward", rc.pipe.allocate_forward,
-                    "idle", reset=rc.pipe.drop_residency,
-                )
+        def next_guard() -> _Guard:
+            nonlocal current
+            current = self._guard()
+            return current
 
-        self._structural(guard, "forward", allocate_all)
-
-        n = 0
-        while n < nt:
-            guard = self._guard()  # rank 0's clock may change on rebuild
-            if ckpt.is_checkpoint_step(n):
-                self._gather()
-                ckpt.save(n, self.global_field, {"global": self.global_field.copy()})
-            try:
-                self._local_step()
-                for rc in list(self.mgp.ranks):
-                    try:
-                        self._rank_op(
-                            guard, rc, "forward_step", rc.pipe.forward_step,
-                            "forward",
-                        )
-                    except DeviceLostError as exc:
-                        self._redecompose(exc, "forward")
-                        raise _RestartNeeded(exc)
-                self._exchange(guard, self.mgp.primary)
-                if mode == "rtm" and (n + 1) % snap_period == 0:
-                    self._gather()
-                    store.save(n, self.global_field.copy())
-                n += 1
-            except _RestartNeeded as exc:
-                n = self._restart(exc, guard, ckpt, "forward", n)
-
-        self._gather()
-        if mode == "modeling":
-            for rc in self.mgp.ranks:
-                self._rank_op(
-                    guard, rc, "finalize",
-                    lambda p=rc.pipe: p.finalize(with_image=False), "forward",
-                )
-            return self.global_field.copy()
-
-        # ---------------- rtm backward phase ----------------
-        def swap_all():
-            for rc in self.mgp.ranks:
-                self._rank_op(
-                    guard, rc, "swap_to_backward",
-                    lambda p=rc.pipe: (
-                        p.restore_residency("backward")
-                        if p.phase == "idle"
-                        else p.swap_to_backward()
-                    ),
-                    "forward", reset=rc.pipe.drop_residency,
-                )
-
-        self._structural(guard, "backward", swap_all)
-        self.image = np.zeros(self.shape, dtype=np.float32)
-        # deterministic backward seed: the time-reverse starts from the
-        # final forward state, halved
-        self.global_field[...] = 0.5 * self.global_field
-        self._scatter()
-        bwd_name = self.mgp._backward_name()
-        bck = CheckpointStore(nt, period)
-        m = 0
-        while m < nt:
-            guard = self._guard()
-            if bck.is_checkpoint_step(m):
-                self._gather()
-                bck.save(m, self.global_field, {
-                    "global": self.global_field.copy(),
-                    "image": self.image.copy(),
-                })
-            try:
-                self._local_step()
-                for rc in list(self.mgp.ranks):
-                    try:
-                        self._rank_op(
-                            guard, rc, "backward_step", rc.pipe.backward_step,
-                            "backward",
-                        )
-                    except DeviceLostError as exc:
-                        self._redecompose(exc, "backward")
-                        raise _RestartNeeded(exc)
-                self._exchange(guard, bwd_name)
-                step = nt - 1 - m
-                if store.has(step):
-                    self._gather()
-                    self.image += store.load(step) * self.global_field
-                m += 1
-            except _RestartNeeded as exc:
-                m = self._restart(exc, guard, bck, "backward", m)
-
-        for rc in self.mgp.ranks:
-            self._rank_op(
-                guard, rc, "finalize",
-                lambda p=rc.pipe: p.finalize(
-                    with_image=p.options.image_on_gpu
-                ), "backward",
+        def body(guard: _Guard, step: Step) -> None:
+            self._local_step()
+            for rc in list(self.mgp.ranks):
+                try:
+                    guard.run(
+                        PHASE_METHOD[step.kind],
+                        partial(rc.pipe.perform, step.kind, step),
+                        rc.pipe, step.kind,
+                    )
+                except DeviceLostError as exc:
+                    self._redecompose(exc, step.kind)
+                    raise _RestartNeeded(exc)
+            forward = step.kind == "forward"
+            self._exchange(
+                guard, self.mgp.primary if forward else self.mgp._backward_name()
             )
-        return self.image.copy()
+            if step.snap and mode == "rtm":
+                self._gather()
+                if forward:
+                    store.save(step.n, self.global_field.copy())
+                else:
+                    self.image += store.load(step.n) * self.global_field
+
+        for kind, steps in schedule.phases():
+            if kind in RESIDENCY_STEPS:
+                self._residency(current, steps[0])
+            elif kind == "finalize":
+                for rc in self.mgp.ranks:
+                    current.run(
+                        "finalize", partial(rc.pipe.perform, "finalize", steps[0]),
+                        rc.pipe, "backward" if steps[0].image else "forward",
+                    )
+            else:
+                self._restartable(
+                    kind, steps, CheckpointStore(nt, period), next_guard, body
+                )
+            if kind == "forward":
+                self._gather()
+            elif kind == "swap":
+                self.image = np.zeros(self.shape, dtype=np.float32)
+                # deterministic backward seed: the time-reverse starts from
+                # the final forward state, halved
+                self.global_field[...] = 0.5 * self.global_field
+                self._scatter()
+        return (self.image if mode == "rtm" else self.global_field).copy()
 
 
 __all__ = [

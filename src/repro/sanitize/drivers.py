@@ -69,10 +69,7 @@ def sanitize_pipeline(
         session=session,
         protocol=protocol,
     )
-    if mode == "rtm":
-        pipeline.run_rtm(nt, snap_period)
-    else:
-        pipeline.run_modeling(nt, snap_period)
+    pipeline.run(nt, snap_period, mode)
     return session.result()
 
 

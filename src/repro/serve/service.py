@@ -352,32 +352,6 @@ class SurveyScheduler:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _shot_config(self, survey: _Survey, job: ShotJob) -> RTMConfig:
-        config = survey.config
-        depth = (
-            config.source_depth_index
-            if config.source_depth_index is not None
-            else min(config.boundary_width + 4, config.model.grid.shape[0] - 1)
-        )
-        shot_cfg = RTMConfig(
-            physics=config.physics,
-            model=config.model,
-            nt=config.nt,
-            dt=config.dt,
-            peak_freq=config.peak_freq,
-            space_order=config.space_order,
-            boundary_width=config.boundary_width,
-            snap_period=config.snap_period,
-            snapshot_decimate=config.snapshot_decimate,
-            receivers=config.receivers,
-            source_depth_index=depth,
-            pml_variant=config.pml_variant,
-            mute_cells=config.mute_cells,
-            illumination_normalize=config.illumination_normalize,
-        )
-        shot_cfg.source_x_index = job.shot_x
-        return shot_cfg
-
     def _run_node_harness(self, worker: WorkerNode) -> float:
         """``gpus > 1``: one short decomposed sweep on the node harness,
         verified against the decomposition-free oracle. Returns the node
@@ -422,7 +396,7 @@ class SurveyScheduler:
                 outcome="poison", image=None, device_s=POISON_DETECT_S,
             )
         survey = self._surveys[job.survey]
-        shot_cfg = self._shot_config(survey, job)
+        shot_cfg = survey.config.for_shot(job.shot_x)
         try:
             if self.gpus == 1:
                 pipe = ResilientPipeline(

@@ -62,8 +62,7 @@ def trace_case(
     superstep of the final wavefield over a simulated MPI world.
     """
     from repro.core import GPUOptions, ModelingConfig, RTMConfig
-    from repro.core.modeling import run_modeling
-    from repro.core.rtm import run_rtm
+    from repro.core.shot import Shot
     from repro.model import layered_model
 
     physics, ndim = parse_case(case)
@@ -90,13 +89,8 @@ def trace_case(
         space_order=4 if ndim == 3 else 8,
         boundary_width=8, snap_period=4,
     )
-    options = GPUOptions()
-    if mode == "rtm":
-        result = run_rtm(RTMConfig(**cfg_kw), gpu_options=options,
-                         tracer=tracer)
-    else:
-        result = run_modeling(ModelingConfig(**cfg_kw),
-                              gpu_options=options, tracer=tracer)
+    config = (RTMConfig if mode == "rtm" else ModelingConfig)(**cfg_kw)
+    result = Shot(config, mode, GPUOptions(), tracer=tracer).run()
     # the whole-run umbrella span, emitted post hoc: its clock is only
     # rebound to the device's simulated timeline once the Runtime exists
     tracer.emit(f"trace.{mode}", 0.0, tracer.now(), track="run", cat="phase",
@@ -132,11 +126,7 @@ def _trace_multigpu(
         tracers=rank_tracers,
         exchange_tracer=tracer,
     )
-    snap_period = 4
-    if mode == "rtm":
-        times = mgp.run_rtm(nt, snap_period)
-    else:
-        times = mgp.run_modeling(nt, snap_period)
+    times = mgp.run(nt, 4, mode)
     end = 0.0
     for r, rt in enumerate(rank_tracers):
         tracer.absorb(rt, process_prefix=f"rank{r}:")

@@ -158,12 +158,14 @@ class Tracer:
         process: str = "host",
         track: str = "host",
         cat: str = "marker",
+        at: float | None = None,
         **args: Any,
     ) -> None:
-        """Record an NVTX-style zero-duration marker at the current clock."""
+        """Record an NVTX-style zero-duration marker at the current clock
+        (or at ``at``, a time read off another timeline)."""
         if not self.enabled:
             return
-        t = self._clock()
+        t = self._clock() if at is None else at
         self._record(TraceEvent(name, cat, process, track, t, t, INSTANT, args))
 
     # ------------------------------------------------------------------

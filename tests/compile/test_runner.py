@@ -80,11 +80,11 @@ class TestMultiGpu:
     def test_ranks_match_interpreted_launch_savings(self):
         interp = MultiGpuPipeline(
             "isotropic", (96, 96), 2, options=GPUOptions(), boundary_width=8
-        ).run_rtm(8, 4)
+        ).run(8, 4, "rtm")
         compiled = MultiGpuPipeline(
             "isotropic", (96, 96), 2, options=GPUOptions(compiled=True),
             boundary_width=8,
-        ).run_rtm(8, 4)
+        ).run(8, 4, "rtm")
         assert len(compiled) == 2
         for ti, tc in zip(interp, compiled):
             assert tc.success and tc.launches < ti.launches
@@ -93,7 +93,7 @@ class TestMultiGpu:
         times = MultiGpuPipeline(
             "acoustic", (96, 96), 2, options=GPUOptions(compiled=True),
             boundary_width=8,
-        ).run_modeling(8, 4)
+        ).run(8, 4)
         assert all(t.success for t in times)
 
     def test_sanitized_ranks_stay_clean_under_compiled_steps(self):
@@ -107,7 +107,7 @@ class TestMultiGpu:
                 "isotropic", (96, 96), 2,
                 options=GPUOptions(compiled=compiled),
                 boundary_width=8, session=session,
-            ).run_modeling(8, 4)
+            ).run(8, 4)
             return sorted(
                 (d.rule, d.var or "") for d in session.diagnostics
             )

@@ -275,7 +275,7 @@ class TestPrologueLift:
                 "isotropic", (96, 96), 2,
                 options=GPUOptions(compiled=True),
             )
-            pipe.run_rtm(8, 4)
+            pipe.run(8, 4, "rtm")
         doc = runlog.to_json()
         compiled_phases = {
             e.get("phase") for e in doc.get("events", [])

@@ -29,7 +29,7 @@ class TestPerRankRecording:
         host write on every rank's stream."""
         session = SanitizeSession(nranks=2, name="t")
         pipe = build(ngpus=2, session=session)
-        pipe.run_modeling(nt=4, snap_period=2)
+        pipe.run(nt=4, snap_period=2)
         for rank in (0, 1):
             hw = events(session, rank, "host_write")
             assert hw, f"rank {rank} recorded no host_write events"
@@ -39,20 +39,20 @@ class TestPerRankRecording:
     def test_send_faces_are_recorded_as_host_reads(self):
         session = SanitizeSession(nranks=2, name="t")
         pipe = build(ngpus=2, session=session)
-        pipe.run_modeling(nt=4, snap_period=2)
+        pipe.run(nt=4, snap_period=2)
         for rank in (0, 1):
             assert events(session, rank, "host_read")
 
     def test_halo_messages_become_send_recv_events(self):
         session = SanitizeSession(nranks=2, name="t")
         pipe = build(ngpus=2, session=session)
-        pipe.run_modeling(nt=2, snap_period=2)
+        pipe.run(nt=2, snap_period=2)
         assert events(session, 0, "send") and events(session, 0, "recv")
 
     def test_interior_rank_exchanges_two_faces(self):
         session = SanitizeSession(nranks=3, name="t")
         pipe = build(ngpus=3, session=session)
-        pipe.run_modeling(nt=1, snap_period=2)  # exactly one exchange
+        pipe.run(nt=1, snap_period=2)  # exactly one exchange
         # rank 1 has both a lo and a hi neighbour: two ghost slabs land
         assert len(events(session, 1, "host_write")) == 2
         assert len(events(session, 0, "host_write")) == 1
@@ -60,7 +60,7 @@ class TestPerRankRecording:
     def test_rtm_exchanges_backward_wavefield_too(self):
         session = SanitizeSession(nranks=2, name="t")
         pipe = build(ngpus=2, session=session)
-        pipe.run_rtm(nt=4, snap_period=2)
+        pipe.run(nt=4, snap_period=2, mode="rtm")
         hw_names = {
             n for e in events(session, 0, "host_write") for n in e.writes
         }
@@ -71,14 +71,14 @@ class TestPerRankRecording:
 class TestPipelineBehavior:
     def test_returns_per_rank_timings(self):
         pipe = build(ngpus=3)
-        times = pipe.run_modeling(nt=4, snap_period=2)
+        times = pipe.run(nt=4, snap_period=2)
         assert len(times) == 3
         assert all(t.total > 0 for t in times)
 
     def test_single_rank_has_no_exchange_traffic(self):
         session = SanitizeSession(nranks=1, name="t")
         pipe = build(ngpus=1, session=session)
-        pipe.run_modeling(nt=2, snap_period=2)
+        pipe.run(nt=2, snap_period=2)
         assert not events(session, 0, "host_write")
         assert session.result().clean()
 

@@ -28,10 +28,6 @@ class TestSnapPeriod:
 
 
 class TestSnapshotStore:
-    def test_is_snap_step(self):
-        s = SnapshotStore(snap_period=5)
-        assert [n for n in range(12) if s.is_snap_step(n)] == [4, 9]
-
     def test_save_load_roundtrip(self, rng):
         s = SnapshotStore(3)
         f = rng.standard_normal((16, 16)).astype(np.float32)

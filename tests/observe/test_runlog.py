@@ -76,7 +76,7 @@ class TestPipelineThreading:
         with log.activate():
             mgp = MultiGpuPipeline("acoustic", (96, 96), 2,
                                    options=GPUOptions(), boundary_width=8)
-            mgp.run_modeling(4, 2)
+            mgp.run(4, 2)
         assert log.counters["multigpu.exchanges"] == 4.0
         ops = [e for e in log.events if e["kind"] == "run"]
         assert ops and ops[0]["op"] == "modeling" and ops[0]["ranks"] == 2

@@ -202,3 +202,53 @@ class TestResilientMultiGpu:
         plan = FaultPlan(specs=(FaultSpec("rank-dead", op_index=4),))
         with pytest.raises(DeviceLostError):
             self._run(plan=plan, ranks=1)
+
+
+class TestCapacityOOM:
+    """A real (not injected) capacity OOM persists through every rebuild:
+    the degrade rung gives up after ``max_retries`` and re-raises it."""
+
+    @staticmethod
+    def _tiny():
+        import dataclasses
+
+        from repro.core.platform import CRAY_K40
+        from repro.gpusim.specs import K40
+
+        gpu = dataclasses.replace(K40, name="tiny-K40", memory_bytes=64 * 1024)
+        return dataclasses.replace(CRAY_K40, gpu=gpu)
+
+    def _rtm(self, **kw):
+        model = layered_model(
+            (64, 64), spacing=10.0, interfaces=[320.0],
+            velocities=[1500.0, 2600.0], vs_ratio=0.5,
+        )
+        cfg = _cfg(RTMConfig, physics="isotropic", model=model, nt=8)
+        return ResilientPipeline(cfg, platform=self._tiny(), **kw)
+
+    def test_single_card_reraises(self):
+        from repro.utils.errors import DeviceOutOfMemoryError
+
+        res = self._rtm()
+        with pytest.raises(DeviceOutOfMemoryError):
+            res.run_rtm()
+        assert len(res.stats.degraded) == res.backoff.max_retries
+
+    def test_multi_gpu_reraises(self):
+        from repro.utils.errors import DeviceOutOfMemoryError
+
+        r = ResilientMultiGpu(
+            "isotropic", (64, 64), 2, platform=self._tiny(),
+            boundary_width=8, space_order=8,
+        )
+        with pytest.raises(DeviceOutOfMemoryError):
+            r.run(8, 4)
+        assert len(r.stats.degraded) == r.backoff.max_retries
+
+    def test_strict_validate_refuses_before_any_allocation(self):
+        from repro.utils.errors import AnalysisError
+
+        res = self._rtm(gpu_options=GPUOptions(strict_validate=True))
+        with pytest.raises(AnalysisError):
+            res.run_rtm()
+        assert res.injector.op_counts() == {}

@@ -76,3 +76,22 @@ class TestTraceRanks:
         doc = write_perfetto(tracer, str(out))
         assert json.loads(out.read_text())["traceEvents"]
         assert doc["traceEvents"]
+
+    def test_two_rank_trace_is_deterministic_on_the_simulated_clock(self):
+        from repro.trace.export import to_jsonl
+
+        runs = [
+            to_jsonl(trace_case("el2d", mode="rtm", nt=8, ranks=2)[0])
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+        lines = [json.loads(line) for line in runs[0].splitlines()]
+        events = [e for e in lines if "process" in e]  # not the metrics
+        rank_end = max(
+            e["start_s"] + e["dur_s"]
+            for e in events if e["process"].startswith("rank")
+        )
+        mpi = [e for e in events if e["process"] == "mpi"]
+        assert any(e["name"].startswith("isend:") for e in mpi)
+        for e in mpi:
+            assert 0.0 <= e["start_s"] <= e["start_s"] + e["dur_s"] <= rank_end
