@@ -601,8 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "when --opportunities is given)")
     co.add_argument("--opportunities", metavar="FILE",
                     help="consume a 'repro deps --opportunities' artifact "
-                    "(hash-gated; stale artifacts are refused) instead of "
-                    "running the dataflow engine in-process")
+                    "(schema-checked and hash-gated; malformed and stale "
+                    "artifacts are refused) instead of running the "
+                    "dataflow engine in-process")
     co.add_argument("--plan", metavar="FILE",
                     help="apply a 'repro tune' TuningPlan to launch choices "
                     "(fused launches share the dominant part's entry)")
@@ -632,7 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "when --opportunities is given)")
     va.add_argument("--opportunities", metavar="FILE",
                     help="consume a 'repro deps --opportunities' artifact "
-                    "(hash-gated; stale artifacts are refused)")
+                    "(schema-checked and hash-gated; malformed and stale "
+                    "artifacts are refused)")
     va.add_argument("--artifact", metavar="FILE",
                     help="write the machine-readable proof document "
                     "(capacity phases + discharged obligations)")

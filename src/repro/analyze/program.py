@@ -20,7 +20,7 @@ scan event streams without a visitor layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.acc.clauses import LoopSchedule
 
@@ -108,6 +108,15 @@ class AccEvent:
         if self.kind not in KINDS:
             raise ValueError(f"unknown event kind '{self.kind}'")
 
+    def _reindexed(self, index: int) -> AccEvent:
+        """This event at program position ``index``. A field copy, not
+        ``dataclasses.replace``: replace re-runs ``__init__`` over every
+        field and the kind check this event already passed, and programs
+        re-index every event each time a transformation is applied."""
+        moved = object.__new__(type(self))
+        moved.__dict__.update(self.__dict__, index=index)
+        return moved
+
     # ------------------------------------------------------------------
     def accesses(self, conservative: bool = False) -> list[tuple[str, str]]:
         """Device-array accesses as ``(name, 'r'|'w')`` pairs — the input of
@@ -177,7 +186,8 @@ class DirectiveProgram:
     def add(self, event: AccEvent, sizes: dict[str, int] | None = None) -> AccEvent:
         """Append ``event`` (re-indexed to its program position); ``sizes``
         records the byte extents of any newly attached arrays."""
-        event = replace(event, index=len(self.events))
+        if event.index != len(self.events):
+            event = event._reindexed(len(self.events))
         self.events.append(event)
         for name, nbytes in (sizes or {}).items():
             if nbytes:

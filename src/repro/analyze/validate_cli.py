@@ -22,7 +22,8 @@ obligations) that CI round-trips.
 
 Exit status: 0 when every target is proven clean at the gate severity,
 1 on findings at/above ``--fail-on`` (default ``error``) or a
-compilation failure, 2 on a stale artifact or malformed target.
+compilation failure, 2 on a stale or malformed opportunities artifact or
+a malformed target.
 
 ``check_validate`` is the pipeline's opt-in strict mode
 (``GPUOptions.strict_validate``): prove capacity for the exact
@@ -167,15 +168,18 @@ def _print_target(label: str, outcome: dict) -> None:
 
 def run_validate_command(args) -> int:
     """``python -m repro validate`` entry point (argparse namespace in)."""
-    from repro.compile.cli import compile_targets
+    from repro.compile.cli import compile_targets, load_opportunities
     from repro.observe.ledger import append_run, ledger_path_from_args
     from repro.observe.runlog import RunLog
-    from repro.utils.errors import StaleArtifactError
+    from repro.utils.errors import CompileError, StaleArtifactError
 
     artifact = None
     if getattr(args, "opportunities", None):
-        with open(args.opportunities, encoding="utf-8") as fh:
-            artifact = json.load(fh)
+        try:
+            artifact = load_opportunities(args.opportunities)
+        except CompileError as exc:
+            print(f"validate: {exc}")
+            return 2
     try:
         targets = compile_targets(args)
     except Exception as exc:  # bad case spelling

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 
+from repro.analyze.dataflow import validate_opportunities
 from repro.compile.bench import DEFAULT_REPEATS, bench_document, measure_case
 from repro.compile.compiler import (
     CompiledPipeline,
@@ -30,7 +31,24 @@ from repro.compile.compiler import (
 from repro.core.config import GPUOptions
 from repro.utils.errors import CompileError, StaleArtifactError
 
-__all__ = ["run_compile_command", "compile_targets"]
+__all__ = ["run_compile_command", "compile_targets", "load_opportunities"]
+
+
+def load_opportunities(path: str) -> dict:
+    """Read, parse and schema-check a ``repro deps --opportunities``
+    artifact before any target is recorded. Raises :class:`CompileError`
+    naming the file and the reason when it cannot be read, is not JSON or
+    violates the schema: ``compile`` and ``validate`` refuse it with exit
+    status 2, as they refuse a stale one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            artifact = json.load(fh)
+        validate_opportunities(artifact)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise CompileError(
+            f"unusable opportunities artifact {path}: {exc}"
+        ) from exc
+    return artifact
 
 
 def compile_targets(args) -> list[tuple[str, CompileRequest]]:
@@ -161,8 +179,11 @@ def run_compile_command(args) -> int:
         plan = load_plan(args.plan)
     artifact = None
     if getattr(args, "opportunities", None):
-        with open(args.opportunities, encoding="utf-8") as fh:
-            artifact = json.load(fh)
+        try:
+            artifact = load_opportunities(args.opportunities)
+        except CompileError as exc:
+            print(f"compile: {exc}")
+            return 2
     try:
         targets = compile_targets(args)
     except Exception as exc:  # bad case spelling

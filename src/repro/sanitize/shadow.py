@@ -114,6 +114,10 @@ class ShadowArray:
     # --- device-side mutation / consumption -----------------------------
     def device_write(self, offset: int = 0, nbytes: int | None = None) -> None:
         lo, hi = self._range(offset, nbytes)
+        # kernels re-dirty whole arrays every step; the stored list is
+        # normalised, so a range one interval covers leaves it unchanged
+        if any(a <= lo and hi <= b for a, b in self.dev_dirty):
+            return
         self.dev_dirty = add_interval(self.dev_dirty, lo, hi)
 
     def device_stale(

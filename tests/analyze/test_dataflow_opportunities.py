@@ -1,5 +1,8 @@
 """The opportunity pass: legality facts with replay verification."""
 
+import functools
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.analyze.cli import _INVENTORY, _SHAPES
@@ -236,14 +239,56 @@ class TestArtifact:
         ))
 
 
+@functools.cache
+def seed_recording(physics, ndim):
+    """The seed case's rtm recording, shared by the sweep's tests (which
+    must leave it unchanged)."""
+    return record_pipeline_program(
+        physics, _SHAPES[ndim], "rtm", nt=16, snap_period=4,
+        space_order=4 if ndim == 3 else 8, boundary_width=8,
+    )
+
+
 class TestSeedSweep:
     @pytest.mark.parametrize("physics,ndim", _INVENTORY)
     def test_seed_case_has_verified_opportunities(self, physics, ndim):
         """The acceptance gate: each seed case's recorded schedule yields
         at least one replay-verified opportunity (>= 6 cases required)."""
-        p = record_pipeline_program(
-            physics, _SHAPES[ndim], "rtm", nt=16, snap_period=4,
-            space_order=4 if ndim == 3 else 8, boundary_width=8,
-        )
-        report = find_opportunities(p)
+        report = find_opportunities(seed_recording(physics, ndim))
         assert report.verified(), f"{physics}{ndim}d has none"
+
+    @pytest.mark.parametrize("physics,ndim", _INVENTORY)
+    def test_apply_reindexes_like_replace(self, physics, ndim, monkeypatch):
+        """``DirectiveProgram.add`` re-indexes without re-constructing: every
+        applied opportunity must give the events a ``dataclasses.replace``
+        re-index gives, field by field, and change neither the events
+        handed to ``add`` nor the source program."""
+        p = seed_recording(physics, ndim)
+        sha, indices = p.sha(), [e.index for e in p.events]
+        opportunities = find_opportunities(p, verify=False).opportunities
+        assert opportunities
+        added = []
+        add = DirectiveProgram.add
+
+        def recording_add(self, event, sizes=None):
+            added.append((event, event.index))
+            return add(self, event, sizes)
+
+        monkeypatch.setattr(DirectiveProgram, "add", recording_add)
+        for opp in opportunities:
+            added.clear()
+            out = apply_opportunity(p, opp).events
+            reference = [replace(e, index=i) for i, (e, _) in enumerate(added)]
+            assert len(out) == len(reference)
+            assert [e.index for e in out] == list(range(len(out)))
+            for got, want in zip(out, reference):
+                assert type(got) is AccEvent
+                assert vars(got) == vars(want)
+                assert got == want and hash(got) == hash(want)
+            assert all(e.index == index for e, index in added)
+        assert p.sha() == sha
+        assert [e.index for e in p.events] == indices
+        with pytest.raises(FrozenInstanceError):
+            out[-1].index = 0
+        with pytest.raises(ValueError, match="bogus"):
+            AccEvent(kind="bogus")

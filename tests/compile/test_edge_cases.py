@@ -108,6 +108,17 @@ class TestTripCountOneHoist:
         assert (hoisted[0].kind, hoisted[0].var) == ("update", "u")
 
 
+STALE_ARTIFACT = {
+    "schema": 1,
+    "programs": [{
+        "name": "isotropic-2d-rtm",
+        "case": "iso2d", "mode": "rtm",
+        "program_sha": "0" * 64,
+        "opportunities": [],
+    }],
+}
+
+
 class TestStaleArtifact:
     """A hash-mismatched opportunities artifact must fail closed with an
     actionable error — never silently compile without proofs."""
@@ -134,24 +145,40 @@ class TestStaleArtifact:
         assert "stale" in message
         assert "deps" in message  # tells the user how to re-record
 
-    def test_cli_exit_code_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["compile", "validate"])
+    @pytest.mark.parametrize("text,reason", [
+        (json.dumps(STALE_ARTIFACT), None),
+        (json.dumps(STALE_ARTIFACT)[:60], "Unterminated string"),
+        (
+            json.dumps({"schema": 1, "programs": [{"name": 3}]}),
+            "$.programs[0]: missing required key 'opportunities'",
+        ),
+    ], ids=["stale", "truncated", "schema-invalid"])
+    def test_cli_exit_code_two(self, tmp_path, capsys, command, text, reason):
+        """Stale, truncated and schema-invalid artifacts are all refused
+        with exit status 2; a malformed one (``reason`` given) in one line
+        naming the file, before any target is recorded."""
         from repro.__main__ import build_parser
+        from repro.analyze.validate_cli import run_validate_command
         from repro.compile.cli import run_compile_command
 
-        artifact = {
-            "schema": 1,
-            "programs": [{
-                "name": "isotropic-2d-rtm",
-                "case": "iso2d", "mode": "rtm",
-                "program_sha": "0" * 64,
-                "opportunities": [],
-            }],
-        }
-        path = tmp_path / "stale.json"
-        path.write_text(json.dumps(artifact))
+        run = {
+            "compile": run_compile_command,
+            "validate": run_validate_command,
+        }[command]
+        path = tmp_path / "opportunities.json"
+        path.write_text(text)
         args = build_parser().parse_args([
-            "compile", "iso2d", "--mode", "rtm", "--nt", "4",
+            command, "iso2d", "--mode", "rtm", "--nt", "4",
             "--opportunities", str(path), "--no-ledger",
         ])
-        assert run_compile_command(args) == 2
-        assert "STALE ARTIFACT" in capsys.readouterr().out
+        assert run(args) == 2
+        out = capsys.readouterr().out
+        if reason is None:
+            assert "STALE ARTIFACT" in out
+        else:
+            (line,) = out.splitlines()
+            assert line.startswith(
+                f"{command}: unusable opportunities artifact {path}: "
+            )
+            assert reason in line

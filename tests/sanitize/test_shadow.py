@@ -1,5 +1,7 @@
 """Unit tests for the shadow coherence state (interval algebra)."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.sanitize.shadow import (
     UNKNOWN_EXTENT,
     ShadowArray,
@@ -96,3 +98,55 @@ class TestShadowArray:
         s.host_write(0, 4096)
         s.update_device()  # sizeless update covers everything
         assert s.clean()
+
+
+#: a small extent, so that generated ranges often cover, touch and overrun
+#: each other and the array end
+EXTENT = 24
+OPS = ("host_write", "device_write", "update_device", "update_host")
+
+
+def _bytes(intervals):
+    return {b for lo, hi in intervals for b in range(lo, hi)}
+
+
+def _is_normalised(intervals):
+    if any(hi <= lo for lo, hi in intervals):
+        return False
+    return all(b < c for (_, b), (c, _) in zip(intervals, intervals[1:]))
+
+
+class TestShadowAgainstByteSets:
+    """Every operation sequence leaves the stored interval lists equal to
+    a byte-set model and already normalised — the invariant that lets
+    ``device_write`` return early when one interval covers its range."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(OPS),
+        st.none() | st.integers(0, 2 * EXTENT),  # None: the default offset
+        st.none() | st.integers(0, 2 * EXTENT),
+    ), max_size=30))
+    def test_matches_reference_sets(self, ops):
+        s = ShadowArray("u", extent=EXTENT)
+        host: set[int] = set()
+        dev: set[int] = set()
+        for op, offset, nbytes in ops:
+            lo = offset or 0
+            hi = EXTENT if nbytes is None else lo + nbytes
+            span = set(range(lo, min(hi, EXTENT)))
+            if op == "host_write":
+                host |= span
+            elif op == "device_write":
+                dev |= span
+            else:
+                host -= span
+                dev -= span
+            kwargs = {"nbytes": nbytes}
+            if offset is not None:
+                kwargs["offset"] = offset
+            getattr(s, op)(**kwargs)
+            assert _bytes(s.host_dirty) == host
+            assert _bytes(s.dev_dirty) == dev
+            assert _is_normalised(s.host_dirty)
+            assert _is_normalised(s.dev_dirty)
