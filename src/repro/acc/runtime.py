@@ -18,6 +18,14 @@ Present-table semantics follow OpenACC 2.0:
 * ``update device``/``update host`` move bytes for *present* data without
   lifetime changes, with optional partial (ghost-node) extents and
   non-contiguous chunk counts.
+
+A repeated schedule step need not re-derive every directive: while nothing
+watches them (:attr:`Runtime.unobserved`), :meth:`Runtime.record` keeps the
+priced device ops a step ran as a :class:`StepTape` and
+:meth:`Runtime.replay` runs them again. A kernel whose queue came from the
+auto-async rotation is taped relative to the rotation cursor, and every
+attach or detach bumps :attr:`Runtime.table_epoch`, so a tape is only
+replayed against the present table it was priced under.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from repro.gpusim.kernelmodel import (
     LaunchConfig,
     estimate_register_demand,
 )
+from repro.gpusim.streams import PricedOp
 from repro.propagators.base import KernelWorkload
 from repro.trace.tracer import NULL_TRACER, Tracer
 from repro.utils.errors import PresentTableError
@@ -50,6 +59,33 @@ class PresentEntry:
     refcount: int = 1
     #: whether the final detach should copy back to the host
     copyout_on_exit: bool = False
+
+
+class StepTape:
+    """The priced device ops of one recorded step.
+
+    ``rotated`` lists, in rotation order, the ops whose queue came from
+    the auto-async rotation; they replay on the queues the rotation would
+    hand out from the cursor at replay time (:meth:`at`).
+    """
+
+    __slots__ = ("ops", "rotated", "_at")
+
+    def __init__(self, ops: Sequence[PricedOp], rotated: Sequence[int]):
+        self.ops = tuple(ops)
+        self.rotated = tuple(rotated)
+        self._at: dict[int, tuple[PricedOp, ...]] = {}
+
+    def at(self, cursor: int, period: int) -> tuple[PricedOp, ...]:
+        """The ops with rotated queues counted on from ``cursor`` through
+        a rotation of ``period`` queues (1..period), memoised per cursor."""
+        ops = self._at.get(cursor)
+        if ops is None:
+            concrete = list(self.ops)
+            for k, i in enumerate(self.rotated):
+                concrete[i] = concrete[i]._replace(queue=(cursor - 1 + k) % period + 1)
+            ops = self._at[cursor] = tuple(concrete)
+        return ops
 
 
 class Runtime:
@@ -94,6 +130,11 @@ class Runtime:
         auto = self.flags.auto_async
         self._auto_async = compiler.auto_async_kernels if auto is None else auto
         self._next_queue = 1
+        # while a StepTape records: its op list so far and the indices of
+        # the ops whose queue came from the rotation (else None)
+        self._taping: tuple[list[PricedOp], list[int]] | None = None
+        #: bumped by every present-table attach and detach
+        self.table_epoch = 0
         self._recorders: list = []
         # the persona and flags are fixed for this runtime, so lowering is a
         # pure function of (construct, workload, schedule, queue)
@@ -112,6 +153,44 @@ class Runtime:
     def _record(self, kind: str, sizes=None, **fields) -> None:
         for rec in self._recorders:
             rec.record(kind, sizes=sizes, **fields)
+
+    @property
+    def unobserved(self) -> bool:
+        """Whether nothing watches individual directives: no recorder, no
+        enabled tracer and no fault injector. Only then may a step replay
+        a tape instead of running each directive (the device's event
+        sinks still see every replayed op)."""
+        return (
+            not self._recorders
+            and not self.tracer.enabled
+            and self.device.injector is None
+        )
+
+    # ------------------------------------------------------------------
+    # step tapes
+    # ------------------------------------------------------------------
+    def record(self, run: Callable[[], None]) -> StepTape:
+        """Call ``run`` through the per-op path and return the priced ops
+        it ran as a tape."""
+        rotated: list[int] = []
+        with self.device.recording() as ops:
+            self._taping = (ops, rotated)
+            try:
+                run()
+            finally:
+                self._taping = None
+        return StepTape(ops, rotated)
+
+    def replay(self, tape: StepTape) -> None:
+        """Run a tape's ops again, advancing the auto-async rotation by as
+        many queues as the recorded run took."""
+        ops = tape.ops
+        if tape.rotated:
+            period = self.device.spec.max_concurrent_kernels - 1
+            cursor = self._next_queue
+            ops = tape.at(cursor, period)
+            self._next_queue = (cursor - 1 + len(tape.rotated)) % period + 1
+        self.device.run_ops(ops)
 
     # ------------------------------------------------------------------
     # injection hook (repro.resilience)
@@ -203,6 +282,7 @@ class Runtime:
     def _attach(
         self, name: str, data: np.ndarray | int, transfer: bool, copyout: bool
     ) -> None:
+        self.table_epoch += 1
         entry = self._table.get(name)
         if entry is not None:
             entry.refcount += 1
@@ -221,6 +301,7 @@ class Runtime:
         self._table[name] = PresentEntry(name, nbytes, 1, copyout)
 
     def _detach(self, name: str, force_copyout: bool | None = None) -> None:
+        self.table_epoch += 1
         entry = self.present_entry(name)
         entry.refcount -= 1
         if entry.refcount > 0:
@@ -404,19 +485,21 @@ class Runtime:
     # compute constructs
     # ------------------------------------------------------------------
     def _queue_for(self, async_: int | bool | None) -> int | None:
+        """The queue of a launch: the default stream, an explicit queue, or
+        the next queue of the auto-async rotation (queues 1..n-1)."""
         if async_ is None:
-            if self._auto_async:
-                q = self._next_queue
-                self._next_queue = (self._next_queue % (self.device.spec.max_concurrent_kernels - 1)) + 1
-                return q
-            return None
-        if async_ is True:
-            q = self._next_queue
-            self._next_queue = (self._next_queue % (self.device.spec.max_concurrent_kernels - 1)) + 1
-            return q
+            async_ = bool(self._auto_async)
         if async_ is False:
             return None
-        return int(async_)
+        if async_ is not True:
+            return int(async_)
+        q = self._next_queue
+        self._next_queue = q % (self.device.spec.max_concurrent_kernels - 1) + 1
+        if self._taping is not None:
+            # the launch this queue is for is the next op to be taped
+            ops, rotated = self._taping
+            rotated.append(len(ops))
+        return q
 
     def _run_construct(
         self,

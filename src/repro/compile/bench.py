@@ -5,9 +5,11 @@ this module measures the one thing the compiler actually changes — the
 **host-side** Python cost of driving the schedule.  Each side runs the
 identical schedule on identical fresh twins (same device spec, persona,
 flags), so the simulated times agree by construction and the
-``perf_counter`` delta isolates interpreter overhead: per-launch persona
-lowering, tracer spans, present-table checks, and the launches removed
-by fusion.
+``perf_counter`` delta isolates interpreter overhead and the launches
+removed by fusion.  Neither side re-derives each launch in steady state:
+the interpreter replays each repeated step from the priced-op tape its
+first run recorded, and a fast bound step replays its own tape, so the
+difference is mostly the first (recorded) steps and the fused launches.
 
 ``python -m repro compile all --bench BENCH_step.json`` persists the
 results in the same shape as ``BENCH_autotune.json``; the benchmark

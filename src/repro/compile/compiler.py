@@ -200,7 +200,7 @@ def _default_runtime_factory(
 
 def _twin_pipeline(source: "OffloadPipeline", rt: "Runtime", options: GPUOptions):
     """A shallow twin of ``source`` on a fresh runtime: same workloads and
-    inventory, private phase/present bookkeeping, never itself compiled."""
+    inventory, private phase/present/tape bookkeeping, never itself compiled."""
     import copy
 
     twin = copy.copy(source)
@@ -208,6 +208,7 @@ def _twin_pipeline(source: "OffloadPipeline", rt: "Runtime", options: GPUOptions
     twin.options = options
     twin._present_names = []
     twin._phase = "idle"
+    twin._tapes = {}
     return twin
 
 

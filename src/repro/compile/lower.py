@@ -18,8 +18,12 @@ the op list against a live runtime:
 * **fast** binding resolves the persona lowering once per op at bind
   time and emits closures that talk straight to the simulated
   :class:`~repro.gpusim.device.Device`.  Only legal when nothing is
-  watching (no recorders, null tracer); data-region bookkeeping still
-  goes through the runtime so the present table stays truthful.
+  watching (:attr:`~repro.acc.runtime.Runtime.unobserved`); data-region
+  bookkeeping still goes through the runtime so the present table stays
+  truthful.  A fast step without data-region ops records the priced ops
+  of its first call and replays that tape
+  (:meth:`~repro.gpusim.device.Device.run_ops`) on later calls, as the
+  interpreter does for its repeated steps.
 
 Fused computes carry ``"a+b"`` kernel names; :class:`WorkloadRegistry`
 resolves them by fusing the named parts with
@@ -33,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from repro.trace.tracer import NULL_TRACER
 from repro.utils.errors import CompileError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -210,18 +213,42 @@ class WorkloadRegistry:
             ) from None
 
 
+#: op kinds whose fast thunks only price and run device ops (no
+#: present-table changes), so a fast step made of them can be taped
+_TAPEABLE_KINDS = ("compute", "update", "wait", "host_write", "host_read")
+
+
 @dataclass
 class BoundStep:
-    """A callable sequence of bound thunks for one pipeline phase."""
+    """A callable sequence of bound thunks for one pipeline phase.
+
+    A fast step bound with its runtime (``rt``) whose ops are all
+    tapeable runs its thunks once while nothing watches, keeping the
+    priced ops they ran, and replays that tape on later calls under the
+    same device pricing (toolkit, host pinning, PCIe link)."""
 
     phase: str
     ops: tuple[LoweredOp, ...]
     faithful: bool
+    rt: "Runtime | None" = field(repr=False, default=None)
     _thunks: list[Callable[[], None]] = field(repr=False, default_factory=list)
+    _tape: tuple = field(repr=False, default=())
 
     def __call__(self) -> None:
-        for thunk in self._thunks:
-            thunk()
+        rt = self.rt
+        if rt is None or not rt.unobserved:
+            for thunk in self._thunks:
+                thunk()
+            return
+        device = rt.device
+        key = (device.toolkit, device.pinned_host, device.pcie)
+        if self._tape and self._tape[0] == key:
+            device.run_ops(self._tape[1])
+            return
+        with device.recording() as ops:
+            for thunk in self._thunks:
+                thunk()
+        self._tape = (key, tuple(ops))
 
     @property
     def launches(self) -> int:
@@ -334,14 +361,19 @@ def bind_ops(
     """Bind lowered ops against a live runtime into a :class:`BoundStep`.
 
     ``faithful=None`` auto-detects: replay through runtime directives
-    whenever a recorder or non-null tracer is attached (they must see
-    the schedule), straight-to-device closures otherwise.
+    whenever something watches them (not :attr:`~repro.acc.runtime.
+    Runtime.unobserved`: a recorder, an enabled tracer or a fault
+    injector must see the schedule), straight-to-device closures
+    otherwise.
     """
     ops = tuple(ops)
     if faithful is None:
-        faithful = bool(rt._recorders) or rt.tracer is not NULL_TRACER
+        faithful = not rt.unobserved
     binder = _bind_faithful if faithful else _bind_fast
-    step = BoundStep(phase=phase, ops=ops, faithful=faithful)
+    tapeable = not faithful and all(op.kind in _TAPEABLE_KINDS for op in ops)
+    step = BoundStep(
+        phase=phase, ops=ops, faithful=faithful, rt=rt if tapeable else None,
+    )
     for op in ops:
         thunk = binder(op, rt, registry, plan)
         if thunk is not None:

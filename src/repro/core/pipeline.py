@@ -21,6 +21,11 @@ The pipeline is physics-free: it moves *names and byte counts* and launches
 (estimate mode) and accompanies real NumPy runs (execute mode). The step
 sequence itself lives in :mod:`repro.core.schedule`; :meth:`~OffloadPipeline.
 perform` maps each of its actions onto one phase method.
+
+A repeated action runs its phase method once per distinct situation and is
+replayed from that run's priced-op tape afterwards (see
+:meth:`~OffloadPipeline.perform`): the schedule repeats the same directives
+step after step, and only the stream timeline moves.
 """
 
 from __future__ import annotations
@@ -29,10 +34,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.acc.runtime import Runtime
+from repro.acc.runtime import Runtime, StepTape
 from repro.core.config import GpuTimes, GPUOptions
 from repro.core.inventory import field_inventory, primary_wavefield
-from repro.core.schedule import PHASE_METHOD, RESIDENCY_STEPS, Schedule, Step
+from repro.core.schedule import (
+    PHASE_METHOD,
+    REPEATED_PHASES,
+    RESIDENCY_STEPS,
+    Schedule,
+    Step,
+)
 from repro.observe import runlog
 from repro.propagators.base import KernelWorkload
 from repro.propagators.workloads import (
@@ -43,6 +54,14 @@ from repro.propagators.workloads import (
     workloads_for,
 )
 from repro.utils.errors import ConfigurationError, DeviceOutOfMemoryError
+
+
+#: the run-log counter each taped action bumps per step, replayed or not
+_STEP_COUNTERS = {
+    "forward": "pipeline.forward_steps",
+    "snapshot": "pipeline.snapshots",
+    "backward": "pipeline.backward_steps",
+}
 
 
 def _mark_uncoalesced(workloads: list[KernelWorkload]) -> list[KernelWorkload]:
@@ -114,6 +133,8 @@ class OffloadPipeline:
         self.imaging_workloads = imaging_condition_workloads(self.shape)
         self._present_names: list[str] = []
         self._phase = "idle"
+        # priced-op tapes of repeated actions (see perform)
+        self._tapes: dict[tuple, StepTape] = {}
 
     @property
     def tracer(self):
@@ -182,7 +203,7 @@ class OffloadPipeline:
                              async_=async_)
             if async_ or (async_ is None and self.rt.compiler.auto_async_kernels):
                 self.rt.wait()
-        runlog.count("pipeline.forward_steps")
+        runlog.count(_STEP_COUNTERS["forward"])
 
     def snapshot_to_host(self, decimate: int = 1) -> None:
         """``update host`` of the wavefield for the snapshot store."""
@@ -192,7 +213,7 @@ class OffloadPipeline:
             self.rt.update_host(self.primary, nbytes=nbytes)
         self.tracer.metrics.counter("pipeline.snapshot_bytes").add(nbytes)
         self.tracer.metrics.counter("pipeline.snapshots").add()
-        runlog.count("pipeline.snapshots")
+        runlog.count(_STEP_COUNTERS["snapshot"])
 
     # ------------------------------------------------------------------
     # step 3: offload forward, upload backward
@@ -259,7 +280,7 @@ class OffloadPipeline:
         with self.tracer.span("backward_step", track="pipeline", cat="phase",
                               phase="backward"):
             self._backward_step(inject_receivers, async_)
-        runlog.count("pipeline.backward_steps")
+        runlog.count(_STEP_COUNTERS["backward"])
 
     def _backward_step(self, inject_receivers, async_) -> None:
         if self.physics == "isotropic":
@@ -348,7 +369,34 @@ class OffloadPipeline:
     def perform(self, action: str, step: Step, inject: bool = True) -> None:
         """Run one schedule action through its phase method. ``inject``
         says whether a forward step injects the source (a backward step,
-        the receivers); estimate runs always inject."""
+        the receivers); estimate runs always inject.
+
+        While nothing watches the runtime's directives, a repeated action
+        runs its phase method once per key and replays the priced ops it
+        ran (:meth:`~repro.acc.runtime.Runtime.record`) afterwards. The
+        key holds everything the ops depend on: the action and its
+        arguments, the phase, the present-table epoch, and the device's
+        toolkit, host pinning and PCIe link."""
+        rt = self.rt
+        if action not in REPEATED_PHASES or not rt.unobserved:
+            self._perform(action, step, inject)
+            return
+        device, epoch = rt.device, rt.table_epoch
+        key = (
+            action, inject, step.decimate, self._phase, epoch,
+            device.toolkit, device.pinned_host, device.pcie,
+        )
+        tape = self._tapes.get(key)
+        if tape is None:
+            tape = rt.record(lambda: self._perform(action, step, inject))
+            if rt.table_epoch == epoch:
+                self._tapes[key] = tape
+            return
+        rt.replay(tape)
+        if action in _STEP_COUNTERS:
+            runlog.count(_STEP_COUNTERS[action])
+
+    def _perform(self, action: str, step: Step, inject: bool) -> None:
         if action == "forward":
             self.forward_step(inject_source=inject)
         elif action == "backward":

@@ -5,12 +5,19 @@ All operations advance the device's :class:`~repro.utils.timer.SimClock`
 according to the cost models; nothing here touches real wavefield data (the
 acc runtime executes the NumPy kernels and merely *accounts* their modelled
 device time here).
+
+Every kernel, copy and wait is first *priced* (the memoised kernel
+estimate, the PCIe model, the fault injector's hook) and then run as a
+:class:`~repro.gpusim.streams.PricedOp` through :meth:`Device.run_ops`, the
+one timeline. :meth:`Device.recording` keeps the priced ops a stretch of
+work ran, so a repeated step can replay them without pricing again.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from repro.gpusim.kernelmodel import (
     KernelEstimate,
@@ -21,7 +28,15 @@ from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.pcie import PCIE_GEN2_X16, PCIeModel, checked_transfer
 from repro.gpusim.profiler import ProfileEvent, Profiler
 from repro.gpusim.specs import CUDA_5_0, CudaToolkit, GPUSpec
-from repro.gpusim.streams import ASYNC_ENQUEUE_COST, StreamPool
+from repro.gpusim.streams import (
+    ASYNC_ENQUEUE_COST,
+    D2H,
+    H2D,
+    KERNEL,
+    WAIT,
+    PricedOp,
+    StreamPool,
+)
 from repro.propagators.base import KernelWorkload
 from repro.trace.tracer import Tracer
 from repro.utils.timer import SimClock
@@ -82,10 +97,12 @@ class Device:
         # launch pricing is a pure function of (workload, launch, toolkit)
         # on this card, so each distinct launch is estimated once
         self._estimates: dict[tuple, KernelEstimate] = {}
-        # every timeline event flows through the sink list; the profiler is
-        # simply the first consumer of the trace stream, and an attached
-        # Tracer re-emits the same events on per-queue Perfetto tracks
-        self._sinks: list[Callable[[ProfileEvent], None]] = [self.profiler.record]
+        # the profiler folds every timeline op directly; further consumers
+        # (an attached Tracer re-emitting per-queue Perfetto tracks) get one
+        # ProfileEvent per op through the sink list
+        self._sinks: list[Callable[[ProfileEvent], None]] = []
+        # the priced ops run while a recording is open (see recording())
+        self._tape: list[PricedOp] | None = None
         self._tracer: Tracer | None = None
         self._trace_process = f"gpu:{spec.name}"
         # resilience hook: a (possibly rank-bound) FaultInjector consulted at
@@ -126,14 +143,36 @@ class Device:
         if ev.kind == "kernel":
             m.counter("gpu.kernel_launches").add()
             m.histogram("gpu.kernel_seconds").observe(ev.duration)
+            m.histogram("gpu.occupancy").observe(ev.occupancy)
         elif ev.kind == "h2d":
             m.counter("gpu.h2d_bytes").add(ev.nbytes)
         elif ev.kind == "d2h":
             m.counter("gpu.d2h_bytes").add(ev.nbytes)
 
-    def _emit(self, ev: ProfileEvent) -> None:
-        for sink in self._sinks:
-            sink(ev)
+    # ------------------------------------------------------------------
+    # the timeline
+    # ------------------------------------------------------------------
+    def run_ops(self, ops: Sequence[PricedOp]) -> None:
+        """Run priced ops against the clock, the streams, the per-category
+        times, the profiler and every sink (:meth:`~repro.gpusim.streams.
+        StreamPool.run_ops` on the current pool). An open
+        :meth:`recording` keeps them."""
+        self.streams.run_ops(ops, self)
+        if self._tape is not None:
+            self._tape.extend(ops)
+
+    @contextmanager
+    def recording(self) -> Iterator[list[PricedOp]]:
+        """Collect every priced op run inside the ``with`` body, in order:
+        the tape a repeated step replays through :meth:`run_ops`."""
+        tape: list[PricedOp] = []
+        outer, self._tape = self._tape, tape
+        try:
+            yield tape
+        finally:
+            self._tape = outer
+            if outer is not None:
+                outer.extend(tape)
 
     # ------------------------------------------------------------------
     # memory management
@@ -178,32 +217,19 @@ class Device:
     def h2d(self, nbytes: int, name: str = "h2d", chunks: int = 1, queue: int | None = None) -> float:
         """Host-to-device copy of ``nbytes`` (``chunks`` DMA transactions for
         strided/partial data). Returns the modelled duration."""
-        t = checked_transfer(
-            self.pcie, "h2d", nbytes, name=name,
-            pinned=self.pinned_host, chunks=chunks, injector=self.injector,
-        )
-        if queue is None:
-            start, end = self.streams.run_copy_sync(t)
-        else:
-            start, end = self.streams.run_copy_async(queue, t)
-        self.times.h2d += t
-        self.clock.charge(t, "h2d")
-        self._emit(ProfileEvent("h2d", name, start, end, int(nbytes), queue))
-        return t
+        return self._copy(H2D, nbytes, name, chunks, queue)
 
     def d2h(self, nbytes: int, name: str = "d2h", chunks: int = 1, queue: int | None = None) -> float:
         """Device-to-host copy."""
+        return self._copy(D2H, nbytes, name, chunks, queue)
+
+    def _copy(self, kind: str, nbytes: int, name: str, chunks: int, queue: int | None) -> float:
         t = checked_transfer(
-            self.pcie, "d2h", nbytes, name=name,
+            self.pcie, kind, nbytes, name=name,
             pinned=self.pinned_host, chunks=chunks, injector=self.injector,
         )
-        if queue is None:
-            start, end = self.streams.run_copy_sync(t)
-        else:
-            start, end = self.streams.run_copy_async(queue, t)
-        self.times.d2h += t
-        self.clock.charge(t, "d2h")
-        self._emit(ProfileEvent("d2h", name, start, end, int(nbytes), queue))
+        enqueue = 0.0 if queue is None else ASYNC_ENQUEUE_COST
+        self.run_ops((PricedOp(kind, name, t, enqueue, queue, int(nbytes)),))
         return t
 
     # ------------------------------------------------------------------
@@ -230,29 +256,19 @@ class Device:
         queue = launch.async_queue if launch is not None else None
         host_admin = self.PRESENT_LOOKUP_S * (2 + workload.address_streams)
         if queue is None:
-            start, end = self.streams.run_kernel_sync(
-                est.seconds, self.spec.launch_overhead_s + host_admin
-            )
+            host = self.spec.launch_overhead_s + host_admin
         else:
-            start, end = self.streams.run_kernel_async(
-                queue,
-                est.seconds,
-                (ASYNC_ENQUEUE_COST + host_admin) * enqueue_cost_factor,
-            )
-        self.times.kernel += est.seconds
-        self.clock.charge(est.seconds, "kernel")
-        self.kernel_launches += 1
-        self._emit(ProfileEvent(
-            "kernel", workload.name, start, end, 0, queue,
-            occupancy=est.occupancy, spilled_regs=est.spilled_regs,
-        ))
-        if self._tracer is not None:
-            self._tracer.metrics.histogram("gpu.occupancy").observe(est.occupancy)
+            host = (ASYNC_ENQUEUE_COST + host_admin) * enqueue_cost_factor
+        self.run_ops((PricedOp(
+            KERNEL, workload.name, est.seconds, host, queue, 0,
+            est.occupancy, est.spilled_regs,
+        ),))
         return est
 
     def wait(self, queue: int | None = None) -> float:
         """``acc wait``: advance the host clock to queued-work completion."""
-        return self.streams.wait(queue)
+        self.run_ops((PricedOp(WAIT, queue=queue),))
+        return self.clock.now
 
     # ------------------------------------------------------------------
     @property

@@ -1,15 +1,25 @@
 """Execution profiler for the simulated device.
 
-Collects kernel and memcpy events and renders the grouped time-share tables
-the paper reads off the Nvidia Visual Profiler (its Figures 11, 14 and 15 —
-e.g. ``73.4% [8502] kernel_2d_139_gpu / 26.2% [408096] sample_put_real_118 /
-0.4% [4251] sample_put_real_98``).
+Aggregates kernel and memcpy events as the device timeline runs them and
+renders the grouped time-share tables the paper reads off the Nvidia Visual
+Profiler (its Figures 11, 14 and 15 — e.g. ``73.4% [8502]
+kernel_2d_139_gpu / 26.2% [408096] sample_put_real_118 / 0.4% [4251]
+sample_put_real_98``).
+
+The profiler keeps running totals, not an event list: a repeated step is
+replayed from its priced-op tape (:meth:`~repro.gpusim.device.Device.
+run_ops`) rather than re-derived launch by launch, so there is no per-launch
+record to keep. Every total is a left fold in event order
+(:func:`~repro.utils.fold.left_sum` semantics), so a report is the same
+bits on every Python version. Consumers that want each event subscribe a
+sink on the device (:meth:`~repro.gpusim.device.Device.add_sink`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.utils.fold import left_sum
 from repro.utils.units import bytes_to_human, seconds_to_human
 
 
@@ -59,7 +69,9 @@ class ProfileReport:
     def kernel_share(self, name_prefix: str) -> float:
         """Combined compute-time share of kernels whose name starts with
         ``name_prefix`` (0..1)."""
-        return sum(k.share for k in self.kernels if k.name.startswith(name_prefix))
+        return left_sum(
+            k.share for k in self.kernels if k.name.startswith(name_prefix)
+        )
 
     def to_text(self) -> str:
         """Render in the style of the paper's profiler figures."""
@@ -105,55 +117,77 @@ class ProfileReport:
 
 @dataclass
 class Profiler:
-    """Event recorder; negligible overhead, always on."""
+    """Running per-kernel and per-direction totals; always on.
 
-    events: list[ProfileEvent] = field(default_factory=list)
+    ``kernels`` maps each kernel name, in first-seen order, to its
+    ``[launches, total seconds]``; the copy totals and the earliest start
+    and latest end cover every event. Each is folded left in event order.
+    """
+
     enabled: bool = True
+    kernels: dict[str, list] = field(default_factory=dict)
+    h2d_seconds: float = 0.0
+    h2d_bytes: int = 0
+    d2h_seconds: float = 0.0
+    d2h_bytes: int = 0
+    first_start: float = float("inf")
+    last_end: float = 0.0
 
     def record(self, event: ProfileEvent) -> None:
+        """Fold one event into the totals."""
         if self.enabled:
-            self.events.append(event)
+            self.fold(event.kind, event.name, event.start, event.end, event.nbytes)
+
+    def fold(self, kind: str, name: str, start: float, end: float, nbytes: int) -> None:
+        """Fold one timeline entry (what :meth:`record` does, without the
+        event object — the device timeline's path)."""
+        duration = end - start
+        if kind == "kernel":
+            line = self.kernels.get(name)
+            if line is None:
+                self.kernels[name] = [1, duration]
+            else:
+                line[0] += 1
+                line[1] += duration
+        elif kind == "h2d":
+            self.h2d_seconds += duration
+            self.h2d_bytes += nbytes
+        elif kind == "d2h":
+            self.d2h_seconds += duration
+            self.d2h_bytes += nbytes
+        if start < self.first_start:
+            self.first_start = start
+        if end > self.last_end:
+            self.last_end = end
 
     def clear(self) -> None:
-        self.events.clear()
+        self.kernels = {}
+        self.h2d_seconds = self.d2h_seconds = 0.0
+        self.h2d_bytes = self.d2h_bytes = 0
+        self.first_start = float("inf")
+        self.last_end = 0.0
 
     # ------------------------------------------------------------------
     def report(self) -> ProfileReport:
-        """Aggregate all recorded events."""
-        per_kernel: dict[str, list[float]] = {}
-        h2d_t = d2h_t = 0.0
-        h2d_b = d2h_b = 0
-        t_min = float("inf")
-        t_max = 0.0
-        for ev in self.events:
-            t_min = min(t_min, ev.start)
-            t_max = max(t_max, ev.end)
-            if ev.kind == "kernel":
-                per_kernel.setdefault(ev.name, []).append(ev.duration)
-            elif ev.kind == "h2d":
-                h2d_t += ev.duration
-                h2d_b += ev.nbytes
-            elif ev.kind == "d2h":
-                d2h_t += ev.duration
-                d2h_b += ev.nbytes
-        compute = sum(sum(v) for v in per_kernel.values())
+        """The grouped view of everything folded so far."""
+        compute = left_sum(total for _, total in self.kernels.values())
         kernels = [
             KernelLine(
                 name=name,
-                count=len(durs),
-                total_seconds=sum(durs),
-                share=(sum(durs) / compute) if compute > 0 else 0.0,
+                count=count,
+                total_seconds=total,
+                share=(total / compute) if compute > 0 else 0.0,
             )
-            for name, durs in per_kernel.items()
+            for name, (count, total) in self.kernels.items()
         ]
         kernels.sort(key=lambda k: k.total_seconds, reverse=True)
-        span = (t_max - t_min) if self.events else 0.0
+        seen = self.first_start != float("inf")
         return ProfileReport(
             kernels=kernels,
-            memcpy_h2d_seconds=h2d_t,
-            memcpy_d2h_seconds=d2h_t,
-            memcpy_h2d_bytes=h2d_b,
-            memcpy_d2h_bytes=d2h_b,
+            memcpy_h2d_seconds=self.h2d_seconds,
+            memcpy_d2h_seconds=self.d2h_seconds,
+            memcpy_h2d_bytes=self.h2d_bytes,
+            memcpy_d2h_bytes=self.d2h_bytes,
             compute_seconds=compute,
-            span_seconds=span,
+            span_seconds=(self.last_end - self.first_start) if seen else 0.0,
         )

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.propagators.base import KernelWorkload
 from repro.utils.errors import ConfigurationError
+from repro.utils.fold import left_sum
 from repro.utils.units import GB
 
 #: fraction of peak FLOP throughput tuned, *vectorized* Fortran sustains
@@ -198,7 +199,7 @@ class ClusterCostModel:
 
     def step_time(self, workloads: list[KernelWorkload]) -> float:
         """One time step's compute (all kernels)."""
-        return sum(self.kernel_time(w) for w in workloads)
+        return left_sum(self.kernel_time(w) for w in workloads)
 
     # ------------------------------------------------------------------
     def halo_time(self, halo_bytes: int, messages: int) -> float:

@@ -8,7 +8,9 @@ subsystems bump named instruments; exporters snapshot the registry next to
 the event stream.
 
 All instruments share one lock (contention is negligible at the rates the
-simulators produce) so cross-instrument snapshots are consistent.
+simulators produce) so cross-instrument snapshots are consistent. A
+disabled registry (the one a disabled tracer carries) hands out one
+instrument that accepts every update and keeps nothing.
 """
 
 from __future__ import annotations
@@ -95,15 +97,34 @@ class Histogram:
         }
 
 
+class _Discard:
+    """The instrument of a disabled registry: every update is dropped."""
+
+    def add(self, amount: float = 1.0) -> None:
+        pass
+
+    def set(self, value: float) -> None:
+        pass
+
+    def observe(self, value: float) -> None:
+        pass
+
+
+_DISCARD = _Discard()
+
+
 class MetricsRegistry:
     """Create-or-get access to named instruments.
 
     Instrument names are namespaced by convention (``gpu.kernel_launches``,
     ``halo.bytes``, ``pipeline.snapshot_bytes``); an instrument is created on
-    first use, so consumers can snapshot without pre-registration.
+    first use, so consumers can snapshot without pre-registration. With
+    ``enabled=False`` every instrument discards its updates and the
+    registry stays empty.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, enabled: bool = True) -> None:
+        self.enabled = enabled
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
@@ -111,6 +132,8 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
+        if not self.enabled:
+            return _DISCARD
         with self._lock:
             inst = self._counters.get(name)
             if inst is None:
@@ -118,6 +141,8 @@ class MetricsRegistry:
         return inst
 
     def gauge(self, name: str) -> Gauge:
+        if not self.enabled:
+            return _DISCARD
         with self._lock:
             inst = self._gauges.get(name)
             if inst is None:
@@ -125,6 +150,8 @@ class MetricsRegistry:
         return inst
 
     def histogram(self, name: str) -> Histogram:
+        if not self.enabled:
+            return _DISCARD
         with self._lock:
             inst = self._histograms.get(name)
             if inst is None:
@@ -139,6 +166,8 @@ class MetricsRegistry:
         Counters add; gauges keep the merged-in last value and the max of
         both high-water marks; histograms fold count/total/min/max (the
         streaming summary is associative, so the merge is exact)."""
+        if not self.enabled:
+            return
         snap = other.snapshot()
         for name, value in snap["counters"].items():
             self.counter(f"{prefix}{name}").add(value)

@@ -62,7 +62,8 @@ class Tracer:
     """Thread-safe event recorder with a metrics registry attached.
 
     A disabled tracer (``enabled=False``) accepts every call and records
-    nothing, so instrumented code paths never need to branch; the shared
+    nothing — no events and, through its disabled registry, no metrics — so
+    instrumented code paths never need to branch; the shared
     :data:`NULL_TRACER` instance is the conventional "tracing off" default.
     """
 
@@ -79,7 +80,7 @@ class Tracer:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._events: list[TraceEvent] = []
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry(enabled=enabled)
 
     # ------------------------------------------------------------------
     # clock

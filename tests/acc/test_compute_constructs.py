@@ -58,20 +58,26 @@ class TestExecution:
 
     def test_cray_auto_async_uses_queues(self):
         r = Runtime(Device(K40), compiler=CRAY_8_2_6)
+        events = []
+        r.device.add_sink(events.append)
         r.compute(wl())
-        ev = r.device.profiler.events[-1]
+        ev = events[-1]
         assert ev.queue is not None
 
     def test_pgi_default_synchronous(self):
         r = Runtime(Device(K40), compiler=PGI_14_6)
+        events = []
+        r.device.add_sink(events.append)
         r.compute(wl())
-        ev = r.device.profiler.events[-1]
+        ev = events[-1]
         assert ev.queue is None
 
     def test_explicit_async_queue(self):
         r = Runtime(Device(K40), compiler=PGI_14_6)
+        events = []
+        r.device.add_sink(events.append)
         r.kernels(wl(), async_=3)
-        assert r.device.profiler.events[-1].queue == 3
+        assert events[-1].queue == 3
 
     def test_wait_blocks_until_done(self):
         r = Runtime(Device(K40), compiler=PGI_14_6)
@@ -102,9 +108,11 @@ class TestLoweringMemo:
     def test_one_workload_on_two_queues_lowers_twice(self):
         persona = CountingPersona(PGI_14_6)
         r = Runtime(Device(K40), compiler=persona)
+        events = []
+        r.device.add_sink(events.append)
         for q in (1, 2, 1, 2):
             r.kernels(wl(), async_=q)  # a new, value-equal workload each time
-        assert [ev.queue for ev in r.device.profiler.events] == [1, 2, 1, 2]
+        assert [ev.queue for ev in events] == [1, 2, 1, 2]
         one, two = persona.lowered
         assert (one.async_queue, two.async_queue) == (1, 2)
         assert replace(one, async_queue=None) == replace(two, async_queue=None)

@@ -5,7 +5,7 @@ import pytest
 from repro.acc import PGI_14_6, CompileFlags, Runtime
 from repro.core import GPUOptions, OffloadPipeline
 from repro.core.pipeline import run_pipeline_rtm
-from repro.gpusim import Device, K40, M2090, LaunchConfig
+from repro.gpusim import Device, K40, M2090, LaunchConfig, Profiler
 from repro.gpusim.kernelmodel import estimate_kernel_time
 from repro.gpusim.pcie import PCIE_GEN3_X16
 from repro.gpusim.specs import CUDA_5_0, CUDA_5_5
@@ -154,16 +154,18 @@ class TestLaunchPricingMemo:
 
     def test_fault_fires_on_warm_memo(self):
         d = Device(K40)
+        events = []
+        d.add_sink(events.append)
         for _ in range(3):
             d.launch(wl())  # the memo is warm before the injector arms
         FaultInjector(FaultPlan(specs=parse_faults("kernel-launch@3"))).attach_device(d)
         d.launch(wl())
         d.launch(wl())
-        before = (d.elapsed, d.kernel_launches, len(d.profiler.events))
+        before = (d.elapsed, d.kernel_launches, len(events))
         with pytest.raises(KernelLaunchError):
             d.launch(wl())
         # the fault fires before anything is charged
-        assert (d.elapsed, d.kernel_launches, len(d.profiler.events)) == before
+        assert (d.elapsed, d.kernel_launches, len(events)) == before
         d.launch(wl())
         assert d.kernel_launches == 6
 
@@ -177,4 +179,4 @@ class TestReset:
         assert d.elapsed == 0.0
         assert d.kernel_launches == 0
         assert not d.memory.holds("a")
-        assert d.profiler.events == []
+        assert d.profiler.report() == Profiler().report()

@@ -1,6 +1,7 @@
 import pytest
 
 from repro.gpusim import Profiler, ProfileEvent, StreamPool
+from repro.gpusim.streams import KERNEL, PricedOp
 from repro.utils.errors import ConfigurationError
 from repro.utils.timer import SimClock
 
@@ -85,6 +86,15 @@ class TestStreamPool:
         with pytest.raises(ConfigurationError):
             pool.run_kernel_async(9, 1e-3)
 
+    def test_failing_op_keeps_the_ops_before_it(self):
+        clock = SimClock()
+        pool = StreamPool(clock, max_queues=4)
+        ops = [PricedOp(KERNEL, "a", 1e-3, 1e-5), PricedOp(KERNEL, "b", 1e-3, 0.0, 9)]
+        with pytest.raises(ConfigurationError):
+            pool.run_ops(ops)
+        assert clock.now == pool.compute_free == 1e-5 + 1e-3
+        assert pool.compute_busy == 1e-3
+
 
 class TestProfiler:
     def _fill(self, prof):
@@ -142,4 +152,4 @@ class TestProfiler:
     def test_disabled(self):
         prof = Profiler(enabled=False)
         self._fill(prof)
-        assert prof.events == []
+        assert prof.report() == Profiler().report()

@@ -179,3 +179,34 @@ class TestMetrics:
         assert snap["counters"]["gpu.h2d_bytes"] == 1024
         text = m.to_text()
         assert "KiB" in text  # *_bytes names render human-readable
+
+
+class TestDisabledMetrics:
+    def test_disabled_registry_keeps_nothing(self):
+        m = MetricsRegistry(enabled=False)
+        m.counter("c").add(3)
+        m.gauge("g").set(2)
+        m.histogram("h").observe(1.0)
+        m.absorb(Tracer().metrics)
+        assert m.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+
+    def test_untraced_estimate_leaves_null_tracer_metrics_empty(self):
+        from repro.core.rtm import estimate_rtm
+
+        estimate_rtm("acoustic", (64, 64), 20, 4)
+        assert NULL_TRACER.metrics.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
+
+    def test_traced_estimate_counts_every_snapshot(self):
+        from repro.core.rtm import estimate_rtm
+        from repro.core.schedule import Schedule
+
+        tracer = Tracer()
+        estimate_rtm("acoustic", (64, 64), 20, 4, tracer=tracer)
+        snaps = sum(
+            "snapshot" in step.actions for step in Schedule("rtm", 20, 4)
+        )
+        assert snaps == 5
+        counters = tracer.metrics.snapshot()["counters"]
+        assert counters["pipeline.snapshots"] == snaps
