@@ -25,7 +25,10 @@ priced device ops a step ran as a :class:`StepTape` and
 :meth:`Runtime.replay` runs them again. A kernel whose queue came from the
 auto-async rotation is taped relative to the rotation cursor, and every
 attach or detach bumps :attr:`Runtime.table_epoch`, so a tape is only
-replayed against the present table it was priced under.
+replayed against the present table it was priced under. A fault injector
+on the device gates the replay: it counts the tape's launches and
+transfers in one step, or refuses when an armed fault could fire on one
+of them, and the step then runs per-op.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from repro.gpusim.kernelmodel import (
     LaunchConfig,
     estimate_register_demand,
 )
-from repro.gpusim.streams import PricedOp
+from repro.gpusim.streams import D2H, H2D, KERNEL, PricedOp
 from repro.propagators.base import KernelWorkload
 from repro.trace.tracer import NULL_TRACER, Tracer
 from repro.utils.errors import PresentTableError
@@ -66,14 +69,21 @@ class StepTape:
 
     ``rotated`` lists, in rotation order, the ops whose queue came from
     the auto-async rotation; they replay on the queues the rotation would
-    hand out from the cursor at replay time (:meth:`at`).
+    hand out from the cursor at replay time (:meth:`at`). ``launches``
+    and ``transfers`` count the ops a fault injector sees. A tape holds
+    no allocation (an attach bumps the table epoch, and a tape recorded
+    across one is not kept) and no MPI message (not a device op), so
+    those are all its injector ops.
     """
 
-    __slots__ = ("ops", "rotated", "_at")
+    __slots__ = ("ops", "rotated", "launches", "transfers", "_at")
 
     def __init__(self, ops: Sequence[PricedOp], rotated: Sequence[int]):
         self.ops = tuple(ops)
         self.rotated = tuple(rotated)
+        kinds = [op.kind for op in self.ops]
+        self.launches = kinds.count(KERNEL)
+        self.transfers = kinds.count(H2D) + kinds.count(D2H)
         self._at: dict[int, tuple[PricedOp, ...]] = {}
 
     def at(self, cursor: int, period: int) -> tuple[PricedOp, ...]:
@@ -156,15 +166,11 @@ class Runtime:
 
     @property
     def unobserved(self) -> bool:
-        """Whether nothing watches individual directives: no recorder, no
-        enabled tracer and no fault injector. Only then may a step replay
-        a tape instead of running each directive (the device's event
-        sinks still see every replayed op)."""
-        return (
-            not self._recorders
-            and not self.tracer.enabled
-            and self.device.injector is None
-        )
+        """Whether nothing watches individual directives: no recorder and
+        no enabled tracer. Only then may a step replay a tape instead of
+        running each directive (the device's event sinks still see every
+        replayed op, and its fault injector gates each replay)."""
+        return not self._recorders and not self.tracer.enabled
 
     # ------------------------------------------------------------------
     # step tapes
@@ -181,9 +187,17 @@ class Runtime:
                 self._taping = None
         return StepTape(ops, rotated)
 
-    def replay(self, tape: StepTape) -> None:
+    def replay(self, tape: StepTape) -> bool:
         """Run a tape's ops again, advancing the auto-async rotation by as
-        many queues as the recorded run took."""
+        many queues as the recorded run took. Returns False, running
+        nothing, when the device's fault injector refuses to count the
+        tape's ops in one step (an armed fault could fire on one): the
+        caller then runs the step per-op."""
+        injector = self.device.injector
+        if injector is not None and not injector.count_clear(
+            tape.launches, tape.transfers
+        ):
+            return False
         ops = tape.ops
         if tape.rotated:
             period = self.device.spec.max_concurrent_kernels - 1
@@ -191,6 +205,7 @@ class Runtime:
             ops = tape.at(cursor, period)
             self._next_queue = (cursor - 1 + len(tape.rotated)) % period + 1
         self.device.run_ops(ops)
+        return True
 
     # ------------------------------------------------------------------
     # injection hook (repro.resilience)
@@ -199,8 +214,9 @@ class Runtime:
         """Install a :class:`~repro.resilience.injector.FaultInjector` on
         this runtime's device. Every directive that allocates, transfers or
         launches consults it before charging simulated time, so a retried
-        directive re-enters cleanly. ``rank`` tags the device's operations
-        for rank-scoped fault specs."""
+        directive re-enters cleanly; a replayed tape consults it once
+        (:meth:`replay`). ``rank`` tags the device's operations for
+        rank-scoped fault specs."""
         injector.attach_device(self.device, rank=rank)
 
     def note_host_write(

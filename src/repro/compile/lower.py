@@ -21,9 +21,10 @@ the op list against a live runtime:
   watching (:attr:`~repro.acc.runtime.Runtime.unobserved`); data-region
   bookkeeping still goes through the runtime so the present table stays
   truthful.  A fast step without data-region ops records the priced ops
-  of its first call and replays that tape
-  (:meth:`~repro.gpusim.device.Device.run_ops`) on later calls, as the
-  interpreter does for its repeated steps.
+  of its first call (:meth:`~repro.acc.runtime.Runtime.record`) and
+  replays that tape (:meth:`~repro.acc.runtime.Runtime.replay`) on later
+  calls, as the interpreter does for its repeated steps; a fault
+  injector gates each replay there.
 
 Fused computes carry ``"a+b"`` kernel names; :class:`WorkloadRegistry`
 resolves them by fusing the named parts with
@@ -41,7 +42,7 @@ from repro.utils.errors import CompileError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.acc.clauses import LoopSchedule
-    from repro.acc.runtime import Runtime
+    from repro.acc.runtime import Runtime, StepTape
     from repro.analyze.program import AccEvent
     from repro.optim.autotune import TuningPlan
     from repro.propagators.base import KernelWorkload
@@ -224,31 +225,34 @@ class BoundStep:
 
     A fast step bound with its runtime (``rt``) whose ops are all
     tapeable runs its thunks once while nothing watches, keeping the
-    priced ops they ran, and replays that tape on later calls under the
-    same device pricing (toolkit, host pinning, PCIe link)."""
+    priced ops they ran as a :class:`~repro.acc.runtime.StepTape`, and
+    replays that tape on later calls under the same device pricing
+    (toolkit, host pinning, PCIe link). A replay the device's fault
+    injector refuses runs the thunks instead."""
 
     phase: str
     ops: tuple[LoweredOp, ...]
     faithful: bool
     rt: "Runtime | None" = field(repr=False, default=None)
     _thunks: list[Callable[[], None]] = field(repr=False, default_factory=list)
-    _tape: tuple = field(repr=False, default=())
+    _tapes: dict[tuple, "StepTape"] = field(repr=False, default_factory=dict)
+
+    def _run(self) -> None:
+        for thunk in self._thunks:
+            thunk()
 
     def __call__(self) -> None:
         rt = self.rt
         if rt is None or not rt.unobserved:
-            for thunk in self._thunks:
-                thunk()
+            self._run()
             return
         device = rt.device
         key = (device.toolkit, device.pinned_host, device.pcie)
-        if self._tape and self._tape[0] == key:
-            device.run_ops(self._tape[1])
-            return
-        with device.recording() as ops:
-            for thunk in self._thunks:
-                thunk()
-        self._tape = (key, tuple(ops))
+        tape = self._tapes.get(key)
+        if tape is None:
+            self._tapes[key] = rt.record(self._run)
+        elif not rt.replay(tape):
+            self._run()
 
     @property
     def launches(self) -> int:
@@ -362,9 +366,9 @@ def bind_ops(
 
     ``faithful=None`` auto-detects: replay through runtime directives
     whenever something watches them (not :attr:`~repro.acc.runtime.
-    Runtime.unobserved`: a recorder, an enabled tracer or a fault
-    injector must see the schedule), straight-to-device closures
-    otherwise.
+    Runtime.unobserved`: a recorder or an enabled tracer must see the
+    schedule), straight-to-device closures otherwise. A fast closure
+    still consults the device's fault injector on every op.
     """
     ops = tuple(ops)
     if faithful is None:

@@ -376,7 +376,9 @@ class OffloadPipeline:
         ran (:meth:`~repro.acc.runtime.Runtime.record`) afterwards. The
         key holds everything the ops depend on: the action and its
         arguments, the phase, the present-table epoch, and the device's
-        toolkit, host pinning and PCIe link."""
+        toolkit, host pinning and PCIe link. A step whose ops an armed
+        fault could reach runs its phase method again, keeping the tape
+        (:meth:`~repro.acc.runtime.Runtime.replay` refuses it)."""
         rt = self.rt
         if action not in REPEATED_PHASES or not rt.unobserved:
             self._perform(action, step, inject)
@@ -391,9 +393,9 @@ class OffloadPipeline:
             tape = rt.record(lambda: self._perform(action, step, inject))
             if rt.table_epoch == epoch:
                 self._tapes[key] = tape
-            return
-        rt.replay(tape)
-        if action in _STEP_COUNTERS:
+        elif not rt.replay(tape):
+            self._perform(action, step, inject)
+        elif action in _STEP_COUNTERS:
             runlog.count(_STEP_COUNTERS[action])
 
     def _perform(self, action: str, step: Step, inject: bool) -> None:

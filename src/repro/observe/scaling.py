@@ -357,17 +357,31 @@ def run_scale_sweep(
     }
 
 
-def parse_ranks(text: str) -> tuple[int, ...]:
-    """``'1,2,4,8'`` -> ``(1, 2, 4, 8)``."""
+def parse_counts(text: str, flag: str) -> tuple[int, ...]:
+    """``'1,2,4,8'`` -> ``(1, 2, 4, 8)``; a malformed list raises a
+    :class:`ConfigurationError` naming the command-line ``flag``."""
     try:
-        ranks = tuple(int(part) for part in text.split(",") if part.strip())
+        counts = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ConfigurationError(
-            f"--ranks wants a comma-separated int list, not '{text}'"
+            f"{flag} wants a comma-separated int list, not '{text}'"
         ) from None
-    if not ranks or any(r < 1 for r in ranks):
-        raise ConfigurationError(f"--ranks values must be >= 1 (got '{text}')")
-    return ranks
+    if not counts or any(c < 1 for c in counts):
+        raise ConfigurationError(f"{flag} values must be >= 1 (got '{text}')")
+    return counts
+
+
+def parse_ranks(text: str) -> tuple[int, ...]:
+    """``'1,2,4,8'`` -> ``(1, 2, 4, 8)``."""
+    return parse_counts(text, "--ranks")
+
+
+def check_counts(*flags: tuple[str, int | None]) -> None:
+    """Raise a :class:`ConfigurationError` naming the first ``(flag,
+    value)`` pair whose value is below 1 (``None``: not given)."""
+    for flag, value in flags:
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{flag} must be >= 1 (got {value})")
 
 
 def run_scale_command(args) -> int:
@@ -434,6 +448,8 @@ __all__ = [
     "assert_scaling_shape",
     "run_scale_case",
     "run_scale_sweep",
+    "parse_counts",
     "parse_ranks",
+    "check_counts",
     "run_scale_command",
 ]

@@ -289,8 +289,27 @@ def run_chaos_campaign(
 # CLI
 # ---------------------------------------------------------------------------
 
+def _check_command(args) -> None:
+    """Refuse a malformed case, count or fault spec before anything runs
+    (raises :class:`ConfigurationError`)."""
+    from repro.observe.scaling import check_counts
+    from repro.trace.cli import parse_case
+
+    if args.case != "all":
+        parse_case(args.case)
+    check_counts(("--ranks", args.ranks), ("--nt", args.nt))
+    if args.faults:
+        parse_faults(args.faults)
+
+
 def run_chaos_command(args) -> int:
-    """``python -m repro chaos`` entry point (argparse namespace in)."""
+    """``python -m repro chaos`` entry point (argparse namespace in).
+    Returns 2, having run nothing, on a malformed command line."""
+    try:
+        _check_command(args)
+    except ConfigurationError as exc:
+        print(f"chaos: {exc}")
+        return 2
     tracer = None
     if getattr(args, "trace", None):
         from repro.trace.tracer import Tracer

@@ -203,11 +203,15 @@ def parse_fault_spec(text: str) -> FaultSpec:
 
 
 def parse_faults(text: str) -> tuple[FaultSpec, ...]:
-    """Parse a comma-separated ``--faults`` argument."""
+    """Parse a comma-separated ``--faults`` argument; a malformed one
+    raises a :class:`ConfigurationError` naming the flag."""
     tokens = [t for t in (p.strip() for p in text.split(",")) if t]
     if not tokens:
-        raise ConfigurationError("empty fault spec list")
-    return tuple(parse_fault_spec(t) for t in tokens)
+        raise ConfigurationError("--faults: empty fault spec list")
+    try:
+        return tuple(parse_fault_spec(t) for t in tokens)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"--faults: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ natural operation boundary:
 * :meth:`on_kernel_launch` — from :meth:`repro.gpusim.device.Device.launch`;
 * :meth:`on_allocate` — from :meth:`repro.gpusim.device.Device.allocate`;
 * :meth:`on_message` — from :meth:`repro.mpisim.comm.RankComm.isend`
-  (returns the delivery action: deliver / drop / duplicate / delay).
+  (returns the delivery action: deliver / drop / duplicate / delay);
+* :meth:`count_clear` — from :meth:`repro.acc.runtime.Runtime.replay`:
+  a replayed step tape's launches and transfers, counted in one step
+  when no armed fault can reach them.
 
 Operations are counted per category *per matching rank filter*, so a spec's
 ``op_index`` deterministically names one concrete operation of the run.
@@ -20,8 +23,9 @@ process so recovery overhead is readable straight off the Perfetto export.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.resilience.faults import (
     ECC,
@@ -56,23 +60,37 @@ class _Armed:
     """Mutable firing state of one spec."""
 
     spec: FaultSpec
-    fired: int = 0
     resolved: bool = False
+    #: the op counts ``[start, stop)`` at which the spec fires until
+    #: resolved: from ``op_index`` on for a permanent kind, ``count``
+    #: consecutive ops for a transient one
+    start: int = field(init=False)
+    stop: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        s = self.spec
+        self.start = s.op_index
+        self.stop = math.inf if is_permanent(s.kind) else s.op_index + s.count
+
+    def _admits(self, category: str, rank: int | None) -> bool:
+        s = self.spec
+        return (
+            not self.resolved
+            and s.category == category
+            and (s.rank is None or rank == s.rank)
+        )
 
     def should_fire(self, category: str, rank: int | None, count: int) -> bool:
-        s = self.spec
-        if self.resolved or s.category != category:
-            return False
-        if s.rank is not None and rank != s.rank:
-            return False
-        if count < s.op_index:
-            return False
-        if is_permanent(s.kind):
-            return True  # every matching op from op_index until resolved
-        # transient: 'count' consecutive ops starting at op_index
-        if count >= s.op_index + s.count:
-            return False
-        return self.fired < s.count or count < s.op_index + s.count
+        return self._admits(category, rank) and self.start <= count < self.stop
+
+    def reaches(self, category: str, rank: int | None, count: int, n: int) -> bool:
+        """Whether the spec would fire on any of the next ``n`` ops of
+        ``category``, counted ``count + 1 .. count + n``."""
+        return (
+            self._admits(category, rank)
+            and self.start <= count + n
+            and count + 1 < self.stop
+        )
 
 
 class FaultInjector:
@@ -119,9 +137,31 @@ class FaultInjector:
                 return armed
         return None
 
+    def count_clear(
+        self, rank: int | None, launches: int, transfers: int
+    ) -> bool:
+        """Count ``launches`` kernel launches and ``transfers`` DMAs of
+        ``rank`` in one step, unless an armed fault would fire on one of
+        them; returns whether it counted. A replayed step tape asks this
+        instead of calling :meth:`on_kernel_launch` and
+        :meth:`on_transfer` per op, and runs per-op when refused, so every
+        fault still fires at its own op."""
+        ops = (("launch", launches), ("transfer", transfers))
+        for armed in self._armed:
+            for category, n in ops:
+                # the counter _firing reads for this spec
+                count = self._counts[(category, armed.spec.rank)]
+                if n and armed.reaches(category, rank, count, n):
+                    return False
+        for category, n in ops:
+            if n:  # a zero would add a key the envelopes then list
+                self._counts[(category, None)] += n
+                if rank is not None:
+                    self._counts[(category, rank)] += n
+        return True
+
     def _record(self, armed: _Armed, category: str, rank: int | None,
                 target: str, **detail) -> FaultEvent:
-        armed.fired += 1
         ev = FaultEvent(
             kind=armed.spec.kind,
             category=category,
@@ -253,6 +293,9 @@ class BoundInjector:
 
     def on_transfer(self, direction: str, name: str, nbytes: int) -> None:
         self.injector.on_transfer(direction, name, nbytes, rank=self.rank)
+
+    def count_clear(self, launches: int, transfers: int) -> bool:
+        return self.injector.count_clear(self.rank, launches, transfers)
 
     def on_kernel_launch(self, kernel: str) -> None:
         self.injector.on_kernel_launch(kernel, rank=self.rank)

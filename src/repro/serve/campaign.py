@@ -247,15 +247,38 @@ def _case_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def run_serve_command(args) -> int:
-    """``python -m repro serve`` entry point (argparse namespace in)."""
-    from repro.observe.ledger import ledger_path_from_args
-    from repro.observe.scaling import parse_ranks
+def _check_command(args) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The command line's cases and worker counts, having refused a
+    malformed case, count or fault spec (raises
+    :class:`ConfigurationError`)."""
+    from repro.observe.scaling import check_counts, parse_counts
 
+    check_counts(
+        ("--shots", args.shots), ("--nt", args.nt), ("--gpus", args.gpus),
+        ("--capacity", args.capacity),
+        ("--quarantine-after", args.quarantine_after),
+    )
+    workers = parse_counts(args.workers, "--workers")
     cases = (
         SERVE_CASES if args.case == "all" else tuple(args.case.split(","))
     )
-    workers = parse_ranks(args.workers)
+    for case in cases:
+        serve_case_config(case, nt=args.nt)
+    if args.faults:
+        parse_faults(args.faults)
+    return cases, workers
+
+
+def run_serve_command(args) -> int:
+    """``python -m repro serve`` entry point (argparse namespace in).
+    Returns 2, having run nothing, on a malformed command line."""
+    from repro.observe.ledger import ledger_path_from_args
+
+    try:
+        cases, workers = _check_command(args)
+    except ConfigurationError as exc:
+        print(f"serve: {exc}")
+        return 2
     ledger_path = ledger_path_from_args(args)
     doc = run_serve_sweep(
         cases=cases,

@@ -5,13 +5,19 @@ summation); 3.10 and 3.11 add left to right. The committed results are
 3.11 values, so every modelled float reduction folds left explicitly
 (:func:`repro.utils.fold.left_sum`). The digest below is checked on the
 running interpreter (CI runs 3.10, 3.11 and 3.12) and, on any
-interpreter, with ``sum`` replaced by an emulation of 3.12's.
+interpreter, with ``sum`` replaced by an emulation of 3.12's. One small
+case of each other wall-clock workload (a served survey, an executed RTM
+shot, a compiled case and its bound run) must also digest the same under
+the emulation.
 """
 
 import builtins
 import hashlib
 import json
 import math
+
+import numpy as np
+import pytest
 
 from repro.utils.fold import left_sum
 
@@ -78,3 +84,84 @@ def test_results_digest_under_compensated_sum(monkeypatch):
 
     monkeypatch.setattr(builtins, "sum", sum_312)
     assert _digest(results_json()) == RESULTS_DIGEST
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype.str}{part.shape}".encode() + part.tobytes())
+        else:
+            h.update(json.dumps(part, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _times(g) -> dict:
+    """Every field of a GpuTimes, JSON-shaped."""
+    return {
+        "total": g.total, "kernel": g.kernel, "h2d": g.h2d, "d2h": g.d2h,
+        "alloc": g.alloc, "launches": g.launches, "success": g.success,
+        "failure": g.failure, "categories": dict(g.categories),
+        "profile": g.profile.to_json(),
+    }
+
+
+def _served_survey() -> str:
+    """iso2d, two shots at nt 8 on two workers, one of them dead."""
+    from repro.core import shot_line
+    from repro.resilience.faults import FaultPlan, parse_faults
+    from repro.serve import SurveyScheduler, serve_case_config
+
+    config = serve_case_config("iso2d", nt=8)
+    xs = shot_line(config.model, 2)
+    plan = FaultPlan(seed=1, specs=parse_faults("mpi-rank-dead@x1"))
+    scheduler = SurveyScheduler(workers=2, plan=plan, seed=1)
+    scheduler.submit_survey("primary", config, xs, case="iso2d")
+    scheduler.submit_survey("resubmit", config, xs, case="iso2d", primary=False)
+    result = scheduler.run()
+    return _sha(
+        result.stacks["primary"], result.images["primary"], result.metrics()
+    )
+
+
+def _executed_shot() -> str:
+    """One executed iso2d RTM shot at 48 x 48, nt 8."""
+    from repro.core import GPUOptions, RTMConfig, run_rtm
+    from repro.model import layered_model
+
+    model = layered_model(
+        (48, 48), spacing=10.0, interfaces=[300.0], velocities=[1500.0, 2400.0],
+    )
+    config = RTMConfig(
+        physics="isotropic", model=model, nt=8, dt=1.3e-3, peak_freq=12.0,
+        space_order=8, boundary_width=16, snap_period=4,
+    )
+    result = run_rtm(config, gpu_options=GPUOptions())
+    return _sha(result.raw_image, result.seismogram, _times(result.gpu))
+
+
+def _compiled_case() -> str:
+    """iso2d RTM at nt 8, compiled, then its bound run."""
+    from repro.compile import CompileRequest, compile_case
+    from repro.compile.runner import clear_cache
+    from repro.core import GPUOptions
+    from repro.core.platform import CRAY_K40
+    from repro.core.shot import _build_runtime
+
+    clear_cache()
+    compiled = compile_case(CompileRequest.from_case("iso2d", "rtm", nt=8))
+    times = compiled.bind(_build_runtime(GPUOptions(), CRAY_K40)).run()
+    return _sha(
+        compiled.program_sha, [a.to_json() for a in compiled.applied],
+        compiled.launches_per_step(), compiled.verified, _times(times),
+    )
+
+
+@pytest.mark.parametrize(
+    "workload", [_served_survey, _executed_shot, _compiled_case],
+    ids=["serve-survey", "rtm-execute", "compile-verify"],
+)
+def test_wall_workload_digest_under_compensated_sum(workload, monkeypatch):
+    builtin = workload()
+    monkeypatch.setattr(builtins, "sum", sum_312)
+    assert workload() == builtin

@@ -95,3 +95,40 @@ class TestTuneCommand:
         out = capsys.readouterr().out
         assert "Auto-tuned" in out
         assert "default" in out and "auto-tuned" in out
+
+
+#: malformed ``serve``/``chaos`` command lines, with what the one-line
+#: refusal must name
+MALFORMED = [
+    ("chaos iso2d --ranks 0", "--ranks"),
+    ("chaos iso2d --ranks -3", "--ranks"),
+    ("chaos all --ranks 0", "--ranks"),
+    ("chaos iso2d --faults garbage", "--faults"),
+    ("chaos iso2d --nt 0", "--nt"),
+    ("chaos nosuch", "nosuch"),
+    ("serve iso2d,nosuch --workers 2", "nosuch"),
+    ("serve all --workers 0", "--workers"),
+    ("serve iso2d --shots 0", "--shots"),
+    ("serve iso2d --nt 0", "--nt"),
+    ("serve iso2d --capacity 0", "--capacity"),
+    ("serve iso2d --gpus 0", "--gpus"),
+    ("serve iso2d --quarantine-after 0", "--quarantine-after"),
+    ("serve iso2d --faults garbage", "--faults"),
+    ("serve iso3d", "iso3d"),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("line,named", MALFORMED, ids=[m[0] for m in MALFORMED])
+    def test_refused_before_anything_runs(self, line, named, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text('{"run_id": "earlier"}\n')
+        out = tmp_path / "out.json"
+        argv = line.split() + ["--ledger", str(ledger), "--out", str(out)]
+        assert main(argv) == 2
+        printed = capsys.readouterr().out
+        assert "Traceback" not in printed
+        assert printed.count("\n") == 1 and named in printed
+        assert printed.startswith(f"{argv[0]}: ")
+        assert ledger.read_text().count("\n") == 1
+        assert not out.exists()
