@@ -19,7 +19,8 @@ whole program statically:
 * :mod:`~repro.analyze.dataflow.opportunities` — ``OptimizationOpportunity``
   records (kernel fusion, update hoisting, cancellable update pairs) with
   machine-checked proofs: each candidate replays its transformed schedule
-  through the sanitizer and must land bitwise-equal.
+  through the sanitizer and must leave the same coherence state and
+  diagnostics as the original.
 
 ``repro lint --deep`` runs the coherence engine beside the default
 passes; ``repro deps`` exposes the graph (``--dot``) and the opportunity
@@ -51,6 +52,7 @@ from repro.analyze.dataflow.opportunities import (
     replay_fingerprint,
     reports_to_json,
     validate_opportunities,
+    verify_opportunities,
     verify_opportunity,
 )
 from repro.analyze.dataflow.passes import DataflowCoherencePass
@@ -71,6 +73,7 @@ __all__ = [
     "find_opportunities",
     "apply_opportunity",
     "verify_opportunity",
+    "verify_opportunities",
     "replay_fingerprint",
     "reports_to_json",
     "validate_opportunities",

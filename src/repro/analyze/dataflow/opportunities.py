@@ -33,6 +33,7 @@ draft-07 subset checker) — CI asserts the emitted artifact validates.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from repro.analyze.dataflow.absint import CoherenceSummary, interpret_program
@@ -188,9 +189,9 @@ def find_opportunities(
     report.opportunities.extend(_find_hoists(program, regions))
     report.opportunities.extend(_find_cancels(program, summary, regions, mask))
     if verify and report.opportunities:
-        baseline = replay_fingerprint(program)
-        for opp in report.opportunities:
-            opp.verified = verify_opportunity(program, opp, baseline)
+        verdicts = verify_opportunities(program, report.opportunities)
+        for opp, verified in zip(report.opportunities, verdicts):
+            opp.verified = verified
     return report
 
 
@@ -345,36 +346,62 @@ def _merged_compute(a: AccEvent, b: AccEvent) -> AccEvent:
     )
 
 
+def _transformed_events(
+    program: DirectiveProgram, opp: OptimizationOpportunity, start: int = 0
+) -> Iterator[AccEvent]:
+    """The transformed schedule as a stream, from program position
+    ``start`` on: the original event objects in their new order, plus one
+    merged compute for a fusion. Nothing is re-indexed. Positions are
+    indices, since :meth:`DirectiveProgram.add` numbers every event by
+    its position. A ``start`` at or before the first change
+    (:func:`_first_change`) yields exactly the transformed events from
+    that position on. Raises lazily on records that cannot be applied."""
+    events = program.events
+    removed = set(opp.remove_events)
+    fuse_at = opp.events[0] if opp.kind == "fuse-computes" else None
+    hoist_at = opp.insert_at if opp.kind == "hoist-update" else None
+    for i in range(start, len(events)):
+        e = events[i]
+        if i == hoist_at:
+            yield events[opp.events[0]]
+        if i == fuse_at:
+            yield _merged_compute(e, events[opp.events[1]])
+            continue
+        if i in removed:
+            continue
+        yield e
+
+
+def _first_change(opp: OptimizationOpportunity, n: int) -> int | None:
+    """The first position of an ``n``-event program that ``opp`` changes
+    (``n`` when it changes none), or None when an anchor or the insert
+    point lies outside the program. Python's negative indexing would
+    otherwise turn such a record into a no-op, which replays equal."""
+    anchors = (*opp.events, *opp.remove_events)
+    if opp.insert_at is not None:
+        anchors += (opp.insert_at,)
+    if not all(0 <= i < n for i in anchors):
+        return None
+    changed = list(opp.remove_events)
+    if opp.kind == "fuse-computes" and opp.events:
+        changed.append(opp.events[0])
+    if opp.kind == "hoist-update" and opp.insert_at is not None:
+        changed.append(opp.insert_at)
+    return min(changed, default=n)
+
+
 def apply_opportunity(
     program: DirectiveProgram, opp: OptimizationOpportunity
 ) -> DirectiveProgram:
     """The transformed schedule: same program with the opportunity applied."""
     out = DirectiveProgram(program.meta)
     out.extents = dict(program.extents)
-    removed = set(opp.remove_events)
-    for e in program.events:
-        if opp.kind == "hoist-update" and e.index == opp.insert_at:
-            out.add(program.events[opp.events[0]])
-        if opp.kind == "fuse-computes" and e.index == opp.events[0]:
-            out.add(_merged_compute(e, program.events[opp.events[1]]))
-            continue
-        if e.index in removed:
-            continue
+    for e in _transformed_events(program, opp):
         out.add(e)
     return out
 
 
-def replay_fingerprint(program: DirectiveProgram) -> tuple:
-    """Replay one schedule through the sanitizer's shadow machinery and
-    fingerprint the outcome: final per-array dirty intervals (bitwise)
-    plus the diagnostic set. Two programs with equal fingerprints leave
-    host and device memory in the same bytewise state — the equivalence
-    relation behind :func:`verify_opportunity` and the compiled-step
-    verification gate in :mod:`repro.compile`."""
-    from repro.sanitize.session import SanitizeSession
-
-    session = SanitizeSession(nranks=1, name=program.meta.name)
-    session.replay(program)
+def _fingerprint(session) -> tuple:
     shadows = tuple(sorted(
         (
             name,
@@ -390,21 +417,84 @@ def replay_fingerprint(program: DirectiveProgram) -> tuple:
     return shadows, diags
 
 
+def replay_fingerprint(program: DirectiveProgram) -> tuple:
+    """Replay one schedule through the sanitizer's shadow machinery and
+    fingerprint the outcome: which byte ranges of each array are dirty on
+    which side at the end, plus the ``(rule, var, kernel)`` of each
+    diagnostic. This is *coherence* state; it does not see values. Two
+    programs with equal fingerprints agree on what is stale where, not
+    necessarily on what was computed: a fusion record that keeps its
+    second anchor (``events=(1, 2)``, ``remove_events=()``) launches
+    kernel 2 twice and still replays equal. That is why the compiler's
+    structural check and the translation validator also run. This
+    equivalence is behind :func:`verify_opportunity` and the
+    compiled-step verification gate in :mod:`repro.compile`."""
+    from repro.sanitize.session import SanitizeSession
+
+    session = SanitizeSession(nranks=1, name=program.meta.name)
+    session.replay(program)
+    return _fingerprint(session)
+
+
+def verify_opportunities(
+    program: DirectiveProgram,
+    opportunities: list[OptimizationOpportunity],
+    baseline: tuple | None = None,
+) -> list[bool]:
+    """Replay-verify each candidate (see :func:`verify_opportunity`);
+    the verdicts come back in input order.
+
+    One session replays the original once, stopping at each candidate's
+    first changed position in ascending order. There a fork of the
+    session replays the rest of the transformed stream, so the prefix the
+    candidates share with the original replays once per program instead
+    of once per candidate. The streamed events keep their original
+    indices: the sanitizer decides nothing from ``AccEvent.index`` and
+    only copies it into ``Diagnostic.event_index`` and
+    ``PendingOp.event_index``, which the fingerprint ignores. A record
+    with an anchor outside the program, or one that cannot be applied,
+    is refused without a replay. ``baseline`` is the original's
+    fingerprint when the caller already has it; otherwise the shared
+    replay runs on to the end and gives it."""
+    from repro.sanitize.session import SanitizeSession
+
+    events = program.events
+    starts = sorted(
+        (p, k) for k, opp in enumerate(opportunities)
+        if (p := _first_change(opp, len(events))) is not None
+    )
+    session = SanitizeSession(nranks=1, name=program.meta.name)
+    at = 0
+    outcomes: dict[int, tuple] = {}
+    for p, k in starts:
+        try:
+            tail = list(_transformed_events(program, opportunities[k], p))
+        except (IndexError, KeyError, ValueError):
+            continue
+        session.replay(program, events=events[at:p])
+        at = p
+        fork = session.fork()
+        fork.replay(program, events=tail)
+        outcomes[k] = _fingerprint(fork)
+    if baseline is None and outcomes:
+        session.replay(program, events=events[at:])
+        baseline = _fingerprint(session)
+    return [
+        k in outcomes and outcomes[k] == baseline
+        for k in range(len(opportunities))
+    ]
+
+
 def verify_opportunity(
     program: DirectiveProgram,
     opp: OptimizationOpportunity,
     baseline: tuple | None = None,
 ) -> bool:
     """Replay original vs transformed; True iff the final shadow state
-    and diagnostics are identical (the bitwise-equivalence gate).
-    ``baseline`` caches the original's fingerprint across candidates."""
-    try:
-        transformed = apply_opportunity(program, opp)
-    except (IndexError, KeyError, ValueError):
-        return False
-    if baseline is None:
-        baseline = replay_fingerprint(program)
-    return baseline == replay_fingerprint(transformed)
+    and diagnostics are identical (the replay equivalence gate, see
+    :func:`replay_fingerprint`). ``baseline`` caches the original's
+    fingerprint across candidates."""
+    return verify_opportunities(program, [opp], baseline)[0]
 
 
 # ----------------------------------------------------------------------
@@ -524,6 +614,7 @@ __all__ = [
     "find_opportunities",
     "apply_opportunity",
     "verify_opportunity",
+    "verify_opportunities",
     "replay_fingerprint",
     "reports_to_json",
     "validate_opportunities",

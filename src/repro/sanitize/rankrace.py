@@ -50,6 +50,15 @@ class RankClocks:
     channels: dict[tuple[int, int, int], deque] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
+    def copy(self) -> RankClocks:
+        """Independent clocks with the same state. The message snapshots
+        queued on a channel are never edited, so the copy shares them."""
+        return RankClocks(
+            host={rank: dict(clock) for rank, clock in self.host.items()},
+            queue_tick=dict(self.queue_tick),
+            channels={k: deque(q) for k, q in self.channels.items()},
+        )
+
     def _host(self, rank: int) -> dict[ClockKey, int]:
         return self.host.setdefault(rank, {})
 

@@ -34,6 +34,7 @@ lines.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.analyze.framework import Diagnostic, Severity
@@ -133,6 +134,13 @@ class SanitizeResult:
 class SanitizeSession:
     """Dynamic coherence + race sanitizer over ``nranks`` directive streams."""
 
+    #: configuration and live-run wiring, which replay never writes: a
+    #: fork shares them
+    _FORK_SHARED = (
+        "nranks", "name", "stencil_radius", "runtimes", "_field_map",
+        "_halo_width", "_decomp",
+    )
+
     def __init__(
         self,
         nranks: int = 1,
@@ -185,12 +193,38 @@ class SanitizeSession:
         (re-bind when the pipeline switches wavefields, e.g. RTM backward)."""
         self._field_map[field_key] = device_name
 
-    def replay(self, program: DirectiveProgram, rank: int = 0) -> None:
+    def replay(
+        self,
+        program: DirectiveProgram,
+        rank: int = 0,
+        events: Iterable[AccEvent] | None = None,
+    ) -> None:
         """Feed an already-built program (the script frontend's output)
-        through the checks; the program becomes the rank's reporting view."""
+        through the checks; the program becomes the rank's reporting view
+        and the source of extents. ``events`` replaces the program's own
+        events as what is fed: a slice of it, or a transformed schedule
+        over the same arrays."""
         self.programs[rank] = program
-        for event in program.events:
+        for event in program.events if events is None else events:
             self.observe(rank, event)
+
+    def fork(self) -> SanitizeSession:
+        """An independent session in this one's replay state: what either
+        replays afterwards leaves the other unchanged."""
+        twin = object.__new__(type(self))
+        for name in self._FORK_SHARED:
+            setattr(twin, name, getattr(self, name))
+        twin.programs = list(self.programs)
+        twin.shadows = [
+            {name: sh.copy() for name, sh in shadows.items()}
+            for shadows in self.shadows
+        ]
+        twin.clocks = self.clocks.copy()
+        twin.pending = {key: list(ops) for key, ops in self.pending.items()}
+        twin.diagnostics = list(self.diagnostics)
+        twin._last_partial = dict(self._last_partial)
+        twin._seen = set(self._seen)
+        return twin
 
     # ------------------------------------------------------------------
     # findings

@@ -145,6 +145,14 @@ class ShadowArray:
     def clean(self) -> bool:
         return not self.host_dirty and not self.dev_dirty
 
+    def copy(self) -> ShadowArray:
+        """An independent shadow with the same state. Every mutation
+        above replaces an interval list and none edits one in place, so
+        the copy shares the current lists."""
+        twin = object.__new__(ShadowArray)
+        twin.__dict__.update(self.__dict__)
+        return twin
+
 
 __all__ = [
     "ShadowArray",

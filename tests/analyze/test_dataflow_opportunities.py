@@ -180,6 +180,30 @@ class TestVerification:
         )
         assert not verify_opportunity(p, bogus)
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["one", "batch"])
+    @pytest.mark.parametrize("events,remove", [
+        ((-2, -1), (-1,)),
+        ((257, 258), (258,)),
+    ], ids=["negative", "past-the-end"])
+    def test_anchors_outside_the_program_are_refused(
+        self, events, remove, batch
+    ):
+        """Negative indexing and ``e.index in removed`` used to turn these
+        forged records into no-ops, and a no-op replays equal."""
+        from repro.analyze import dataflow
+
+        p = forged_target()
+        assert len(p.events) == 257
+        forged = OptimizationOpportunity(
+            kind="fuse-computes", events=events, remove_events=remove,
+        )
+        if batch:
+            legal = find_opportunities(p, verify=False).opportunities[0]
+            verdicts = dataflow.verify_opportunities(p, [forged, legal, forged])
+            assert verdicts == [False, True, False]
+        else:
+            assert not dataflow.verify_opportunity(p, forged)
+
     def test_no_verify_skips_the_replay(self):
         p = prog([
             AccEvent(kind="compute", kernel="a", writes=("u",),
@@ -237,6 +261,12 @@ class TestArtifact:
         validate_opportunities(reports_to_json(
             [OpportunityReport(name="empty")]
         ))
+
+
+@functools.cache
+def forged_target():
+    """The iso2d RTM recording at 64x64, nt 8: 257 events."""
+    return record_pipeline_program("isotropic", (64, 64), "rtm", nt=8)
 
 
 @functools.cache
