@@ -114,6 +114,34 @@ def lint_targets(args) -> list[LintResult]:
     ]
 
 
+def check_target(args) -> None:
+    """Refuse a malformed target or flag of ``deps`` or ``sanitize``
+    before anything is recorded: raises :class:`ConfigurationError`
+    naming it (an unreadable ``--script``, a missing or unknown CASE, a
+    count below 1, an unknown ``--fail-on`` severity)."""
+    from repro.observe.scaling import check_counts
+    from repro.trace.cli import parse_case
+
+    if args.script:
+        try:
+            with open(args.script, encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise ConfigurationError(
+                f"--script: cannot read '{args.script}' ({exc.strerror})"
+            ) from None
+    elif args.case is None:
+        raise ConfigurationError("needs a CASE (or 'all', or --script FILE)")
+    elif args.case.lower() != "all":
+        parse_case(args.case)
+    check_counts(("--nt", args.nt), ("--ranks", args.ranks))
+    if args.fail_on.lower() != "none":
+        try:
+            parse_severity(args.fail_on)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"--fail-on: {exc}") from None
+
+
 def lint_ledger_metrics(results: list[LintResult]) -> dict[str, float]:
     """The statically-proven-quality metrics a ``lint --deep`` run records:
     diagnostic counts by severity, ``DF*`` findings, and the opportunity
@@ -189,6 +217,7 @@ def run_lint_command(args) -> int:
 
 __all__ = [
     "run_lint_command",
+    "check_target",
     "lint_targets",
     "lint_case",
     "lint_ledger_metrics",

@@ -47,6 +47,7 @@ from repro.analyze.dataflow.opportunities import (
     OPPORTUNITY_SCHEMA,
     OpportunityReport,
     OptimizationOpportunity,
+    ReplayVerifier,
     apply_opportunity,
     find_opportunities,
     replay_fingerprint,
@@ -74,6 +75,7 @@ __all__ = [
     "apply_opportunity",
     "verify_opportunity",
     "verify_opportunities",
+    "ReplayVerifier",
     "replay_fingerprint",
     "reports_to_json",
     "validate_opportunities",

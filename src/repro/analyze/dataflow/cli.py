@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 
+from repro.analyze.cli import check_target
 from repro.analyze.dataflow.crossrank import check_ranks
 from repro.analyze.dataflow.graph import DependenceGraph, detect_loops
 from repro.analyze.dataflow.opportunities import (
@@ -55,17 +56,16 @@ def _record_case(
 
 
 def deps_targets(args) -> list[tuple[str, str | None, list[DirectiveProgram]]]:
-    """Resolve the CLI namespace into ``(label, mode, per-rank programs)``
-    targets."""
-    ranks = int(getattr(args, "ranks", 1) or 1)
-    if getattr(args, "script", None):
+    """Resolve the CLI namespace, checked by
+    :func:`~repro.analyze.cli.check_target`, into ``(label, mode,
+    per-rank programs)`` targets."""
+    ranks = args.ranks
+    if args.script:
         with open(args.script, encoding="utf-8") as fh:
             program = program_from_script(fh.read())
         program.meta = ProgramMeta(source="script", name=args.script)
         return [(args.script, None, [program])]
-    case = getattr(args, "case", None)
-    if case is None:
-        raise ConfigurationError("deps needs a CASE (or 'all', or --script FILE)")
+    case = args.case
     modes = ("modeling", "rtm") if args.mode == "both" else (args.mode,)
     if case.lower() == "all":
         from repro.analyze.cli import _INVENTORY
@@ -90,13 +90,29 @@ def deps_targets(args) -> list[tuple[str, str | None, list[DirectiveProgram]]]:
     ]
 
 
-def run_deps_command(args) -> int:
-    """``python -m repro deps`` entry point (argparse namespace in)."""
-    targets = deps_targets(args)
-    if getattr(args, "dot", None) and len(targets) != 1:
+def _check_command(args) -> None:
+    """Refuse a malformed command line before anything is recorded
+    (raises :class:`ConfigurationError` naming the flag)."""
+    check_target(args)
+    single = bool(args.script) or (
+        args.case.lower() != "all" and args.mode != "both"
+    )
+    if args.dot and not single:
         raise ConfigurationError(
             "--dot exports one graph: give a single case and --mode"
         )
+
+
+def run_deps_command(args) -> int:
+    """``python -m repro deps`` entry point (argparse namespace in).
+    Returns 2, having recorded and written nothing, on a malformed
+    command line."""
+    try:
+        _check_command(args)
+    except ConfigurationError as exc:
+        print(f"deps: {exc}")
+        return 2
+    targets = deps_targets(args)
     verify = not getattr(args, "no_verify", False)
     reports: list[OpportunityReport] = []
     docs: list[dict] = []

@@ -347,20 +347,24 @@ def _merged_compute(a: AccEvent, b: AccEvent) -> AccEvent:
 
 
 def _transformed_events(
-    program: DirectiveProgram, opp: OptimizationOpportunity, start: int = 0
+    program: DirectiveProgram,
+    opp: OptimizationOpportunity,
+    start: int = 0,
+    stop: int | None = None,
 ) -> Iterator[AccEvent]:
-    """The transformed schedule as a stream, from program position
-    ``start`` on: the original event objects in their new order, plus one
-    merged compute for a fusion. Nothing is re-indexed. Positions are
-    indices, since :meth:`DirectiveProgram.add` numbers every event by
-    its position. A ``start`` at or before the first change
-    (:func:`_first_change`) yields exactly the transformed events from
-    that position on. Raises lazily on records that cannot be applied."""
+    """The transformed schedule as a stream over the original program
+    positions ``[start, stop)``: the original event objects in their new
+    order, plus one merged compute for a fusion. Nothing is re-indexed.
+    Positions are indices, since :meth:`DirectiveProgram.add` numbers
+    every event by its position. A ``start`` at or before the first
+    change (:func:`_changed_span`) yields exactly the transformed events
+    from that position on. Raises lazily on records that cannot be
+    applied, and only before the rejoin point."""
     events = program.events
     removed = set(opp.remove_events)
     fuse_at = opp.events[0] if opp.kind == "fuse-computes" else None
     hoist_at = opp.insert_at if opp.kind == "hoist-update" else None
-    for i in range(start, len(events)):
+    for i in range(start, len(events) if stop is None else stop):
         e = events[i]
         if i == hoist_at:
             yield events[opp.events[0]]
@@ -372,11 +376,17 @@ def _transformed_events(
         yield e
 
 
-def _first_change(opp: OptimizationOpportunity, n: int) -> int | None:
-    """The first position of an ``n``-event program that ``opp`` changes
-    (``n`` when it changes none), or None when an anchor or the insert
-    point lies outside the program. Python's negative indexing would
-    otherwise turn such a record into a no-op, which replays equal."""
+def _changed_span(
+    opp: OptimizationOpportunity, n: int
+) -> tuple[int, int] | None:
+    """``(first, rejoin)`` for an ``n``-event program: the first position
+    ``opp`` changes, and its *rejoin point*, the first position after its
+    last change (``(n, n)`` when it changes none). From the rejoin point
+    on, the transformed stream is the original's own events; for a
+    fusion it is the second anchor + 1. None when an anchor or the
+    insert point lies outside the program: Python's negative indexing
+    would otherwise turn such a record into a no-op, which replays
+    equal."""
     anchors = (*opp.events, *opp.remove_events)
     if opp.insert_at is not None:
         anchors += (opp.insert_at,)
@@ -387,7 +397,9 @@ def _first_change(opp: OptimizationOpportunity, n: int) -> int | None:
         changed.append(opp.events[0])
     if opp.kind == "hoist-update" and opp.insert_at is not None:
         changed.append(opp.insert_at)
-    return min(changed, default=n)
+    if not changed:
+        return n, n
+    return min(changed), max(changed) + 1
 
 
 def apply_opportunity(
@@ -436,6 +448,74 @@ def replay_fingerprint(program: DirectiveProgram) -> tuple:
     return _fingerprint(session)
 
 
+class ReplayVerifier:
+    """Replay proofs of candidates on one program, sharing one replay.
+
+    One sanitizer session replays the original forward only, stopping at
+    each candidate's first changed position; :meth:`verify` forks it
+    there. Ask in ascending order of first change: an earlier one starts
+    the shared replay over. ``baseline`` is the original's fingerprint
+    when the caller already has it; it is needed only for a fork that
+    does not rejoin, and is computed then."""
+
+    def __init__(
+        self, program: DirectiveProgram, baseline: tuple | None = None
+    ):
+        self.program = program
+        self.baseline = baseline
+        self._session = None
+        self._at = 0
+
+    def _advance(self, to: int):
+        """The shared session at position ``to``."""
+        from repro.sanitize.session import SanitizeSession
+
+        if self._session is None or to < self._at:
+            self._session = SanitizeSession(
+                nranks=1, name=self.program.meta.name
+            )
+            self._at = 0
+        self._session.replay(
+            self.program, events=self.program.events[self._at:to]
+        )
+        self._at = to
+        return self._session
+
+    def verify(self, opp: OptimizationOpportunity) -> bool:
+        """The replay verdict on ``opp`` (see :func:`verify_opportunity`).
+
+        A fork of the shared session replays the transformed stream up to
+        the rejoin point (:func:`_changed_span`), and a second fork the
+        original events up to it. From there on both streams are the
+        original's events, so equal replay state
+        (:meth:`~repro.sanitize.session.SanitizeSession.same_state`)
+        gives an equal final fingerprint and the candidate verifies
+        without replaying its tail. A fork whose state differs resumes
+        its stream lazily to the end and is judged against the baseline
+        fingerprint, which the second fork then replays on to give."""
+        program, events = self.program, self.program.events
+        span = _changed_span(opp, len(events))
+        if span is None:
+            return False
+        first, rejoin = span
+        try:
+            head = list(_transformed_events(program, opp, first, rejoin))
+        except (IndexError, KeyError, ValueError):
+            return False
+        session = self._advance(first)
+        fork = session.fork()
+        fork.replay(program, events=head)
+        original = session.fork()
+        original.replay(program, events=events[first:rejoin])
+        if fork.same_state(original):
+            return True
+        fork.replay(program, events=_transformed_events(program, opp, rejoin))
+        if self.baseline is None:
+            original.replay(program, events=events[rejoin:])
+            self.baseline = _fingerprint(original)
+        return _fingerprint(fork) == self.baseline
+
+
 def verify_opportunities(
     program: DirectiveProgram,
     opportunities: list[OptimizationOpportunity],
@@ -444,45 +524,26 @@ def verify_opportunities(
     """Replay-verify each candidate (see :func:`verify_opportunity`);
     the verdicts come back in input order.
 
-    One session replays the original once, stopping at each candidate's
-    first changed position in ascending order. There a fork of the
-    session replays the rest of the transformed stream, so the prefix the
-    candidates share with the original replays once per program instead
-    of once per candidate. The streamed events keep their original
-    indices: the sanitizer decides nothing from ``AccEvent.index`` and
-    only copies it into ``Diagnostic.event_index`` and
-    ``PendingOp.event_index``, which the fingerprint ignores. A record
-    with an anchor outside the program, or one that cannot be applied,
-    is refused without a replay. ``baseline`` is the original's
-    fingerprint when the caller already has it; otherwise the shared
-    replay runs on to the end and gives it."""
-    from repro.sanitize.session import SanitizeSession
-
-    events = program.events
-    starts = sorted(
-        (p, k) for k, opp in enumerate(opportunities)
-        if (p := _first_change(opp, len(events))) is not None
-    )
-    session = SanitizeSession(nranks=1, name=program.meta.name)
-    at = 0
-    outcomes: dict[int, tuple] = {}
-    for p, k in starts:
-        try:
-            tail = list(_transformed_events(program, opportunities[k], p))
-        except (IndexError, KeyError, ValueError):
-            continue
-        session.replay(program, events=events[at:p])
-        at = p
-        fork = session.fork()
-        fork.replay(program, events=tail)
-        outcomes[k] = _fingerprint(fork)
-    if baseline is None and outcomes:
-        session.replay(program, events=events[at:])
-        baseline = _fingerprint(session)
-    return [
-        k in outcomes and outcomes[k] == baseline
-        for k in range(len(opportunities))
-    ]
+    One :class:`ReplayVerifier` takes the candidates in ascending order
+    of first change: the original replays once per program, and each
+    fork stops at its candidate's rejoin point unless its replay state
+    differs from the original's there. The streamed events keep their
+    original indices: the sanitizer decides nothing from
+    ``AccEvent.index`` and only copies it into ``Diagnostic.event_index``
+    and ``PendingOp.event_index``, which the fingerprint ignores. A
+    record with an anchor outside the program, or one that cannot be
+    applied, is refused without a replay. ``baseline`` is the original's
+    fingerprint when the caller already has it; otherwise the original
+    replays to its end only if some fork does not rejoin."""
+    n = len(program.events)
+    verifier = ReplayVerifier(program, baseline)
+    verdicts = [False] * len(opportunities)
+    for k in sorted(
+        range(len(opportunities)),
+        key=lambda k: _changed_span(opportunities[k], n) or (n, n),
+    ):
+        verdicts[k] = verifier.verify(opportunities[k])
+    return verdicts
 
 
 def verify_opportunity(
@@ -611,6 +672,7 @@ __all__ = [
     "OPPORTUNITY_SCHEMA",
     "OPPORTUNITY_SCHEMA_VERSION",
     "KINDS",
+    "ReplayVerifier",
     "find_opportunities",
     "apply_opportunity",
     "verify_opportunity",

@@ -10,13 +10,16 @@ closures).  The pipeline is:
    each schedule action produced.
 2. **Template extraction** — every repeated phase (forward step,
    snapshot, snapshot reload, imaging, backward step) must be
-   steady-state: all its slices normalize-identical.  Non-uniform
-   schedules (e.g. auto-async queue rotation) are refused.
+   steady-state: all its slices equal in every event field but
+   ``index`` and ``label``.  Non-uniform schedules (e.g. auto-async
+   queue rotation) are refused.
 3. **Selection** (:func:`select_opportunities`) — verified
    :class:`~repro.analyze.dataflow.OptimizationOpportunity` records are
    mapped to template offsets, deduplicated across periodic repeats,
    structurally re-checked, made conflict-free, and each survivor is
-   re-proven with :func:`~repro.analyze.dataflow.verify_opportunity`.
+   re-proven by the :func:`~repro.analyze.dataflow.verify_opportunity`
+   replay, on one forward-only
+   :class:`~repro.analyze.dataflow.ReplayVerifier` per selection pass.
 4. **Application** — survivors are applied per template with
    :func:`~repro.analyze.dataflow.apply_opportunity`; hoisted updates
    move to a phase prologue that runs once.
@@ -36,16 +39,17 @@ closed, never "best effort").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.analyze.dataflow import (
     OptimizationOpportunity,
+    ReplayVerifier,
     apply_opportunity,
     find_opportunities,
     replay_fingerprint,
     validate_opportunities,
-    verify_opportunity,
 )
 from repro.analyze.program import AccEvent, DirectiveProgram
 from repro.analyze.recorder import ProgramRecorder
@@ -140,8 +144,11 @@ class Segment:
         return self.start <= index < self.stop
 
 
-def _normalize(e: AccEvent) -> AccEvent:
-    return replace(e, index=0, label=None)
+#: an event's fields minus its program position and label: what every
+#: slice of a steady-state phase repeats
+_steady_fields = attrgetter(*(
+    f.name for f in fields(AccEvent) if f.name not in ("index", "label")
+))
 
 
 @dataclass
@@ -165,19 +172,20 @@ class SegmentedRecording:
     def template(self, phase: str) -> list[AccEvent]:
         """The phase's steady-state event template.
 
-        Raises :class:`CompileError` when the phase's slices are not
-        normalize-identical — the schedule is input-dependent and must
-        stay with the interpreter.
+        Raises :class:`CompileError` when the phase's slices differ in
+        any event field but ``index`` and ``label`` — the schedule is
+        input-dependent and must stay with the interpreter.
         """
         slices = self.slices(phase)
         if not slices:
             return []
         events = self.program.events
         first = [
-            _normalize(e) for e in events[slices[0].start:slices[0].stop]
+            _steady_fields(e)
+            for e in events[slices[0].start:slices[0].stop]
         ]
         for s in slices[1:]:
-            other = [_normalize(e) for e in events[s.start:s.stop]]
+            other = [_steady_fields(e) for e in events[s.start:s.stop]]
             if other != first:
                 raise CompileError(
                     f"phase '{phase}' is not steady-state: slice at event "
@@ -387,7 +395,7 @@ def _cross_phase_selection(
     seg_a: Segment,
     taken_offsets: dict[str, set[int]],
     seen_keys: set[tuple],
-    fingerprint,
+    verifier: ReplayVerifier,
 ) -> tuple[SelectedOpportunity | None, str]:
     """Admit one boundary-spanning fusion, or return the skip reason.
 
@@ -430,7 +438,7 @@ def _cross_phase_selection(
             for d in validate_opportunity(program, inst)
         ):
             return None, "refused by the translation validator"
-        if not verify_opportunity(program, inst, fingerprint()):
+        if not verifier.verify(inst):
             return None, "failed the replay re-proof"
     taken_offsets.setdefault(seg_a.phase, set()).add(off_a)
     taken_offsets.setdefault(seg_b.phase, set()).add(off_b)
@@ -464,16 +472,11 @@ def select_opportunities(
     """
     program = recording.program
     result = SelectionResult()
-    baseline: tuple | None = None
     taken_offsets: dict[str, set[int]] = {}
     seen_keys: set[tuple] = set()
     ordered = sorted(opportunities, key=lambda o: o.events)
-
-    def fingerprint() -> tuple:
-        nonlocal baseline
-        if baseline is None:
-            baseline = replay_fingerprint(program)
-        return baseline
+    # each pass re-proves in ascending order on one forward-only replay
+    verifier = ReplayVerifier(program)
 
     def anchors_of(opp: OptimizationOpportunity) -> tuple[int, ...]:
         return opp.events + tuple(
@@ -489,7 +492,7 @@ def select_opportunities(
         if seg is None or all(i in seg for i in anchors):
             continue
         sel, reason = _cross_phase_selection(
-            recording, opp, seg, taken_offsets, seen_keys, fingerprint
+            recording, opp, seg, taken_offsets, seen_keys, verifier
         )
         if sel is None:
             result.skipped.append((opp.kind, opp.events, reason))
@@ -497,6 +500,7 @@ def select_opportunities(
             result.selected.append(sel)
         done.add(pos)
 
+    verifier = ReplayVerifier(program, verifier.baseline)
     for pos, opp in enumerate(ordered):
         if pos in done:
             continue
@@ -532,7 +536,7 @@ def select_opportunities(
         if touched & taken:
             skip("conflicts with an already-selected opportunity")
             continue
-        if not verify_opportunity(program, opp, fingerprint()):
+        if not verifier.verify(opp):
             skip("failed the replay re-proof")
             continue
         taken.update(touched)

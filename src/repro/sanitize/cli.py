@@ -17,7 +17,7 @@ picks the report (``--json`` is kept as an alias of ``--format json``).
 
 from __future__ import annotations
 
-from repro.analyze.cli import _INVENTORY, _SHAPES
+from repro.analyze.cli import _INVENTORY, _SHAPES, check_target
 from repro.analyze.framework import parse_severity
 from repro.sanitize.drivers import sanitize_pipeline, sanitize_script
 from repro.sanitize.fixit import apply_fixes, collect_fixes
@@ -49,17 +49,15 @@ def sanitize_case(
 
 
 def sanitize_targets(args) -> list[SanitizeResult]:
-    """Resolve the CLI namespace into one or more sanitize results."""
-    if getattr(args, "script", None):
+    """Resolve the CLI namespace, checked by
+    :func:`~repro.analyze.cli.check_target`, into one or more sanitize
+    results."""
+    if args.script:
         with open(args.script, encoding="utf-8") as fh:
             text = fh.read()
         return [sanitize_script(text, name=args.script)]
-    case = getattr(args, "case", None)
-    if case is None:
-        raise ConfigurationError(
-            "sanitize needs a CASE (or 'all', or --script FILE)"
-        )
-    ranks = int(getattr(args, "ranks", 1) or 1)
+    case = args.case
+    ranks = args.ranks
     modes = ("modeling", "rtm") if args.mode == "both" else (args.mode,)
     if case.lower() == "all":
         return [
@@ -109,16 +107,29 @@ def _run_fix(args) -> int:
     return 1 if revalidated.fails(parse_severity(threshold_name)) else 0
 
 
+def _check_command(args) -> None:
+    """Refuse a malformed command line before anything runs (raises
+    :class:`ConfigurationError` naming the flag)."""
+    check_target(args)
+    if args.fix and not args.script:
+        raise ConfigurationError(
+            "--fix needs --script FILE (recorded-schedule findings "
+            "carry advisory fixes only)"
+        )
+
+
 def run_sanitize_command(args) -> int:
-    """``python -m repro sanitize`` entry point (argparse namespace in)."""
+    """``python -m repro sanitize`` entry point (argparse namespace in).
+    Returns 2, having run and written nothing, on a malformed command
+    line."""
     from repro.analyze.report import format_json, format_sarif, format_text
 
-    if getattr(args, "fix", False):
-        if not getattr(args, "script", None):
-            raise ConfigurationError(
-                "--fix needs --script FILE (recorded-schedule findings "
-                "carry advisory fixes only)"
-            )
+    try:
+        _check_command(args)
+    except ConfigurationError as exc:
+        print(f"sanitize: {exc}")
+        return 2
+    if args.fix:
         return _run_fix(args)
 
     results = sanitize_targets(args)

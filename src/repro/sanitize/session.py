@@ -140,6 +140,23 @@ class SanitizeSession:
         "nranks", "name", "stencil_radius", "runtimes", "_field_map",
         "_halo_width", "_decomp",
     )
+    #: everything replay writes, each with how :meth:`fork` copies it so
+    #: that neither session's later replay reaches the other; equal
+    #: values here are what :meth:`same_state` compares
+    _REPLAY_STATE = {
+        "programs": list,
+        "shadows": lambda ranks: [
+            {name: sh.copy() for name, sh in shadows.items()}
+            for shadows in ranks
+        ],
+        "clocks": RankClocks.copy,
+        "pending": lambda pending: {
+            key: list(ops) for key, ops in pending.items()
+        },
+        "diagnostics": list,
+        "_last_partial": dict,
+        "_seen": set,
+    }
 
     def __init__(
         self,
@@ -210,21 +227,27 @@ class SanitizeSession:
 
     def fork(self) -> SanitizeSession:
         """An independent session in this one's replay state: what either
-        replays afterwards leaves the other unchanged."""
+        replays afterwards leaves the other unchanged. It shares
+        ``_FORK_SHARED`` and copies ``_REPLAY_STATE``, the same table
+        :meth:`same_state` compares, so a fork can be judged against the
+        session it left: once the two are in the same state at the same
+        position, equal events from there on end them in equal states."""
         twin = object.__new__(type(self))
         for name in self._FORK_SHARED:
             setattr(twin, name, getattr(self, name))
-        twin.programs = list(self.programs)
-        twin.shadows = [
-            {name: sh.copy() for name, sh in shadows.items()}
-            for shadows in self.shadows
-        ]
-        twin.clocks = self.clocks.copy()
-        twin.pending = {key: list(ops) for key, ops in self.pending.items()}
-        twin.diagnostics = list(self.diagnostics)
-        twin._last_partial = dict(self._last_partial)
-        twin._seen = set(self._seen)
+        for name, copy in self._REPLAY_STATE.items():
+            setattr(twin, name, copy(getattr(self, name)))
         return twin
+
+    def same_state(self, other: SanitizeSession) -> bool:
+        """Whether ``other`` holds this session's replay state: every
+        part of ``_REPLAY_STATE`` equal, not only what a fingerprint
+        reads (in-flight async ops and queue clocks decide later
+        findings, too)."""
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in self._REPLAY_STATE
+        )
 
     # ------------------------------------------------------------------
     # findings

@@ -1,9 +1,11 @@
 """Batch replay verification against the one-candidate reference.
 
-:func:`verify_opportunities` replays the original once and forks the
-sanitizer session at each candidate's first changed event. The reference
-below is the definition it replaced: apply the candidate, replay the
-transformed program in a fresh session, compare fingerprints.
+:func:`verify_opportunities` replays the original once, forks the
+sanitizer session at each candidate's first changed event and stops the
+fork at its rejoin point when its replay state is the original's there.
+The reference below is the definition it replaced: apply the candidate,
+replay the transformed program in a fresh session, compare
+fingerprints.
 """
 
 import functools
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.analyze.cli import _INVENTORY, _SHAPES
 from repro.analyze.dataflow import (
+    ReplayVerifier,
     apply_opportunity,
     find_opportunities,
     verify_opportunities,
@@ -21,6 +24,7 @@ from repro.analyze.dataflow import (
 )
 from repro.analyze.dataflow.opportunities import (
     OptimizationOpportunity,
+    _changed_span,
     _merged_compute,
     _transformed_events,
 )
@@ -232,6 +236,9 @@ class TestBatchAgainstReference:
         order = data.draw(st.permutations(range(len(cands))))
         shuffled = verify_opportunities(program, [cands[i] for i in order])
         assert shuffled == [want[i] for i in order]
+        # one verifier asked out of order starts its shared replay over
+        verifier = ReplayVerifier(program)
+        assert [verifier.verify(cands[i]) for i in order] == shuffled
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -272,3 +279,53 @@ def test_seed_stream_replays_like_the_applied_program(physics, ndim, mode):
         assert replayed(program, _transformed_events(program, opp)) == applied
         want.append(applied == baseline)
     assert verify_opportunities(program, cands) == want
+
+
+# ----------------------------------------------------------------------
+# the rejoin point
+# ----------------------------------------------------------------------
+def rejoin_program(wait_before_read: bool) -> DirectiveProgram:
+    """Fusing computes 1 and 3 hoists b's ``wait_on=(1,)`` above the
+    async ``update host(v)`` it used to wait for. At the rejoin point
+    the fork's shadows and diagnostics are the original's, but the
+    update is still in flight on the fork: the host read then races it,
+    unless a ``wait(1)`` comes first."""
+    p = DirectiveProgram()
+    for e in (
+        AccEvent(kind="enter", copyin=("u", "v")),
+        AccEvent(kind="compute", kernel="a", reads=("u",), writes=("u",),
+                 writes_known=True),
+        AccEvent(kind="update", direction="host", var="v", queue=1),
+        AccEvent(kind="compute", kernel="b", reads=("u",), writes=("u",),
+                 writes_known=True, wait_on=(1,)),
+        *((AccEvent(kind="wait", wait_on=(1,)),) if wait_before_read else ()),
+        AccEvent(kind="host_read", reads=("v",)),
+        AccEvent(kind="exit", delete=("u", "v")),
+    ):
+        p.add(e)
+    p.extents.update({"u": 64, "v": 64})
+    return p
+
+
+@pytest.mark.parametrize("wait_before_read", [False, True])
+def test_a_fork_that_differs_at_the_rejoin_point_replays_its_tail(
+    wait_before_read,
+):
+    program = rejoin_program(wait_before_read)
+    fusion = OptimizationOpportunity(
+        kind="fuse-computes", events=(1, 3), remove_events=(3,))
+    assert _changed_span(fusion, len(program.events)) == (1, 4)
+    session = SanitizeSession()
+    session.replay(program, events=program.events[:1])
+    fork, original = session.fork(), session.fork()
+    fork.replay(program, events=_transformed_events(program, fusion, 1, 4))
+    original.replay(program, events=program.events[1:4])
+    assert fingerprint(fork) == fingerprint(original)
+    assert fork.pending != original.pending
+    assert fork.clocks.host != original.clocks.host
+    assert not fork.same_state(original)
+    # only the wait before the read lets the fork converge again
+    want = reference(program, fusion, replayed(program))
+    assert want is wait_before_read
+    assert verify_opportunities(program, [fusion]) == [want]
+    assert verify_opportunity(program, fusion) is want

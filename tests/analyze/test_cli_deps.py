@@ -6,7 +6,6 @@ import pytest
 
 from repro.__main__ import build_parser
 from repro.analyze.dataflow import validate_opportunities
-from repro.utils.errors import ConfigurationError
 
 SEEDED_SCRIPT = """\
 !$lint extent(u=36864)
@@ -71,13 +70,17 @@ class TestDepsCommand:
         assert target["events"] == 4
         assert target["opportunities"] >= 1
 
-    def test_dot_needs_a_single_target(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="--dot"):
-            run(["deps", "all", "--dot", str(tmp_path / "g.dot")])
+    def test_dot_needs_a_single_target(self, tmp_path, capsys):
+        dot = tmp_path / "g.dot"
+        assert run(["deps", "all", "--dot", str(dot)]) == 2
+        assert capsys.readouterr().out.startswith("deps: --dot exports")
+        assert not dot.exists()
 
-    def test_missing_target_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run(["deps"])
+    def test_missing_target_rejected(self, capsys):
+        assert run(["deps"]) == 2
+        assert capsys.readouterr().out == (
+            "deps: needs a CASE (or 'all', or --script FILE)\n"
+        )
 
     def test_multirank_crossrank_is_clean_on_seed(self, capsys):
         assert run([

@@ -1,5 +1,7 @@
 """The compile pipeline: segmentation, selection, verification gate."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analyze.dataflow import find_opportunities, reports_to_json
@@ -58,6 +60,23 @@ class TestSegments:
         _, _, rec = recording()
         for phase in REPEATED_PHASES:
             rec.template(phase)  # must not raise
+
+    def test_template_ignores_position_and_label_only(self):
+        _, _, rec = recording()
+        first, second = rec.slices("forward")[:2]
+        events = rec.program.events
+        template = rec.template("forward")
+        i = second.start + 1
+        events[i] = replace(events[i], index=10_000, label="moved")
+        assert rec.template("forward") == template
+        events[i] = replace(events[i], queue=7)
+        with pytest.raises(CompileError) as err:
+            rec.template("forward")
+        assert str(err.value) == (
+            f"phase 'forward' is not steady-state: slice at event "
+            f"{second.start} differs from the template at event "
+            f"{first.start} (input-dependent schedules cannot be compiled)"
+        )
 
     def test_hash_matches_the_deps_recording(self):
         # compile re-records with the exact parameters deps uses, so the

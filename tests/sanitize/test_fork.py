@@ -1,9 +1,11 @@
 """``SanitizeSession.fork``: an independent copy of the replay state.
 
 Batch verification forks one baseline session at each candidate's first
-changed event and replays the rest of the candidate on the fork; a fork
-that shared any replay state with its parent would leak one candidate's
-tail into the next candidate's prefix.
+changed event and replays the candidate's changed events on the fork; a
+fork that shared any replay state with its parent would leak one
+candidate into the next candidate's prefix. At the rejoin point the fork
+is compared with the original by ``same_state``, which must read every
+attribute the fork copies.
 """
 
 import copy
@@ -111,3 +113,25 @@ def test_fork_copies_or_shares_every_attribute():
     for name, value in vars(session).items():
         shared = vars(fork)[name] is value
         assert shared == (name in SanitizeSession._FORK_SHARED), name
+
+
+def test_every_attribute_is_shared_or_replay_state():
+    """The two tables partition the session: an attribute the fork
+    copies is one ``same_state`` compares."""
+    shared = set(SanitizeSession._FORK_SHARED)
+    replayed = set(SanitizeSession._REPLAY_STATE)
+    assert not shared & replayed
+    assert shared | replayed == vars(SanitizeSession()).keys()
+
+
+def test_same_state_reads_every_replay_attribute():
+    session = SanitizeSession()
+    program = every_state_program()
+    session.replay(program, events=program.events[:9])
+    for name, value in vars(session).items():
+        assert value or name in SanitizeSession._FORK_SHARED, name
+    for name in SanitizeSession._REPLAY_STATE:
+        fork = session.fork()
+        assert fork.same_state(session) and session.same_state(fork)
+        setattr(fork, name, type(getattr(fork, name))())
+        assert not fork.same_state(session), name

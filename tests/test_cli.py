@@ -132,3 +132,45 @@ class TestMalformedInput:
         assert printed.startswith(f"{argv[0]}: ")
         assert ledger.read_text().count("\n") == 1
         assert not out.exists()
+
+
+#: malformed ``deps``/``sanitize`` command lines, with what the one-line
+#: refusal must name; ``{missing}`` is a path that does not exist
+MALFORMED_TARGETS = [
+    ("deps", "CASE"),
+    ("deps nosuch", "nosuch"),
+    ("deps iso2d --fail-on bogus", "--fail-on"),
+    ("deps --script {missing}", "--script"),
+    ("deps iso2d --nt 0", "--nt"),
+    ("deps iso2d --nt -3", "--nt"),
+    ("deps iso2d --ranks 0", "--ranks"),
+    ("sanitize", "CASE"),
+    ("sanitize nosuch", "nosuch"),
+    ("sanitize iso2d --fail-on bogus", "--fail-on"),
+    ("sanitize --script {missing}", "--script"),
+    ("sanitize iso2d --nt 0", "--nt"),
+    ("sanitize iso2d --ranks 0", "--ranks"),
+    ("sanitize iso2d --ranks -3", "--ranks"),
+    ("sanitize iso2d --fix", "--fix"),
+]
+
+
+@pytest.mark.parametrize(
+    "line,named", MALFORMED_TARGETS, ids=[m[0] for m in MALFORMED_TARGETS]
+)
+def test_deps_and_sanitize_refuse_malformed_input(line, named, tmp_path, capsys):
+    """Exit 2 before anything is recorded, with one line naming the flag
+    and no artifact written."""
+    argv = line.format(missing=tmp_path / "missing.acc").split()
+    written = {
+        "deps": ("--opportunities", "--dot"),
+        "sanitize": ("--output",),
+    }[argv[0]]
+    for flag in written:
+        argv += [flag, str(tmp_path / flag.strip("-"))]
+    assert main(argv) == 2
+    printed = capsys.readouterr().out
+    assert "Traceback" not in printed
+    assert printed.count("\n") == 1 and named in printed
+    assert printed.startswith(f"{argv[0]}: ")
+    assert not any((tmp_path / flag.strip("-")).exists() for flag in written)
