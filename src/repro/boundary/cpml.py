@@ -130,6 +130,10 @@ class CPML:
         """Bytes held by all psi fields."""
         return sum(p.nbytes for p in self._psi.values())
 
+    def memory_arrays(self) -> tuple[np.ndarray, ...]:
+        """The memory variables allocated so far (the live arrays)."""
+        return tuple(self._psi.values())
+
     def reset(self) -> None:
         """Zero all memory variables (new simulation, same coefficients)."""
         for p in self._psi.values():
@@ -165,6 +169,7 @@ class CPML:
         axis: int,
         deriv: np.ndarray,
         half: bool,
+        rows: slice | None = None,
     ) -> np.ndarray:
         """Apply the C-PML convolution to a spatial derivative.
 
@@ -181,10 +186,17 @@ class CPML:
         half:
             Whether the derivative lives at half-shifted positions along
             ``axis`` (selects the staggered coefficient profile).
+        rows:
+            The axis-0 rows ``deriv`` covers (a propagator's live band), or
+            None for every row: the memory variable and, along axis 0, the
+            profile are cut to this window.
         """
-        if deriv.shape != self.grid.shape:
+        shape = self.grid.shape
+        if rows is not None:
+            shape = (len(range(shape[0])[rows]),) + shape[1:]
+        if deriv.shape != shape:
             raise ConfigurationError(
-                f"derivative shape {deriv.shape} does not match grid {self.grid.shape}"
+                f"derivative shape {deriv.shape} does not match grid rows {shape}"
             )
         if self.width == 0:
             return deriv  # no-op layer: keep identical code path
@@ -194,6 +206,10 @@ class CPML:
             self._psi[name] = psi
         b = self._broadcast(self.b[axis][half], axis)
         a = self._broadcast(self.a[axis][half], axis)
+        if rows is not None:
+            psi = psi[rows]
+            if axis == 0:
+                b, a = b[rows], a[rows]
         # psi <- b*psi + a*deriv ; deriv <- deriv + psi  (kappa = 1)
         psi *= b
         psi += a * deriv

@@ -36,6 +36,8 @@ class AcousticPropagator(Propagator):
 
     scheme = "staggered"
     physics = "acoustic"
+    stages = 2
+    grid_arrays = ("p", "q", "kappa", "buoyancy", "_deriv", "_div")
 
     def __init__(
         self,
@@ -76,45 +78,53 @@ class AcousticPropagator(Propagator):
 
     # ------------------------------------------------------------------
     def step_pressure(self, sources: Sequence[tuple[tuple[int, ...], float]] = ()) -> None:
-        """First leapfrog sub-stage: update ``p`` from the flow divergence
-        and inject sources. Exposed separately so domain-decomposed drivers
-        can exchange the fresh pressure halos before :meth:`step_flow`."""
+        """First leapfrog sub-stage over every row: update ``p`` from the
+        flow divergence and inject sources. Exposed separately so
+        domain-decomposed drivers can exchange the fresh pressure halos
+        before :meth:`step_flow`; the next :meth:`step` measures the live
+        band again."""
+        self._band = None
+        self._update_pressure(self, None, sources)
+
+    def step_flow(self) -> None:
+        """Second leapfrog sub-stage over every row: update the flow
+        components from the (fresh) pressure gradient."""
+        self._band = None
+        self._update_flow(self, None)
+
+    def _update_pressure(self, v, rows, sources) -> None:
         h = self.grid.spacing
-        div = self._div
+        div = v._div
         div.fill(0.0)
         for ax in range(self.grid.ndim):
             # the operator only writes the valid interior; clear the reused
             # buffer so stale border values never leak into div or the C-PML
             # memory variables
-            self._deriv.fill(0.0)
+            v._deriv.fill(0.0)
             d = staggered_diff_backward(
-                self.q[ax], ax, h[ax], self.space_order, out=self._deriv
+                v.q[ax], ax, h[ax], self.space_order, out=v._deriv
             )
-            d = self.cpml.damp(f"dq{ax}", ax, d, half=False)
+            d = self.cpml.damp(f"dq{ax}", ax, d, half=False, rows=rows)
             div += d
-        self.p += np.float32(self.dt) * self.kappa * div
+        v.p += np.float32(self.dt) * v.kappa * div
         # source: Eq. 2 injects rho*vp^2 * time-integral of the wavelet; the
         # driver passes the integrated amplitude
         for index, amp in sources:
             self.p[index] += np.float32(self.dt) * self.kappa[index] * np.float32(amp)
 
-    def step_flow(self) -> None:
-        """Second leapfrog sub-stage: update the flow components from the
-        (fresh) pressure gradient."""
+    def _update_flow(self, v, rows) -> None:
         h = self.grid.spacing
         for ax in range(self.grid.ndim):
-            self._deriv.fill(0.0)
+            v._deriv.fill(0.0)
             d = staggered_diff_forward(
-                self.p, ax, h[ax], self.space_order, out=self._deriv
+                v.p, ax, h[ax], self.space_order, out=v._deriv
             )
-            d = self.cpml.damp(f"dp{ax}", ax, d, half=True)
-            self.q[ax] += np.float32(self.dt) * self.buoyancy[ax] * d
+            d = self.cpml.damp(f"dp{ax}", ax, d, half=True, rows=rows)
+            v.q[ax] += np.float32(self.dt) * v.buoyancy[ax] * d
 
-    def _step_impl(self, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
-        self.step_pressure(sources)
-        if self.mid_step_hook is not None:
-            self.mid_step_hook()
-        self.step_flow()
+    def _step_impl(self, v, rows, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
+        self._update_pressure(v, rows, sources)
+        self._update_flow(v, rows)
 
     # ------------------------------------------------------------------
     def kernel_workloads(self) -> list[KernelWorkload]:

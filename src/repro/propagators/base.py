@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -97,8 +98,35 @@ class PropagatorState:
 class Propagator(ABC):
     """Base class: named fields + leapfrog stepping + workload metadata.
 
-    Subclasses implement :meth:`_step_impl` (pure physics on ``self.fields``)
-    and :meth:`kernel_workloads`.
+    Subclasses name their grid-shaped arrays once in :attr:`grid_arrays`
+    and implement :meth:`_step_impl` (pure physics on those arrays) and
+    :meth:`kernel_workloads`.
+
+    **The live band.** :meth:`step` updates only a band of rows
+    ``[r0, r1)`` along axis 0 (depth): the subclass's step arithmetic runs
+    unchanged on row views of :attr:`grid_arrays` (C-contiguous, so each
+    view is one block). Rows outside the band are +0.0 in every field and
+    C-PML memory variable, which is exactly what a full-grid step leaves
+    there, so skipping them changes no bit. The invariant, at every step
+    start: each row holding a nonzero bit pattern (-0.0 included) in any
+    field or C-PML memory variable lies at least :attr:`margin` =
+    (:attr:`stages` + 1) x radius rows inside every band edge that is not
+    a grid edge (12 rows for order-8 staggered physics). One step carries
+    state at most ``stages`` x radius rows, and the extra radius keeps
+    zero the border rows a stencil leaves unwritten at the view's edge.
+
+    The band is measured from the arrays on the first step and after
+    :meth:`restore_state` or :meth:`reset`. It widens for the rows of step
+    sources and of :meth:`inject_pressure`, grows when a check of its
+    margin rows at a step start finds live state, and never shrinks. Once
+    fewer than two margins of rows lie outside it, it takes every row:
+    from then on a step is the full-grid code with no check.
+
+    The contract that keeps the band exact: after the first step, state
+    changes only through the propagator's own methods (:meth:`step`,
+    :meth:`inject_pressure`, :meth:`restore_state`, :meth:`reset`).
+    Sub-stage methods called directly (``step_pressure``/``step_flow``)
+    step every row and make the next :meth:`step` measure the band again.
 
     Parameters
     ----------
@@ -120,6 +148,12 @@ class Propagator(ABC):
     scheme: str = "second_order"
     #: short physics tag ('isotropic', 'acoustic', 'elastic')
     physics: str = "base"
+    #: stencil stages per step: how often one step differentiates state it
+    #: has just updated (two for the staggered leapfrog's sub-stages)
+    stages: int = 1
+    #: the grid-shaped arrays a step reads or writes (state, coefficients
+    #: and scratch); a dotted name reaches into a member (``pml.sigma2``)
+    grid_arrays: tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -157,12 +191,11 @@ class Propagator(ABC):
         self.check_health_every = int(check_health_every)
         self.state = PropagatorState()
         self.fields: dict[str, np.ndarray] = {}
-        #: called between the two sub-stages of a staggered leapfrog step
-        #: (after pressure/velocity updates, before flow/stress updates).
-        #: Domain-decomposed runs hang their mid-step ghost exchange here:
-        #: the second sub-stage differentiates the *freshly updated* fields,
-        #: so their halos must be refreshed mid-step.
-        self.mid_step_hook: Callable[[], None] | None = None
+        #: rows a live value keeps from a band edge that is not a grid edge
+        self.margin = (self.stages + 1) * self.radius
+        #: the live band ``(r0, r1)``: None until measured, ``(n0, 0)`` while
+        #: every row is +0.0
+        self._band: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     # field management
@@ -173,11 +206,15 @@ class Propagator(ABC):
         return a
 
     def reset(self) -> None:
-        """Zero all wavefields and restart the step counter (coefficients and
-        material fields are kept)."""
+        """Zero all wavefields and C-PML memory variables and restart the
+        step counter (coefficients and material fields are kept)."""
         for a in self.fields.values():
             a.fill(0.0)
+        cpml = getattr(self, "cpml", None)
+        if cpml is not None:
+            cpml.reset()
         self.state = PropagatorState()
+        self._band = None
 
     def wavefield_bytes(self) -> int:
         """Bytes of all time-varying fields (what must live on the device)."""
@@ -210,6 +247,7 @@ class Propagator(ABC):
         cpml = getattr(self, "cpml", None)
         if cpml is not None:
             cpml.restore(state.get("psi", {}))
+        self._band = None
 
     @abstractmethod
     def snapshot_field(self) -> np.ndarray:
@@ -223,10 +261,21 @@ class Propagator(ABC):
         scale: float = 1.0,
     ) -> None:
         """Add a pressure-like perturbation at grid points — the receiver
-        injection of the RTM backward phase. The default writes into the
-        observable field directly (valid when :meth:`snapshot_field`
-        returns real propagator state); the elastic propagators override it
-        to drive the diagonal stresses."""
+        injection of the RTM backward phase — and widen the live band to
+        the rows written."""
+        self._add_pressure(indices, amplitudes, scale)
+        n0 = self.grid.shape[0]
+        if self._band is None or self._band == (0, n0):
+            return  # the next step measures, or every row is stepped
+        rows = np.atleast_2d(indices)[:, 0] % n0
+        if rows.size:
+            self._band = self._widened(self._band, int(rows.min()), int(rows.max()))
+
+    def _add_pressure(self, indices, amplitudes, scale) -> None:
+        """Write a pressure injection. The default adds into the observable
+        field directly (valid when :meth:`snapshot_field` returns real
+        propagator state); the elastic propagators drive the diagonal
+        stresses instead."""
         from repro.source.injection import inject
 
         inject(self.snapshot_field(), indices, amplitudes, scale=scale)
@@ -235,24 +284,27 @@ class Propagator(ABC):
     # stepping
     # ------------------------------------------------------------------
     @abstractmethod
-    def _step_impl(self, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
-        """Advance all fields by one time step, injecting the given
-        ``(index, amplitude)`` source terms."""
-
-    def step(
+    def _step_impl(
         self,
-        sources: Sequence[tuple[tuple[int, ...], float]] = (),
-        injector: Callable[[np.ndarray], None] | None = None,
+        v,
+        rows: slice,
+        sources: Sequence[tuple[tuple[int, ...], float]],
     ) -> None:
-        """Advance one time step.
+        """Advance all fields by one time step over ``rows``, injecting the
+        given ``(index, amplitude)`` source terms (grid indices, written
+        into the full arrays). ``v`` holds :attr:`grid_arrays` cut to
+        ``rows`` under their own names; when the band spans every row, ``v``
+        is ``self`` and ``rows`` is None."""
 
-        ``sources`` carries point-source injections for this step;
-        ``injector``, when given, is called with the snapshot field *after*
-        the update (receiver injection in the RTM backward phase).
-        """
-        self._step_impl(sources)
-        if injector is not None:
-            injector(self.snapshot_field())
+    def step(self, sources: Sequence[tuple[tuple[int, ...], float]] = ()) -> None:
+        """Advance one time step over the live band (see the class
+        docstring). ``sources`` carries point-source injections for this
+        step."""
+        rows = self._band_rows(sources)
+        if rows is None:
+            self._step_impl(self, None, sources)
+        elif rows.start < rows.stop:
+            self._step_impl(self._band_views(rows), rows, sources)
         self.state.step += 1
         if self.check_health_every and self.state.step % self.check_health_every == 0:
             self._check_health()
@@ -287,6 +339,94 @@ class Propagator(ABC):
             )
 
     # ------------------------------------------------------------------
+    # the live band
+    # ------------------------------------------------------------------
+    def _band_rows(self, sources) -> slice | None:
+        """The rows this step updates (None for all of them), after
+        measuring, widening and guarding the band."""
+        n0 = self.grid.shape[0]
+        band = self._band
+        if band == (0, n0):
+            return None
+        if band is None:
+            band = self._measured()
+        if sources:
+            rows = [index[0] % n0 for index, _ in sources]
+            band = self._widened(band, min(rows), max(rows))
+        band = self._guarded(band)
+        if band[1] - band[0] > n0 - 2 * self.margin:
+            # the few rows left outside would not pay for the guard's
+            # reads of its margins each step
+            band = (0, n0)
+        self._band = band
+        return None if band == (0, n0) else slice(*band)
+
+    def _state_arrays(self) -> list[np.ndarray]:
+        """Every time-varying array: the fields and C-PML memory variables."""
+        arrays = list(self.fields.values())
+        cpml = getattr(self, "cpml", None)
+        if cpml is not None:
+            arrays.extend(cpml.memory_arrays())
+        return arrays
+
+    def _measured(self) -> tuple[int, int]:
+        """The band around every live row of the state."""
+        n0 = self.grid.shape[0]
+        live = np.flatnonzero(_live_rows(self._state_arrays(), 0, n0))
+        if not live.size:
+            return (n0, 0)
+        return self._widened((n0, 0), int(live[0]), int(live[-1]))
+
+    def _widened(self, band: tuple[int, int], lo: int, hi: int) -> tuple[int, int]:
+        """``band`` grown so that rows ``lo`` to ``hi`` lie :attr:`margin`
+        rows inside it, clipped to the grid."""
+        return (
+            min(band[0], max(0, lo - self.margin)),
+            max(band[1], min(self.grid.shape[0], hi + 1 + self.margin)),
+        )
+
+    def _guarded(self, band: tuple[int, int]) -> tuple[int, int]:
+        """``band`` grown past the live rows in its margins: the last step
+        may have carried state up to ``stages`` x radius rows outward."""
+        r0, r1 = band
+        n0, m = self.grid.shape[0], self.margin
+        margins = []
+        if 0 < r0 < r1:
+            margins.append((r0, min(r0 + m, r1)))
+        if r0 < r1 < n0:
+            margins.append((max(r1 - m, r0), r1))
+        if not margins:
+            return band
+        arrays = self._state_arrays()
+        rows = np.concatenate([np.arange(lo, hi) for lo, hi in margins])
+        # every array's margin rows in one block: one reduction per step,
+        # not one per array, whose call costs would rival the rows a band
+        # saves on a small grid
+        block = np.concatenate([a[lo:hi] for a in arrays for lo, hi in margins])
+        bits = block.view(np.uint32).reshape(len(arrays), len(rows), -1)
+        live = rows[np.bitwise_or.reduce(bits).any(axis=1)]
+        if not live.size:
+            return band
+        return self._widened(band, int(live.min()), int(live.max()))
+
+    def _band_views(self, rows: slice) -> SimpleNamespace:
+        """:attr:`grid_arrays` cut to ``rows`` under their own names (a list
+        or dict of arrays item by item; ``owner.name`` nests one level)."""
+        views = SimpleNamespace()
+        for name in self.grid_arrays:
+            owner, _, leaf = name.rpartition(".")
+            value = getattr(getattr(self, owner) if owner else self, leaf)
+            if isinstance(value, list):
+                value = [a[rows] for a in value]
+            elif isinstance(value, dict):
+                value = {k: a[rows] for k, a in value.items()}
+            else:
+                value = value[rows]
+            dst = views.__dict__.setdefault(owner, SimpleNamespace()) if owner else views
+            setattr(dst, leaf, value)
+        return views
+
+    # ------------------------------------------------------------------
     # cost metadata
     # ------------------------------------------------------------------
     @abstractmethod
@@ -299,6 +439,16 @@ class Propagator(ABC):
 
     def total_bytes_per_step(self) -> float:
         return sum(w.bytes_moved for w in self.kernel_workloads())
+
+
+def _live_rows(arrays: Iterable[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """Per row in ``[lo, hi)`` along axis 0: does any of ``arrays`` hold a
+    nonzero bit pattern there? -0.0 is live: a full-grid step can turn it
+    into +0.0, which a skipped row would not."""
+    live = np.zeros(hi - lo, dtype=bool)
+    for a in arrays:
+        live |= a[lo:hi].reshape(hi - lo, -1).view(np.uint32).any(axis=1)
+    return live
 
 
 def staggered_average(param: np.ndarray, axis: int) -> np.ndarray:

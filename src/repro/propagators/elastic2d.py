@@ -28,6 +28,7 @@ both diagonal stresses.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +53,11 @@ class ElasticPropagator2D(Propagator):
 
     scheme = "staggered"
     physics = "elastic"
+    stages = 2
+    grid_arrays = (
+        "vx", "vz", "sxx", "szz", "sxz",
+        "lam", "lam2mu", "buoy_x", "buoy_z", "mu_xz", "_d1", "_d2",
+    )
 
     def __init__(
         self,
@@ -96,7 +102,7 @@ class ElasticPropagator2D(Propagator):
         self._pressure *= np.float32(-0.5)
         return self._pressure
 
-    def inject_pressure(self, indices, amplitudes, scale: float = 1.0) -> None:
+    def _add_pressure(self, indices, amplitudes, scale) -> None:
         """Pressure injection drives both diagonal stresses: adding dp to
         the observable ``-(sxx+szz)/2`` means subtracting dp from each."""
         from repro.source.injection import inject
@@ -105,44 +111,32 @@ class ElasticPropagator2D(Propagator):
         inject(self.szz, indices, amplitudes, scale=-scale)
 
     # ------------------------------------------------------------------
-    def _dx_fwd(self, f, name):
-        self._d1.fill(0.0)
-        d = staggered_diff_forward(f, _X, self.grid.spacing[_X], self.space_order, out=self._d1)
-        return self.cpml.damp(name, _X, d, half=True)
+    def _diff(self, v, rows, f, axis, fwd, name):
+        """One C-PML-damped staggered derivative of the band view ``f``
+        (x derivatives land in ``_d1``, z derivatives in ``_d2``)."""
+        out = v._d1 if axis == _X else v._d2
+        out.fill(0.0)
+        diff = staggered_diff_forward if fwd else staggered_diff_backward
+        d = diff(f, axis, self.grid.spacing[axis], self.space_order, out=out)
+        return self.cpml.damp(name, axis, d, half=fwd, rows=rows)
 
-    def _dx_bwd(self, f, name):
-        self._d1.fill(0.0)
-        d = staggered_diff_backward(f, _X, self.grid.spacing[_X], self.space_order, out=self._d1)
-        return self.cpml.damp(name, _X, d, half=False)
-
-    def _dz_fwd(self, f, name):
-        self._d2.fill(0.0)
-        d = staggered_diff_forward(f, _Z, self.grid.spacing[_Z], self.space_order, out=self._d2)
-        return self.cpml.damp(name, _Z, d, half=True)
-
-    def _dz_bwd(self, f, name):
-        self._d2.fill(0.0)
-        d = staggered_diff_backward(f, _Z, self.grid.spacing[_Z], self.space_order, out=self._d2)
-        return self.cpml.damp(name, _Z, d, half=False)
-
-    def _step_impl(self, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
+    def _step_impl(self, v, rows, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
         dt = np.float32(self.dt)
+        d = partial(self._diff, v, rows)
         # --- velocities ---------------------------------------------------
-        self.vx += dt * self.buoy_x * (
-            self._dx_fwd(self.sxx, "dsxx_dx") + self._dz_bwd(self.sxz, "dsxz_dz")
+        v.vx += dt * v.buoy_x * (
+            d(v.sxx, _X, True, "dsxx_dx") + d(v.sxz, _Z, False, "dsxz_dz")
         )
-        self.vz += dt * self.buoy_z * (
-            self._dx_bwd(self.sxz, "dsxz_dx") + self._dz_fwd(self.szz, "dszz_dz")
+        v.vz += dt * v.buoy_z * (
+            d(v.sxz, _X, False, "dsxz_dx") + d(v.szz, _Z, True, "dszz_dz")
         )
-        if self.mid_step_hook is not None:
-            self.mid_step_hook()
         # --- stresses ------------------------------------------------------
-        dvx_dx = self._dx_bwd(self.vx, "dvx_dx").copy()
-        dvz_dz = self._dz_bwd(self.vz, "dvz_dz")
-        self.sxx += dt * (self.lam2mu * dvx_dx + self.lam * dvz_dz)
-        self.szz += dt * (self.lam2mu * dvz_dz + self.lam * dvx_dx)
-        self.sxz += dt * self.mu_xz * (
-            self._dz_fwd(self.vx, "dvx_dz") + self._dx_fwd(self.vz, "dvz_dx")
+        dvx_dx = d(v.vx, _X, False, "dvx_dx").copy()
+        dvz_dz = d(v.vz, _Z, False, "dvz_dz")
+        v.sxx += dt * (v.lam2mu * dvx_dx + v.lam * dvz_dz)
+        v.szz += dt * (v.lam2mu * dvz_dz + v.lam * dvx_dx)
+        v.sxz += dt * v.mu_xz * (
+            d(v.vx, _Z, True, "dvx_dz") + d(v.vz, _X, True, "dvz_dx")
         )
         # --- explosive source: equal push on the diagonal stresses ---------
         for index, amp in sources:

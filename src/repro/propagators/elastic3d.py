@@ -20,6 +20,7 @@ whose wavefields exceed the Fermi M2090's 6 GB at the paper's 3-D sizes
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +45,11 @@ class ElasticPropagator3D(Propagator):
 
     scheme = "staggered"
     physics = "elastic"
+    stages = 2
+    grid_arrays = (
+        "vx", "vy", "vz", "sxx", "syy", "szz", "sxy", "sxz", "syz",
+        "lam", "lam2mu", "buoy", "mu_xy", "mu_xz", "mu_yz", "_buf",
+    )
 
     def __init__(
         self,
@@ -96,7 +102,7 @@ class ElasticPropagator3D(Propagator):
         self._pressure *= np.float32(-1.0 / 3.0)
         return self._pressure
 
-    def inject_pressure(self, indices, amplitudes, scale: float = 1.0) -> None:
+    def _add_pressure(self, indices, amplitudes, scale) -> None:
         """Pressure injection drives the three diagonal stresses."""
         from repro.source.injection import inject
 
@@ -104,55 +110,54 @@ class ElasticPropagator3D(Propagator):
             inject(field, indices, amplitudes, scale=-scale)
 
     # ------------------------------------------------------------------
-    def _diff(self, f: np.ndarray, axis: int, fwd: bool, name: str) -> np.ndarray:
-        """One damped derivative into a fresh array (22 per step; fresh
-        allocation keeps the data flow simple and is amortised by the
-        kernel-sized arithmetic around it)."""
-        self._buf.fill(0.0)
+    def _diff(self, v, rows, f: np.ndarray, axis: int, fwd: bool, name: str) -> np.ndarray:
+        """One damped derivative of the band view ``f`` into a fresh array
+        (22 per step; fresh allocation keeps the data flow simple and is
+        amortised by the kernel-sized arithmetic around it)."""
+        v._buf.fill(0.0)
         h = self.grid.spacing[axis]
         if fwd:
-            d = staggered_diff_forward(f, axis, h, self.space_order, out=self._buf)
+            d = staggered_diff_forward(f, axis, h, self.space_order, out=v._buf)
         else:
-            d = staggered_diff_backward(f, axis, h, self.space_order, out=self._buf)
-        d = self.cpml.damp(name, axis, d, half=fwd)
+            d = staggered_diff_backward(f, axis, h, self.space_order, out=v._buf)
+        d = self.cpml.damp(name, axis, d, half=fwd, rows=rows)
         return d.copy()
 
-    def _step_impl(self, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
+    def _step_impl(self, v, rows, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
         dt = np.float32(self.dt)
+        d = partial(self._diff, v, rows)
         # --- velocities -----------------------------------------------
-        self.vx += dt * self.buoy[_X] * (
-            self._diff(self.sxx, _X, True, "dsxx_dx")
-            + self._diff(self.sxy, _Y, False, "dsxy_dy")
-            + self._diff(self.sxz, _Z, False, "dsxz_dz")
+        v.vx += dt * v.buoy[_X] * (
+            d(v.sxx, _X, True, "dsxx_dx")
+            + d(v.sxy, _Y, False, "dsxy_dy")
+            + d(v.sxz, _Z, False, "dsxz_dz")
         )
-        self.vy += dt * self.buoy[_Y] * (
-            self._diff(self.sxy, _X, False, "dsxy_dx")
-            + self._diff(self.syy, _Y, True, "dsyy_dy")
-            + self._diff(self.syz, _Z, False, "dsyz_dz")
+        v.vy += dt * v.buoy[_Y] * (
+            d(v.sxy, _X, False, "dsxy_dx")
+            + d(v.syy, _Y, True, "dsyy_dy")
+            + d(v.syz, _Z, False, "dsyz_dz")
         )
-        self.vz += dt * self.buoy[_Z] * (
-            self._diff(self.sxz, _X, False, "dsxz_dx")
-            + self._diff(self.syz, _Y, False, "dsyz_dy")
-            + self._diff(self.szz, _Z, True, "dszz_dz")
+        v.vz += dt * v.buoy[_Z] * (
+            d(v.sxz, _X, False, "dsxz_dx")
+            + d(v.syz, _Y, False, "dsyz_dy")
+            + d(v.szz, _Z, True, "dszz_dz")
         )
-        if self.mid_step_hook is not None:
-            self.mid_step_hook()
         # --- diagonal stresses (sharing the three divergence terms) ----
-        dvx_dx = self._diff(self.vx, _X, False, "dvx_dx")
-        dvy_dy = self._diff(self.vy, _Y, False, "dvy_dy")
-        dvz_dz = self._diff(self.vz, _Z, False, "dvz_dz")
-        self.sxx += dt * (self.lam2mu * dvx_dx + self.lam * (dvy_dy + dvz_dz))
-        self.syy += dt * (self.lam2mu * dvy_dy + self.lam * (dvx_dx + dvz_dz))
-        self.szz += dt * (self.lam2mu * dvz_dz + self.lam * (dvx_dx + dvy_dy))
+        dvx_dx = d(v.vx, _X, False, "dvx_dx")
+        dvy_dy = d(v.vy, _Y, False, "dvy_dy")
+        dvz_dz = d(v.vz, _Z, False, "dvz_dz")
+        v.sxx += dt * (v.lam2mu * dvx_dx + v.lam * (dvy_dy + dvz_dz))
+        v.syy += dt * (v.lam2mu * dvy_dy + v.lam * (dvx_dx + dvz_dz))
+        v.szz += dt * (v.lam2mu * dvz_dz + v.lam * (dvx_dx + dvy_dy))
         # --- shear stresses --------------------------------------------
-        self.sxy += dt * self.mu_xy * (
-            self._diff(self.vy, _X, True, "dvy_dx") + self._diff(self.vx, _Y, True, "dvx_dy")
+        v.sxy += dt * v.mu_xy * (
+            d(v.vy, _X, True, "dvy_dx") + d(v.vx, _Y, True, "dvx_dy")
         )
-        self.sxz += dt * self.mu_xz * (
-            self._diff(self.vz, _X, True, "dvz_dx") + self._diff(self.vx, _Z, True, "dvx_dz")
+        v.sxz += dt * v.mu_xz * (
+            d(v.vz, _X, True, "dvz_dx") + d(v.vx, _Z, True, "dvx_dz")
         )
-        self.syz += dt * self.mu_yz * (
-            self._diff(self.vz, _Y, True, "dvz_dy") + self._diff(self.vy, _Z, True, "dvy_dz")
+        v.syz += dt * v.mu_yz * (
+            d(v.vz, _Y, True, "dvz_dy") + d(v.vy, _Z, True, "dvy_dz")
         )
         # --- explosive source ------------------------------------------
         for index, amp in sources:

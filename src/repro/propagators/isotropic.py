@@ -66,6 +66,18 @@ def boundary_slabs(shape: tuple[int, ...], width: int) -> list[tuple[slice, ...]
     return slabs
 
 
+def _band_slabs(slabs: list[tuple[slice, ...]], rows: slice) -> list[tuple[slice, ...]]:
+    """``slabs`` (from :func:`boundary_slabs`) cut to the axis-0 ``rows``,
+    in the rows' own coordinates; slabs outside them drop out."""
+    cut = []
+    for sl in slabs:
+        lo = max(sl[0].start, rows.start) - rows.start
+        hi = min(sl[0].stop, rows.stop) - rows.start
+        if lo < hi:
+            cut.append((slice(lo, hi),) + sl[1:])
+    return cut
+
+
 class IsotropicPropagator(Propagator):
     """Constant-density acoustic (isotropic) propagator.
 
@@ -76,6 +88,10 @@ class IsotropicPropagator(Propagator):
 
     scheme = "second_order"
     physics = "isotropic"
+    grid_arrays = (
+        "u", "u_prev", "vp2dt2", "_lap",
+        "pml.sigma2", "pml.coeff_curr", "pml.coeff_prev", "pml.coeff_rhs",
+    )
 
     def __init__(
         self,
@@ -112,30 +128,32 @@ class IsotropicPropagator(Propagator):
         return self.u
 
     # ------------------------------------------------------------------
-    def _step_impl(self, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
-        lap = laplacian(self.u, self.grid.spacing, self.space_order, out=self._lap)
-        u, up = self.u, self.u_prev
+    def _step_impl(self, v, rows, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
+        lap = laplacian(v.u, self.grid.spacing, self.space_order, out=v._lap)
+        u, up, pml = v.u, v.u_prev, v.pml
+        # absorbing or not is a property of the whole grid, not of the band
         if self.pml_variant == "everywhere" or not self.pml.is_absorbing():
-            rhs = self.vp2dt2 * lap - (self.dt**2 * self.pml.sigma2) * u
-            u_next = self.pml.coeff_curr * u - self.pml.coeff_prev * up + self.pml.coeff_rhs * rhs
+            rhs = v.vp2dt2 * lap - (self.dt**2 * pml.sigma2) * u
+            u_next = pml.coeff_curr * u - pml.coeff_prev * up + pml.coeff_rhs * rhs
             up[...] = u_next
         else:
             # plain leapfrog everywhere, then damped overwrite in the slabs
-            u_next = 2.0 * u - up + self.vp2dt2 * lap
-            for sl in self._slabs:
+            u_next = 2.0 * u - up + v.vp2dt2 * lap
+            slabs = self._slabs if v is self else _band_slabs(self._slabs, rows)
+            for sl in slabs:
                 rhs = (
-                    self.vp2dt2[sl] * lap[sl]
-                    - (self.dt**2 * self.pml.sigma2[sl]) * u[sl]
+                    v.vp2dt2[sl] * lap[sl]
+                    - (self.dt**2 * pml.sigma2[sl]) * u[sl]
                 )
                 u_next[sl] = (
-                    self.pml.coeff_curr[sl] * u[sl]
-                    - self.pml.coeff_prev[sl] * up[sl]
-                    + self.pml.coeff_rhs[sl] * rhs
+                    pml.coeff_curr[sl] * u[sl]
+                    - pml.coeff_prev[sl] * up[sl]
+                    + pml.coeff_rhs[sl] * rhs
                 )
             up[...] = u_next
         # source injection: + dt^2 vp^2 f^n at the source point (Eq. 1)
         for index, amp in sources:
-            up[index] += self.vp2dt2[index] * np.float32(amp)
+            self.u_prev[index] += self.vp2dt2[index] * np.float32(amp)
         # logical swap of t_n / t_{n+1}
         self.u, self.u_prev = self.u_prev, self.u
         self.fields["u"], self.fields["u_prev"] = self.u, self.u_prev

@@ -48,6 +48,11 @@ class VTIPropagator(Propagator):
 
     scheme = "second_order"
     physics = "vti"
+    grid_arrays = (
+        "p", "p_prev", "q", "q_prev", "vp2dt2", "coef_h_p", "coef_h_q",
+        "_lap_h", "_dzz",
+        "pml.sigma2", "pml.coeff_curr", "pml.coeff_prev", "pml.coeff_rhs",
+    )
 
     def __init__(
         self,
@@ -107,22 +112,26 @@ class VTIPropagator(Propagator):
         return self.p
 
     # ------------------------------------------------------------------
-    def _step_impl(self, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
+    def _step_impl(self, v, rows, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
         h = self.grid.spacing
         # horizontal Laplacian of p (axes 1..ndim-1) and vertical d2 of q
-        lap_h = self._lap_h
+        lap_h = v._lap_h
         lap_h.fill(0.0)
         for ax in range(1, self.grid.ndim):
-            second_derivative(self.p, ax, h[ax], self.space_order,
+            second_derivative(v.p, ax, h[ax], self.space_order,
                               out=lap_h, accumulate=True)
-        dzz = second_derivative(self.q, 0, h[0], self.space_order, out=self._dzz)
-        pml = self.pml
+        # the operator leaves its border rows unwritten: clear them, since
+        # a band measured anew after restore_state may put them on rows an
+        # earlier, wider band wrote
+        v._dzz.fill(0.0)
+        dzz = second_derivative(v.q, 0, h[0], self.space_order, out=v._dzz)
+        pml = v.pml
         dt2sig2 = self.dt**2 * pml.sigma2
         for field, prev, coef_h in (
-            (self.p, self.p_prev, self.coef_h_p),
-            (self.q, self.q_prev, self.coef_h_q),
+            (v.p, v.p_prev, v.coef_h_p),
+            (v.q, v.q_prev, v.coef_h_q),
         ):
-            rhs = coef_h * lap_h + self.vp2dt2 * dzz - dt2sig2 * field
+            rhs = coef_h * lap_h + v.vp2dt2 * dzz - dt2sig2 * field
             prev[...] = (
                 pml.coeff_curr * field
                 - pml.coeff_prev * prev
