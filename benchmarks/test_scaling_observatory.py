@@ -17,15 +17,18 @@ from benchmarks.conftest import emit, run_once
 from repro.observe.scaling import (
     DEFAULT_RANKS,
     SCALE_CASES,
+    SCALE_NT,
     run_scale_sweep,
+    scale_document,
 )
 
 OUT = "BENCH_scaling.json"
 
 
 def _sweep() -> dict:
-    return run_scale_sweep(cases=SCALE_CASES, ranks=DEFAULT_RANKS,
-                           mode="rtm", ledger_path=None)
+    results = run_scale_sweep(cases=SCALE_CASES, ranks=DEFAULT_RANKS,
+                              mode="rtm", ledger_path=None)
+    return scale_document(results, DEFAULT_RANKS, "rtm", SCALE_NT)
 
 
 @pytest.fixture(scope="module")

@@ -266,4 +266,12 @@ def _resolve_queue(
     return int(async_), next_queue
 
 
-__all__ = ["program_from_script"]
+def program_from_file(path: str) -> DirectiveProgram:
+    """:func:`program_from_script` of the script at ``path``, named after it."""
+    with open(path, encoding="utf-8") as fh:
+        return program_from_script(
+            fh.read(), meta=ProgramMeta(source="script", name=path)
+        )
+
+
+__all__ = ["program_from_script", "program_from_file"]

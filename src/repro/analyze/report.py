@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from typing import Iterable
 
 from repro.analyze.framework import LintResult, Severity
 
@@ -139,4 +140,27 @@ def format_sarif(results: list[LintResult], tool_name: str = "repro-lint") -> st
     return json.dumps(doc, indent=2)
 
 
-__all__ = ["format_text", "format_json", "format_sarif", "to_json_dict"]
+def print_results(
+    results: list[LintResult],
+    fmt: str,
+    fail_on: Severity | None,
+    tool_name: str = "repro-lint",
+    texts: Iterable[str] | None = None,
+) -> int:
+    """Print ``results`` as ``text`` (the ``texts`` blocks, consumed only
+    here; default :func:`format_text` of each; separated by blank lines),
+    ``json`` or ``sarif``. Returns the ``--fail-on`` verdict: 1 when any
+    finding is at or above ``fail_on`` (None never fails), else 0."""
+    if fmt == "json":
+        print(format_json(results))
+    elif fmt == "sarif":
+        print(format_sarif(results, tool_name=tool_name))
+    else:
+        print("\n\n".join(texts or map(format_text, results)))
+    return int(fail_on is not None and any(r.fails(fail_on) for r in results))
+
+
+__all__ = [
+    "format_text", "format_json", "format_sarif", "to_json_dict",
+    "print_results",
+]

@@ -22,8 +22,7 @@ obligations) that CI round-trips.
 
 Exit status: 0 when every target is proven clean at the gate severity,
 1 on findings at/above ``--fail-on`` (default ``error``) or a
-compilation failure, 2 on a stale or malformed opportunities artifact or
-a malformed target.
+compilation failure, 2 on a stale or malformed opportunities artifact.
 
 ``check_validate`` is the pipeline's opt-in strict mode
 (``GPUOptions.strict_validate``): prove capacity for the exact
@@ -37,7 +36,7 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.analyze.framework import LintResult, Severity, parse_severity
+from repro.analyze.framework import LintResult, Severity
 from repro.utils.errors import AnalysisError
 
 __all__ = ["run_validate_command", "validate_request", "check_validate"]
@@ -140,14 +139,14 @@ def _target_doc(label: str, request, outcome: dict) -> dict:
     return doc
 
 
-def _print_target(label: str, outcome: dict) -> None:
+def _target_text(label: str, outcome: dict) -> str:
     from repro.analyze.report import format_text
     from repro.utils.units import bytes_to_human
 
-    print(format_text(outcome["result"], title=f"repro validate — {label}"))
+    lines = [format_text(outcome["result"], title=f"repro validate — {label}")]
     proof = outcome["proof"]
     fits = "fits" if proof.fits else "DOES NOT FIT"
-    print(
+    lines.append(
         f"  capacity: peak {bytes_to_human(proof.peak_bytes)} of "
         f"{bytes_to_human(proof.usable_bytes or 0)} usable on "
         f"{proof.device} ({fits})"
@@ -156,41 +155,38 @@ def _print_target(label: str, outcome: dict) -> None:
     if compiled is not None and compiled.validation is not None:
         v = compiled.validation
         cross = sum(1 for a in compiled.applied if "->" in a.phase)
-        print(
+        lines.append(
             f"  translation: {v.obligations} obligations discharged, "
             f"{'ok' if v.ok else 'REFUSED'}; "
             f"{cross} cross-phase fusion(s) admitted"
         )
     if outcome["error"] is not None:
-        print(f"  compile: FAILED — {outcome['error']}")
-    print()
+        lines.append(f"  compile: FAILED — {outcome['error']}")
+    return "\n".join(lines)
 
 
 def run_validate_command(args) -> int:
     """``python -m repro validate`` entry point (argparse namespace in)."""
-    from repro.compile.cli import compile_targets, load_opportunities
+    from repro.analyze.report import print_results
+    from repro.compile.cli import load_opportunities
+    from repro.compile.compiler import CompileRequest
+    from repro.core.cases import case_targets
     from repro.observe.ledger import append_run, ledger_path_from_args
     from repro.observe.runlog import RunLog
     from repro.utils.errors import CompileError, StaleArtifactError
 
     artifact = None
-    if getattr(args, "opportunities", None):
+    if args.opportunities:
         try:
             artifact = load_opportunities(args.opportunities)
         except CompileError as exc:
             print(f"validate: {exc}")
             return 2
-    try:
-        targets = compile_targets(args)
-    except Exception as exc:  # bad case spelling
-        print(f"validate: {exc}")
-        return 2
-    fail_on = parse_severity(getattr(args, "fail_on", None) or "error")
     ledger_path = ledger_path_from_args(args)
-    fmt = getattr(args, "format", "text")
     outcomes: list[tuple[str, object, dict]] = []
-    failures = 0
-    for label, request in targets:
+    for name, _, _, mode in case_targets(args.case, args.mode):
+        label = f"{name} ({mode})"
+        request = CompileRequest.from_case(name, mode, nt=args.nt)
         runlog = RunLog(
             command="validate", case=label, mode=request.mode, nt=request.nt
         )
@@ -215,10 +211,8 @@ def run_validate_command(args) -> int:
                     sum(1 for a in compiled.applied if "->" in a.phase)
                 )
             append_run(ledger_path, runlog, metrics)
-        if outcome["error"] is not None or result.fails(fail_on):
-            failures += 1
         outcomes.append((label, request, outcome))
-    if getattr(args, "artifact", None):
+    if args.artifact:
         doc = {
             "targets": [
                 _target_doc(label, request, outcome)
@@ -230,21 +224,14 @@ def run_validate_command(args) -> int:
             fh.write("\n")
         # stderr: --format json/sarif keep stdout machine-parseable
         print(f"wrote {args.artifact}", file=sys.stderr)
-    if fmt == "json":
-        from repro.analyze.report import format_json
-
-        print(format_json([o["result"] for _, _, o in outcomes]))
-    elif fmt == "sarif":
-        from repro.analyze.report import format_sarif
-
-        print(format_sarif(
-            [o["result"] for _, _, o in outcomes],
-            tool_name="repro-validate",
-        ))
-    else:
-        for label, _, outcome in outcomes:
-            _print_target(label, outcome)
-    return 1 if failures else 0
+    verdict = print_results(
+        [outcome["result"] for _, _, outcome in outcomes],
+        args.format, args.fail_on, tool_name="repro-validate",
+        texts=(_target_text(label, outcome) for label, _, outcome in outcomes),
+    )
+    if args.format == "text":
+        print()  # each target's text block ends with a blank line
+    return int(verdict or any(o["error"] is not None for _, _, o in outcomes))
 
 
 def check_validate(

@@ -88,6 +88,8 @@ class StandardPML:
             shape_ones[axis] = n
             sigma = sigma + prof.reshape(shape_ones)
         self.sigma = sigma.astype(DTYPE)
+        # nothing writes sigma after construction: reduce it once
+        self._absorbing = self.width > 0 and float(self.sigma.max()) > 0.0
         # update coefficients: u+ = A*u - B*u- + C*(dt^2 * rhs)
         denom = 1.0 + sigma * dt
         self.coeff_curr = (2.0 / denom).astype(DTYPE)
@@ -109,4 +111,4 @@ class StandardPML:
         return tuple(slice(w, n - w) for n in self.grid.shape)
 
     def is_absorbing(self) -> bool:
-        return self.width > 0 and float(self.sigma.max()) > 0.0
+        return self._absorbing

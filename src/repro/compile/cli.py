@@ -21,17 +21,18 @@ from __future__ import annotations
 import json
 
 from repro.analyze.dataflow import validate_opportunities
-from repro.compile.bench import DEFAULT_REPEATS, bench_document, measure_case
+from repro.compile.bench import bench_document, measure_case
 from repro.compile.compiler import (
     CompiledPipeline,
     CompileRequest,
     _default_runtime_factory,
     compile_case,
 )
+from repro.core.cases import case_targets
 from repro.core.config import GPUOptions
 from repro.utils.errors import CompileError, StaleArtifactError
 
-__all__ = ["run_compile_command", "compile_targets", "load_opportunities"]
+__all__ = ["run_compile_command", "load_opportunities"]
 
 
 def load_opportunities(path: str) -> dict:
@@ -49,35 +50,6 @@ def load_opportunities(path: str) -> dict:
             f"unusable opportunities artifact {path}: {exc}"
         ) from exc
     return artifact
-
-
-def compile_targets(args) -> list[tuple[str, CompileRequest]]:
-    """Resolve the CLI namespace into ``(label, request)`` targets."""
-    nt = int(getattr(args, "nt", 24) or 24)
-    modes = (
-        ("modeling", "rtm")
-        if args.mode == "both" else (args.mode,)
-    )
-    case = args.case
-    if case.lower() == "all":
-        from repro.analyze.cli import _INVENTORY
-
-        return [
-            (
-                f"{physics}{ndim}d ({mode})",
-                CompileRequest.from_case(f"{physics}{ndim}d", mode, nt=nt),
-            )
-            for physics, ndim in _INVENTORY
-            for mode in ("modeling", "rtm")
-        ]
-    return [
-        (f"{case} ({mode})", CompileRequest.from_case(case, mode, nt=nt))
-        for mode in modes
-    ]
-
-
-def _compile_one(request: CompileRequest, artifact, plan) -> CompiledPipeline:
-    return compile_case(request, plan=plan, artifact=artifact)
 
 
 def _describe(label: str, compiled: CompiledPipeline, bench: dict | None) -> dict:
@@ -173,36 +145,30 @@ def run_compile_command(args) -> int:
     from repro.observe.runlog import RunLog
 
     plan = None
-    if getattr(args, "plan", None):
+    if args.plan:
         from repro.optim.autotune import load_plan
 
         plan = load_plan(args.plan)
     artifact = None
-    if getattr(args, "opportunities", None):
+    if args.opportunities:
         try:
             artifact = load_opportunities(args.opportunities)
         except CompileError as exc:
             print(f"compile: {exc}")
             return 2
-    try:
-        targets = compile_targets(args)
-    except Exception as exc:  # bad case spelling
-        print(f"compile: {exc}")
-        return 2
-    repeats = int(getattr(args, "repeats", DEFAULT_REPEATS) or DEFAULT_REPEATS)
-    want_bench = bool(getattr(args, "bench", None))
     ledger_path = ledger_path_from_args(args)
     docs: list[dict] = []
     bench_cases: dict[str, dict] = {}
     failures = 0
-    nt = int(getattr(args, "nt", 24) or 24)
-    for label, request in targets:
+    for name, _, _, mode in case_targets(args.case, args.mode):
+        label = f"{name} ({mode})"
+        request = CompileRequest.from_case(name, mode, nt=args.nt)
         runlog = RunLog(
             command="compile", case=label, mode=request.mode, nt=request.nt
         )
         with runlog.activate():
             try:
-                compiled = _compile_one(request, artifact, plan)
+                compiled = compile_case(request, plan=plan, artifact=artifact)
             except StaleArtifactError as exc:
                 print(f"compile {label}: STALE ARTIFACT\n  {exc}")
                 return 2
@@ -211,14 +177,14 @@ def run_compile_command(args) -> int:
                 failures += 1
                 continue
             bench = None
-            if want_bench:
+            if args.bench:
                 options = GPUOptions()
                 bench = measure_case(
                     request,
                     compiled,
                     options,
                     _default_runtime_factory(options, None),
-                    repeats=repeats,
+                    repeats=args.repeats,
                 )
                 bench_cases[compiled.request.name] = bench
             metrics = {
@@ -236,14 +202,14 @@ def run_compile_command(args) -> int:
                 metrics["compiled_step_s"] = bench["compiled_step_s"]
             append_run(ledger_path, runlog, metrics, plan=plan)
         docs.append(_describe(label, compiled, bench))
-    if want_bench and bench_cases:
+    if args.bench and bench_cases:
         doc = bench_document(
-            bench_cases, nt=nt, snap_period=4, repeats=repeats
+            bench_cases, nt=args.nt, snap_period=4, repeats=args.repeats
         )
         with open(args.bench, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps({"targets": docs}, indent=2))
     else:
         for doc in docs:

@@ -119,17 +119,10 @@ class CompileRequest:
     def from_case(cls, case: str, mode: str, nt: int = 24) -> "CompileRequest":
         """Build a request from a seed-case spelling (``iso2d`` ...),
         using the exact recording parameters of ``repro deps``."""
-        from repro.analyze.cli import _SHAPES
-        from repro.trace.cli import parse_case
+        from repro.core.cases import parse_case, record_args
 
         physics, ndim = parse_case(case)
-        return cls(
-            physics=physics,
-            shape=_SHAPES[ndim],
-            mode=mode,
-            nt=nt,
-            space_order=4 if ndim == 3 else 8,
-        )
+        return cls(physics=physics, mode=mode, nt=nt, **record_args(ndim))
 
 
 @dataclass(frozen=True)

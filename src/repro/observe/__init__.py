@@ -43,7 +43,6 @@ from repro.observe.report import (
     LedgerReport,
     compare_metric,
     diff_ledger,
-    run_report_command,
 )
 from repro.observe.runlog import RunLog, count, current_runlog, emit
 from repro.observe.scaling import (
@@ -53,9 +52,9 @@ from repro.observe.scaling import (
     ScalePoint,
     assert_scaling_shape,
     run_scale_case,
-    run_scale_command,
     run_scale_point,
     run_scale_sweep,
+    scale_document,
 )
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
     "LedgerReport",
     "compare_metric",
     "diff_ledger",
-    "run_report_command",
     # runlog
     "RunLog",
     "current_runlog",
@@ -94,6 +92,6 @@ __all__ = [
     "run_scale_point",
     "run_scale_case",
     "run_scale_sweep",
+    "scale_document",
     "assert_scaling_shape",
-    "run_scale_command",
 ]

@@ -1,6 +1,7 @@
 """The run ledger: an append-only JSONL trajectory of observed runs.
 
-Every ``trace`` / ``tune`` / ``chaos`` / ``scale`` invocation appends one
+Every run of a ledger-writing command (``trace``, ``tune``, ``chaos``,
+``scale``, ``serve``, ``compile``, ``validate``, ``lint --deep``) appends one
 :class:`LedgerRecord` — run identity (command, case, mode, ranks), the
 TuningPlan fingerprint in effect, the run's reduced metrics, and the
 structured events its :class:`~repro.observe.runlog.RunLog` accumulated
@@ -11,7 +12,8 @@ caught by CI rather than by a reader of BENCH files.
 
 The on-disk format is one JSON object per line (schema-versioned). Lines
 with a newer schema or unparseable content are surfaced as warnings, not
-errors: the ledger is history, and history survives format drift.
+errors: the ledger is history, and history survives format drift (only
+``report --check`` refuses to gate over them).
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ are compared in absolute points instead.
 
 ``--check`` turns the report into a CI gate: exit 1 iff any group
 regressed. Groups with no history yet report as ``new`` and never gate —
-a freshly seeded ledger must not fail its own first run.
+a freshly seeded ledger must not fail its own first run. The gate fails
+closed: the command shell refuses ``--check`` (exit 2) on a missing
+ledger or one with a line the reader skips.
 """
 
 from __future__ import annotations

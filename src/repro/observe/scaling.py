@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.core.cases import CASES, parse_case, space_order_of
 from repro.observe.reduce import TraceReduction, reduce_trace
 from repro.utils.errors import ConfigurationError
 
@@ -39,7 +40,7 @@ SCALE_SNAP = 4
 #: default rank counts of the study (the acceptance sweep)
 DEFAULT_RANKS = (1, 2, 4, 8)
 #: the seed cases of the observatory sweep
-SCALE_CASES = ("iso2d", "ac2d", "el2d", "iso3d", "ac3d", "el3d")
+SCALE_CASES = CASES
 #: relative slack on monotonicity assertions (modelled clocks are exact,
 #: but slab remainders make per-rank work slightly uneven)
 SHAPE_TOL = 0.10
@@ -183,7 +184,6 @@ def run_scale_point(
     reduce the merged timeline."""
     from repro.core import GPUOptions
     from repro.core.multigpu import MultiGpuPipeline, estimate_multi_gpu_modeling
-    from repro.trace.cli import parse_case
     from repro.trace.tracer import Tracer
 
     if ranks < 1:
@@ -192,7 +192,7 @@ def run_scale_point(
         raise ConfigurationError(f"mode must be 'modeling' or 'rtm', not '{mode}'")
     physics, ndim = parse_case(case)
     shape = SCALE_SHAPES[ndim]
-    space_order = 4 if ndim == 3 else 8
+    space_order = space_order_of(ndim)
 
     rank_tracers = [Tracer() for _ in range(ranks)]
     merged = Tracer()
@@ -313,7 +313,6 @@ def run_scale_case(
     run ledger."""
     from repro.observe.ledger import append_run
     from repro.observe.runlog import RunLog
-    from repro.trace.cli import parse_case
 
     _, ndim = parse_case(case)
     points: list[ScalePoint] = []
@@ -339,13 +338,20 @@ def run_scale_sweep(
     mode: str = "rtm",
     nt: int = SCALE_NT,
     ledger_path: str | None = None,
-) -> dict:
-    """The full observatory sweep; returns the BENCH_scaling document."""
-    results = [
+) -> list[ScaleCaseResult]:
+    """The full observatory sweep, one result per case (in order);
+    :func:`scale_document` turns them into the BENCH_scaling document."""
+    return [
         run_scale_case(c, ranks=ranks, mode=mode, nt=nt,
                        ledger_path=ledger_path)
         for c in cases
     ]
+
+
+def scale_document(
+    results: list[ScaleCaseResult], ranks: tuple[int, ...], mode: str, nt: int,
+) -> dict:
+    """The BENCH_scaling document of a sweep's case results."""
     return {
         "schema": BENCH_SCHEMA,
         "mode": mode,
@@ -357,51 +363,15 @@ def run_scale_sweep(
     }
 
 
-def parse_counts(text: str, flag: str) -> tuple[int, ...]:
-    """``'1,2,4,8'`` -> ``(1, 2, 4, 8)``; a malformed list raises a
-    :class:`ConfigurationError` naming the command-line ``flag``."""
-    try:
-        counts = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigurationError(
-            f"{flag} wants a comma-separated int list, not '{text}'"
-        ) from None
-    if not counts or any(c < 1 for c in counts):
-        raise ConfigurationError(f"{flag} values must be >= 1 (got '{text}')")
-    return counts
-
-
-def parse_ranks(text: str) -> tuple[int, ...]:
-    """``'1,2,4,8'`` -> ``(1, 2, 4, 8)``."""
-    return parse_counts(text, "--ranks")
-
-
-def check_counts(*flags: tuple[str, int | None]) -> None:
-    """Raise a :class:`ConfigurationError` naming the first ``(flag,
-    value)`` pair whose value is below 1 (``None``: not given)."""
-    for flag, value in flags:
-        if value is not None and value < 1:
-            raise ConfigurationError(f"{flag} must be >= 1 (got {value})")
-
-
 def run_scale_command(args) -> int:
     """``python -m repro scale`` entry point (argparse namespace in)."""
     from repro.observe.ledger import ledger_path_from_args
 
-    cases = SCALE_CASES if args.case == "all" else tuple(args.case.split(","))
-    ranks = parse_ranks(args.ranks)
     ledger_path = ledger_path_from_args(args)
-    doc = run_scale_sweep(
-        cases=cases, ranks=ranks, mode=args.mode, nt=args.nt,
-        ledger_path=ledger_path,
-    )
-    for case in doc["cases"].values():
-        result = ScaleCaseResult(
-            case=case["case"], mode=case["mode"], nt=case["nt"],
-            shape=tuple(case["shape"]),
-            points=[_point_from_json(p) for p in case["points"]],
-            violations=list(case["violations"]),
-        )
+    results = run_scale_sweep(args.case, ranks=args.ranks, mode=args.mode,
+                              nt=args.nt, ledger_path=ledger_path)
+    doc = scale_document(results, args.ranks, args.mode, args.nt)
+    for result in {r.case: r for r in results}.values():  # as in doc["cases"]
         print(result.to_text())
         print()
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -416,26 +386,6 @@ def run_scale_command(args) -> int:
     return 0
 
 
-def _point_from_json(doc: dict) -> ScalePoint:
-    return ScalePoint(
-        ranks=doc["ranks"],
-        makespan_s=doc["makespan_s"],
-        step_seconds=doc["step_seconds"],
-        compute_s=doc["compute_s"],
-        transfer_s=doc["transfer_s"],
-        comm_s=doc["comm_s"],
-        comm_overlap_fraction=doc["comm_overlap_fraction"],
-        transfer_overlap_fraction=doc["transfer_overlap_fraction"],
-        critical_chain_s=doc["critical_chain_s"],
-        kernel_launches=doc["kernel_launches"],
-        per_rank=list(doc.get("per_rank", ())),
-        model_step_seconds=doc.get("model_step_seconds"),
-        model_comm_s=doc.get("model_comm_s"),
-        speedup=doc.get("speedup"),
-        efficiency=doc.get("efficiency"),
-    )
-
-
 __all__ = [
     "SCALE_SHAPES",
     "SCALE_NT",
@@ -448,8 +398,6 @@ __all__ = [
     "assert_scaling_shape",
     "run_scale_case",
     "run_scale_sweep",
-    "parse_counts",
-    "parse_ranks",
-    "check_counts",
+    "scale_document",
     "run_scale_command",
 ]

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 from repro.acc.clauses import CompileFlags, LoopSchedule
-from repro.acc.compiler import COMPILERS, PGI_14_6, CompilerPersona
+from repro.acc.compiler import PGI_14_6, CompilerPersona
 from repro.analyze.framework import Severity
 from repro.core.config import GPUOptions
 from repro.core.platform import CRAY_K40, Platform
@@ -906,7 +906,7 @@ def request_for_case(
     ``iso3d`` ... — same grammar as the trace CLI), at the benchmark
     inventory's paper-scale grid shape."""
     from repro.bench.workloads import modeling_case
-    from repro.trace.cli import parse_case
+    from repro.core.cases import parse_case
 
     physics, ndim = parse_case(case)
     spec = modeling_case(physics, ndim)
@@ -926,17 +926,8 @@ def request_for_case(
 
 def run_tune_command(args) -> int:
     """``python -m repro tune`` entry point (argparse namespace in)."""
-    compiler = None
-    if getattr(args, "compiler", None):
-        try:
-            compiler = COMPILERS[args.compiler]
-        except KeyError:
-            known = ", ".join(sorted(COMPILERS))
-            raise ConfigurationError(
-                f"unknown compiler '{args.compiler}' (expected one of: {known})"
-            ) from None
     request = request_for_case(
-        args.case, mode=args.mode, compiler=compiler, nt=args.nt
+        args.case, mode=args.mode, compiler=args.compiler, nt=args.nt
     )
     print(
         f"tuning {args.case} ({args.mode}) on {request.platform.name} / "

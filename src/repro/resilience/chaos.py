@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.cases import CASES, MODES, layered_config, parse_case, space_order_of
 from repro.resilience.faults import (
     DEVICE_KINDS,
     MPI_KINDS,
@@ -44,9 +45,6 @@ from repro.utils.errors import ConfigurationError, ReproError
 #: once per fault kind plus the reference
 CHAOS_SHAPES = {2: (64, 64), 3: (32, 32, 32)}
 
-#: the 6 physics/dimensionality seed cases (each runs in both modes)
-CASES = ("iso2d", "ac2d", "el2d", "iso3d", "ac3d", "el3d")
-
 #: fault kinds exercised per world size
 SINGLE_RANK_KINDS = DEVICE_KINDS
 MULTI_RANK_KINDS = DEVICE_KINDS + MPI_KINDS + (RANK_DEAD,)
@@ -66,22 +64,8 @@ def _equivalent(a: np.ndarray, b: np.ndarray) -> tuple[bool, str]:
 
 def _chaos_config(case: str, nt: int):
     """Build the (physics, ndim, config kwargs) of one chaos case."""
-    from repro.model import layered_model
-    from repro.trace.cli import parse_case
-
     physics, ndim = parse_case(case)
-    shape = CHAOS_SHAPES[ndim]
-    depth = shape[0] * 10.0 / 2
-    model = layered_model(
-        shape, spacing=10.0, interfaces=[depth],
-        velocities=[1500.0, 2600.0], vs_ratio=0.5,
-    )
-    kw = dict(
-        physics=physics, model=model, nt=nt, peak_freq=12.0,
-        space_order=4 if ndim == 3 else 8,
-        boundary_width=8, snap_period=4,
-    )
-    return physics, ndim, kw
+    return physics, ndim, layered_config(physics, CHAOS_SHAPES[ndim], nt)
 
 
 def _min_rank_envelope(injector: FaultInjector, ranks: int) -> dict[str, int]:
@@ -217,7 +201,7 @@ def run_chaos_case_multigpu(
             plan=plan,
             backoff=BackoffPolicy(seed=seed),
             boundary_width=8,
-            space_order=4 if ndim == 3 else 8,
+            space_order=space_order_of(ndim),
             seed=seed,
             tracer=inj_tracer,
         )
@@ -289,47 +273,21 @@ def run_chaos_campaign(
 # CLI
 # ---------------------------------------------------------------------------
 
-def _check_command(args) -> None:
-    """Refuse a malformed case, count or fault spec before anything runs
-    (raises :class:`ConfigurationError`)."""
-    from repro.observe.scaling import check_counts
-    from repro.trace.cli import parse_case
-
-    if args.case != "all":
-        parse_case(args.case)
-    check_counts(("--ranks", args.ranks), ("--nt", args.nt))
-    if args.faults:
-        parse_faults(args.faults)
-
-
 def run_chaos_command(args) -> int:
-    """``python -m repro chaos`` entry point (argparse namespace in).
-    Returns 2, having run nothing, on a malformed command line."""
-    try:
-        _check_command(args)
-    except ConfigurationError as exc:
-        print(f"chaos: {exc}")
-        return 2
-    tracer = None
-    if getattr(args, "trace", None):
-        from repro.trace.tracer import Tracer
-
-        tracer = Tracer()
-
-    modes = (
-        ("modeling", "rtm")
-        if args.mode == "both"
-        else (args.mode,)
-    )
+    """``python -m repro chaos`` entry point (argparse namespace in)."""
     from repro.observe import RunLog, append_run, ledger_path_from_args
+    from repro.trace.tracer import Tracer
 
-    cases = None if args.case == "all" else (args.case,)
+    tracer = Tracer() if args.trace else None
+
+    # ``all`` here honours --mode: the campaign crosses cases with modes
+    cases = None if args.case.lower() == "all" else (args.case,)
     runlog = RunLog(command="chaos", case=args.case, mode=args.mode,
                     ranks=args.ranks, seed=args.seed)
     with runlog.activate():
         report = run_chaos_campaign(
-            cases=cases, modes=modes, seed=args.seed, ranks=args.ranks,
-            nt=args.nt, faults=args.faults, tracer=tracer,
+            cases=cases, modes=MODES[args.mode], seed=args.seed,
+            ranks=args.ranks, nt=args.nt, faults=args.faults, tracer=tracer,
         )
 
     text = report.to_json() if args.format == "json" else report.to_text()
@@ -369,7 +327,6 @@ def run_chaos_command(args) -> int:
 
 
 __all__ = [
-    "CASES",
     "CHAOS_SHAPES",
     "SINGLE_RANK_KINDS",
     "MULTI_RANK_KINDS",

@@ -15,7 +15,6 @@ from repro.serve.campaign import (
     DEFAULT_WORKERS,
     SERVE_CASES,
     run_serve_case,
-    run_serve_command,
     run_serve_sweep,
     serve_case_config,
 )
@@ -49,5 +48,4 @@ __all__ = [
     "serve_case_config",
     "run_serve_case",
     "run_serve_sweep",
-    "run_serve_command",
 ]

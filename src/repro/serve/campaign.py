@@ -29,14 +29,14 @@ import json
 
 import numpy as np
 
+from repro.core.cases import SURVEY_CASES, layered_config, parse_survey_case
 from repro.core.config import RTMConfig
 from repro.core.survey import run_survey, shot_line
 from repro.resilience.faults import FaultPlan, parse_faults
 from repro.serve.service import SurveyScheduler
-from repro.utils.errors import ConfigurationError
 
 #: the 2-D seed cases (:func:`run_survey` is 2-D only)
-SERVE_CASES = ("iso2d", "ac2d", "el2d")
+SERVE_CASES = SURVEY_CASES
 #: campaign grid size (chaos-sized: many resilient runs per sweep)
 SERVE_SHAPE = (64, 64)
 DEFAULT_NT = 24
@@ -49,24 +49,8 @@ BENCH_SCHEMA = 1
 def serve_case_config(case: str, nt: int = DEFAULT_NT) -> RTMConfig:
     """Build one serve case's survey config (layered model, chaos-style
     acquisition)."""
-    from repro.model import layered_model
-    from repro.trace.cli import parse_case
-
-    physics, ndim = parse_case(case)
-    if ndim != 2:
-        raise ConfigurationError(
-            f"serve case '{case}' is {ndim}-D; surveys are 2-D only"
-        )
-    shape = SERVE_SHAPE
-    depth = shape[0] * 10.0 / 2
-    model = layered_model(
-        shape, spacing=10.0, interfaces=[depth],
-        velocities=[1500.0, 2600.0], vs_ratio=0.5,
-    )
-    return RTMConfig(
-        physics=physics, model=model, nt=nt, peak_freq=12.0,
-        space_order=8, boundary_width=8, snap_period=4,
-    )
+    physics, _ = parse_survey_case(case)
+    return RTMConfig(**layered_config(physics, SERVE_SHAPE, nt))
 
 
 def _golden(config: RTMConfig, xs: list[int]):
@@ -247,42 +231,14 @@ def _case_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _check_command(args) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The command line's cases and worker counts, having refused a
-    malformed case, count or fault spec (raises
-    :class:`ConfigurationError`)."""
-    from repro.observe.scaling import check_counts, parse_counts
-
-    check_counts(
-        ("--shots", args.shots), ("--nt", args.nt), ("--gpus", args.gpus),
-        ("--capacity", args.capacity),
-        ("--quarantine-after", args.quarantine_after),
-    )
-    workers = parse_counts(args.workers, "--workers")
-    cases = (
-        SERVE_CASES if args.case == "all" else tuple(args.case.split(","))
-    )
-    for case in cases:
-        serve_case_config(case, nt=args.nt)
-    if args.faults:
-        parse_faults(args.faults)
-    return cases, workers
-
-
 def run_serve_command(args) -> int:
-    """``python -m repro serve`` entry point (argparse namespace in).
-    Returns 2, having run nothing, on a malformed command line."""
+    """``python -m repro serve`` entry point (argparse namespace in)."""
     from repro.observe.ledger import ledger_path_from_args
 
-    try:
-        cases, workers = _check_command(args)
-    except ConfigurationError as exc:
-        print(f"serve: {exc}")
-        return 2
     ledger_path = ledger_path_from_args(args)
     doc = run_serve_sweep(
-        cases=cases,
-        workers=workers,
+        cases=args.case,
+        workers=args.workers,
         shots=args.shots,
         nt=args.nt,
         gpus=args.gpus,

@@ -14,38 +14,10 @@ Perfetto UI is the modelled GPU timeline, not this process's wall clock.
 
 from __future__ import annotations
 
+from repro.core.cases import RECORD_SHAPES, layered_config, parse_case, space_order_of
 from repro.trace.export import summary_text, write_jsonl, write_perfetto
 from repro.trace.tracer import Tracer
 from repro.utils.errors import ConfigurationError
-
-#: physics aliases accepted in case names (``iso2d``, ``acoustic3d``, ...)
-_PHYSICS = {
-    "iso": "isotropic",
-    "isotropic": "isotropic",
-    "ac": "acoustic",
-    "acoustic": "acoustic",
-    "el": "elastic",
-    "elastic": "elastic",
-}
-
-#: instrumented-run grid sizes — small enough that the NumPy reference
-#: kernels finish in seconds, big enough that every pipeline phase fires
-_SHAPES = {2: (96, 96), 3: (48, 48, 48)}
-
-
-def parse_case(text: str) -> tuple[str, int]:
-    """``'iso2d'`` -> ``('isotropic', 2)``; accepts short or full physics
-    names with a ``2d``/``3d`` suffix."""
-    t = text.strip().lower().replace("-", "").replace("_", "")
-    ndim = None
-    for suffix, n in (("2d", 2), ("3d", 3)):
-        if t.endswith(suffix):
-            t, ndim = t[: -len(suffix)], n
-            break
-    if ndim is None or t not in _PHYSICS:
-        known = ", ".join(f"{p}{{2d,3d}}" for p in ("iso", "ac", "el"))
-        raise ConfigurationError(f"unknown case '{text}' (expected one of: {known})")
-    return _PHYSICS[t], ndim
 
 
 def trace_case(
@@ -63,7 +35,6 @@ def trace_case(
     """
     from repro.core import GPUOptions, ModelingConfig, RTMConfig
     from repro.core.shot import Shot
-    from repro.model import layered_model
 
     physics, ndim = parse_case(case)
     if mode not in ("modeling", "rtm"):
@@ -74,22 +45,14 @@ def trace_case(
         raise ConfigurationError("ranks must be >= 1")
 
     tracer = tracer if tracer is not None else Tracer()
-    shape = _SHAPES[ndim]
+    shape = RECORD_SHAPES[ndim]
     if ranks > 1:
         return tracer, _trace_multigpu(
             tracer, physics, shape, mode, nt, ranks, case=case, ndim=ndim
         )
-    depth = shape[0] * 10.0 / 2
-    model = layered_model(
-        shape, spacing=10.0, interfaces=[depth],
-        velocities=[1500.0, 2600.0], vs_ratio=0.5,
+    config = (RTMConfig if mode == "rtm" else ModelingConfig)(
+        **layered_config(physics, shape, nt)
     )
-    cfg_kw = dict(
-        physics=physics, model=model, nt=nt, peak_freq=12.0,
-        space_order=4 if ndim == 3 else 8,
-        boundary_width=8, snap_period=4,
-    )
-    config = (RTMConfig if mode == "rtm" else ModelingConfig)(**cfg_kw)
     result = Shot(config, mode, GPUOptions(), tracer=tracer).run()
     # the whole-run umbrella span, emitted post hoc: its clock is only
     # rebound to the device's simulated timeline once the Runtime exists
@@ -121,7 +84,7 @@ def _trace_multigpu(
     mgp = MultiGpuPipeline(
         physics, shape, ranks,
         options=GPUOptions(),
-        space_order=4 if ndim == 3 else 8,
+        space_order=space_order_of(ndim),
         boundary_width=8,
         tracers=rank_tracers,
         exchange_tracer=tracer,

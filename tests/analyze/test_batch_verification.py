@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyze.cli import _INVENTORY, _SHAPES
+from repro.core.cases import INVENTORY, RECORD_SHAPES
 from repro.analyze.dataflow import (
     ReplayVerifier,
     apply_opportunity,
@@ -260,11 +260,11 @@ class TestBatchAgainstReference:
 
 @functools.cache
 def seed_program(physics, ndim, mode):
-    return record_pipeline_program(physics, _SHAPES[ndim], mode, nt=8)
+    return record_pipeline_program(physics, RECORD_SHAPES[ndim], mode, nt=8)
 
 
 @pytest.mark.parametrize("mode", ["modeling", "rtm"])
-@pytest.mark.parametrize("physics,ndim", _INVENTORY)
+@pytest.mark.parametrize("physics,ndim", INVENTORY)
 def test_seed_stream_replays_like_the_applied_program(physics, ndim, mode):
     """The transformed stream, which keeps the original event indices,
     fingerprints like the re-indexed program ``apply_opportunity``

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.__main__ import build_parser
+from repro.__main__ import main
 from repro.analyze.dataflow import validate_opportunities
 
 SEEDED_SCRIPT = """\
@@ -27,8 +27,7 @@ FUSABLE_SCRIPT = """\
 
 
 def run(argv):
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    return main(argv)
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.__main__ import build_parser
+from repro.__main__ import dispatch, parse_line
 from repro.utils.errors import ConfigurationError
 
 CLEAN_SCRIPT = """\
@@ -22,8 +22,7 @@ BROKEN_SCRIPT = """\
 
 
 def run(argv):
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    return dispatch(parse_line(argv))
 
 
 @pytest.fixture

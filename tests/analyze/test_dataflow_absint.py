@@ -9,10 +9,11 @@ the matching ``DF*`` code and a non-empty event-chain witness.
 import pytest
 
 from repro.analyze import program_from_script
-from repro.analyze.cli import _INVENTORY, lint_case
+from repro.analyze.cli import lint_case
 from repro.analyze.dataflow import interpret_program
 from repro.analyze.framework import Severity
 from repro.analyze.rules import rule
+from repro.core.cases import INVENTORY
 from repro.sanitize import sanitize_script
 
 #: rule key -> the fault-seeded script both detectors must flag
@@ -198,7 +199,7 @@ class TestStaticDynamicAgreement:
 
 
 class TestSeedSweep:
-    @pytest.mark.parametrize("physics,ndim", _INVENTORY)
+    @pytest.mark.parametrize("physics,ndim", INVENTORY)
     @pytest.mark.parametrize("mode", ["modeling", "rtm"])
     def test_seed_case_is_deep_clean(self, physics, ndim, mode):
         """All 12 recorded seed programs must carry zero statically-proven

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from repro.analyze.cli import _INVENTORY, _SHAPES
+from repro.core.cases import INVENTORY, RECORD_SHAPES
 from repro.analyze.dataflow import (
     OpportunityReport,
     apply_opportunity,
@@ -274,20 +274,20 @@ def seed_recording(physics, ndim):
     """The seed case's rtm recording, shared by the sweep's tests (which
     must leave it unchanged)."""
     return record_pipeline_program(
-        physics, _SHAPES[ndim], "rtm", nt=16, snap_period=4,
+        physics, RECORD_SHAPES[ndim], "rtm", nt=16, snap_period=4,
         space_order=4 if ndim == 3 else 8, boundary_width=8,
     )
 
 
 class TestSeedSweep:
-    @pytest.mark.parametrize("physics,ndim", _INVENTORY)
+    @pytest.mark.parametrize("physics,ndim", INVENTORY)
     def test_seed_case_has_verified_opportunities(self, physics, ndim):
         """The acceptance gate: each seed case's recorded schedule yields
         at least one replay-verified opportunity (>= 6 cases required)."""
         report = find_opportunities(seed_recording(physics, ndim))
         assert report.verified(), f"{physics}{ndim}d has none"
 
-    @pytest.mark.parametrize("physics,ndim", _INVENTORY)
+    @pytest.mark.parametrize("physics,ndim", INVENTORY)
     def test_apply_reindexes_like_replace(self, physics, ndim, monkeypatch):
         """``DirectiveProgram.add`` re-indexes without re-constructing: every
         applied opportunity must give the events a ``dataclasses.replace``

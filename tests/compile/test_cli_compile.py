@@ -5,27 +5,33 @@ import json
 import pytest
 
 from repro.__main__ import build_parser
-from repro.compile.cli import compile_targets, run_compile_command
+from repro.compile.cli import run_compile_command
+from repro.core.cases import case_targets
 
 
 def parse(*argv):
     return build_parser().parse_args(["compile", *argv])
 
 
+def targets(*argv):
+    args = parse(*argv)
+    return case_targets(args.case, args.mode)
+
+
 class TestTargets:
     def test_all_is_twelve(self):
-        targets = compile_targets(parse("all", "--no-ledger"))
-        assert len(targets) == 12
-        labels = [label for label, _ in targets]
+        found = targets("all", "--no-ledger")
+        assert len(found) == 12
+        labels = [f"{name} ({mode})" for name, _, _, mode in found]
         assert "iso2d (rtm)" in labels or "isotropic2d (rtm)" in labels
 
     def test_single_case_both_modes(self):
-        targets = compile_targets(parse("iso2d"))
-        assert [req.mode for _, req in targets] == ["modeling", "rtm"]
+        found = targets("iso2d")
+        assert [mode for _, _, _, mode in found] == ["modeling", "rtm"]
 
     def test_mode_filter(self):
-        targets = compile_targets(parse("iso2d", "--mode", "rtm"))
-        assert [req.mode for _, req in targets] == ["rtm"]
+        found = targets("iso2d", "--mode", "rtm")
+        assert [mode for _, _, _, mode in found] == ["rtm"]
 
 
 class TestCommand:

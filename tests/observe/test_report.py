@@ -129,3 +129,44 @@ class TestReportCommand:
         assert run_report_command(args) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] and doc["groups"][0]["status"] == "new"
+
+
+class TestCheckFailsClosed:
+    """``report --check`` gates only history it could read: a missing
+    ledger or a line the reader skips exits 2, in one line naming it."""
+
+    def test_torn_last_line(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "l.jsonl"
+        ledger = RunLedger(str(path))
+        put(ledger, makespan_s=1.0)
+        put(ledger, makespan_s=1.0)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"schema": 1, "command": "scale", "metr')
+        assert main(["report", "--ledger", str(path)]) == 0
+        assert f"warning: {path}:3: skipped" in capsys.readouterr().out
+        assert main(["report", "--ledger", str(path), "--check"]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"report: --check: {path}:3: skipped")
+
+    def test_newer_schema_line(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "l.jsonl"
+        ledger = RunLedger(str(path))
+        put(ledger, makespan_s=1.0)
+        ledger.append(LedgerRecord(command="scale", case="iso2d", mode="rtm",
+                                   ranks=2, metrics={}, schema=99))
+        assert main(["report", "--ledger", str(path), "--check"]) == 2
+        assert f"{path}:2: skipped schema-99" in capsys.readouterr().out
+
+    def test_missing_ledger(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "absent.jsonl"
+        assert main(["report", "--ledger", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--ledger", str(path), "--check"]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line == f"report: --check: no ledger at {path}"

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
+from repro.__main__ import counts
 from repro.observe.ledger import RunLedger
 from repro.observe.scaling import (
     SCALE_SHAPES,
     ScaleCaseResult,
     ScalePoint,
     assert_scaling_shape,
-    parse_ranks,
     run_scale_case,
     run_scale_point,
 )
@@ -30,13 +30,13 @@ def point(ranks, makespan, comm, compute=None, speedup=None, efficiency=None):
 
 class TestParseRanks:
     def test_parses_list(self):
-        assert parse_ranks("1,2,4,8") == (1, 2, 4, 8)
+        assert counts("1,2,4,8", "--ranks") == (1, 2, 4, 8)
 
     def test_rejects_garbage(self):
         with pytest.raises(ConfigurationError):
-            parse_ranks("1,two")
+            counts("1,two", "--ranks")
         with pytest.raises(ConfigurationError):
-            parse_ranks("0,2")
+            counts("0,2", "--ranks")
 
 
 class TestShapeAssertions:

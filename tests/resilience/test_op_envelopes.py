@@ -12,9 +12,9 @@ import json
 import sys
 from pathlib import Path
 
+from repro.core.cases import CASES
 from repro.core.config import GPUOptions, ModelingConfig, RTMConfig
 from repro.resilience.chaos import (
-    CASES,
     CHAOS_SHAPES,
     _chaos_config,
     _min_rank_envelope,

@@ -15,7 +15,7 @@ from repro.utils.errors import ConfigurationError
 
 def _args(tmp_path, **over):
     kw = dict(
-        case="iso2d", shots=2, workers="2", gpus=1, nt=8, faults=None,
+        case=("iso2d",), shots=2, workers=(2,), gpus=1, nt=8, faults=None,
         seed=7, capacity=64, policy="reject", no_resubmit=False,
         quarantine_after=3, format="text",
         out=str(tmp_path / "BENCH_service.json"),

@@ -74,15 +74,10 @@ class TestTuneCommand:
             assert "model_error" in entry
 
     def test_tune_unknown_compiler(self, tmp_path):
-        import pytest
-
-        from repro.utils.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main([
-                "tune", "iso2d", "--compiler", "gcc-4.9",
-                "--out", str(tmp_path / "p.json"),
-            ])
+        assert main([
+            "tune", "iso2d", "--compiler", "gcc-4.9",
+            "--out", str(tmp_path / "p.json"),
+        ]) == 2
 
     def test_figures_tuned_study(self, tmp_path, capsys):
         path = tmp_path / "plan.json"
@@ -174,3 +169,204 @@ def test_deps_and_sanitize_refuse_malformed_input(line, named, tmp_path, capsys)
     assert printed.count("\n") == 1 and named in printed
     assert printed.startswith(f"{argv[0]}: ")
     assert not any((tmp_path / flag.strip("-")).exists() for flag in written)
+
+
+#: malformed command lines of the other subcommands, with what the
+#: one-line refusal must name; ``{missing}`` is a path that does not exist,
+#: ``{bad}`` a truncated JSON file
+MALFORMED_SHELL = [
+    ("lint nosuch", "nosuch"),
+    ("lint", "CASE"),
+    ("lint iso2d --compiler nosuch", "nosuch"),
+    ("lint iso2d --nt 0", "--nt"),
+    ("lint iso2d --deep --fail-on bogus", "--fail-on"),
+    ("tune nosuch", "nosuch"),
+    ("tune iso2d --compiler nosuch", "nosuch"),
+    ("tune iso2d --budget 0", "--budget"),
+    ("tune iso2d --nt 0", "--nt"),
+    ("trace nosuch", "nosuch"),
+    ("trace iso2d --nt 0", "--nt"),
+    ("trace iso2d --ranks 0", "--ranks"),
+    ("scale nosuch", "nosuch"),
+    ("scale iso2d --ranks 0", "--ranks"),
+    ("scale iso2d --ranks x", "--ranks"),
+    ("scale iso2d --nt 0", "--nt"),
+    ("report --window 0", "--window"),
+    ("report --threshold -5", "--threshold"),
+    ("report --command-filter nosuch", "--command-filter"),
+    ("figures nosuch", "nosuch"),
+    ("figures tuned", "--plan"),
+    ("plan isotropic abc", "DIMS"),
+    ("plan isotropic -5 64", "DIMS"),
+    ("plan isotropic 512", "DIMS"),
+    ("tables --plan {missing}", "--plan"),
+    ("tables --plan {bad}", "--plan"),
+    ("compile iso2d --plan {missing}", "--plan"),
+    ("compile iso2d --nt 0", "--nt"),
+    ("compile iso2d --bench F --repeats 0", "--repeats"),
+    ("validate iso2d --nt 0", "--nt"),
+    ("validate iso2d --fail-on bogus", "--fail-on"),
+    ("sweep --nt 0", "--nt"),
+]
+
+#: value-taking actions that name a file the command writes
+OUTPUTS = {
+    "tables --trace", "figures --trace", "sweep --trace",
+    "trace --out", "trace --jsonl", "deps --dot", "deps --opportunities",
+    "sanitize --output", "chaos --out", "chaos --trace", "tune --out",
+    "scale --out", "serve --out", "compile --bench", "validate --artifact",
+}
+#: value-taking actions left free-form, as ``command FLAG``: output
+#: paths, the ledger, seeds, and the opportunities input that ``compile``
+#: and ``validate`` refuse in their own loader
+FREE_FORM = OUTPUTS | {
+    "experiments PATH", "json PATH", "chaos --seed", "serve --seed",
+    "compile --opportunities", "validate --opportunities",
+} | {
+    f"{c} --ledger" for c in (
+        "trace", "lint", "chaos", "tune", "scale", "serve", "report",
+        "compile", "validate",
+    )
+}
+
+#: an otherwise valid line of each subcommand with checked actions
+VALID = {
+    "tables": [], "figures": [], "plan": ["isotropic", "64", "64"],
+    "sweep": [], "trace": ["iso2d"], "lint": ["iso2d", "--deep"],
+    "deps": ["iso2d"], "sanitize": ["iso2d"], "chaos": ["iso2d"],
+    "tune": ["iso2d"], "scale": ["iso2d"], "serve": ["iso2d"],
+    "report": [], "compile": ["iso2d"], "validate": ["iso2d"],
+}
+
+
+def _subparsers():
+    import argparse
+
+    parser = build_parser()
+    action = next(
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def _name(command, action):
+    flag = action.option_strings[0] if action.option_strings else (
+        action.metavar or action.dest.upper()
+    )
+    return f"{command} {flag}"
+
+
+def _checked_actions():
+    """``(command, action)`` of every value-taking action off the
+    free-form list."""
+    return [
+        (command, action)
+        for command, sub in sorted(_subparsers().items())
+        for action in sub._actions
+        if action.nargs != 0 and action.dest != "help"
+        and _name(command, action) not in FREE_FORM
+    ]
+
+
+def _refused_samples(action):
+    """What the action's check must refuse: ``{missing}``/``{bad}`` are
+    filled in with a missing path and a truncated JSON file."""
+    from repro import __main__ as shell
+
+    if action.choices is not None:
+        return ["nosuch", "0"]
+    return {
+        shell.non_negative: ["-3", "x", "nosuch"],
+        shell.plan_file: ["{missing}", "{bad}"],
+        shell.script_file: ["{missing}"],
+    }.get(action.type, ["0", "-3", "x", "nosuch"])
+
+
+def _run_refused(argv, tmp_path, capsys):
+    """Run ``argv`` with every output flag its command takes and a seeded
+    ledger; assert the one-line exit-2 refusal, and return the line."""
+    command = argv[0]
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_text('{"run_id": "earlier"}\n')
+    outputs = [
+        flag.split()[1] for flag in sorted(OUTPUTS)
+        if flag.split()[0] == command
+    ]
+    for flag in outputs:
+        argv = argv + [flag, str(tmp_path / flag.strip("-"))]
+    if f"{command} --ledger" in FREE_FORM and command != "report":
+        argv = argv + ["--ledger", str(ledger)]
+    assert main(argv) == 2
+    printed = capsys.readouterr().out
+    assert "Traceback" not in printed
+    assert printed.count("\n") == 1
+    assert printed.startswith(f"{command}: ")
+    assert ledger.read_text().count("\n") == 1
+    assert not any((tmp_path / flag.strip("-")).exists() for flag in outputs)
+    return printed
+
+
+class TestShellContract:
+    """Every subcommand refuses a malformed line the same way: exit 2,
+    one stdout line naming the flag or value, nothing run or written."""
+
+    def test_every_value_is_checked(self):
+        from repro.__main__ import CHECKS
+
+        unchecked = [
+            _name(command, action) for command, action in _checked_actions()
+            if action.type not in CHECKS and action.choices is None
+        ]
+        assert not unchecked, (
+            "value-taking flags without a shared check or choices "
+            f"(or an entry in FREE_FORM): {unchecked}"
+        )
+
+    @pytest.mark.parametrize(
+        "command,action", _checked_actions(),
+        ids=[_name(c, a) for c, a in _checked_actions()],
+    )
+    def test_refused_samples(self, command, action, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": 1, "ca')
+        for sample in _refused_samples(action):
+            value = sample.format(missing=tmp_path / "missing", bad=bad)
+            argv = [command] + VALID[command]
+            if action.option_strings:
+                argv += [action.option_strings[0], value]
+            else:  # a positional: put it in the valid line's place
+                at = 1 + [
+                    a.dest for a in _subparsers()[command]._actions
+                    if not a.option_strings
+                ].index(action.dest)
+                argv[at:at + 1] = [value]
+            printed = _run_refused(argv, tmp_path, capsys)
+            flag = _name(command, action).split()[1]
+            assert flag in printed or value in printed, printed
+
+    @pytest.mark.parametrize(
+        "line,named", MALFORMED_SHELL, ids=[m[0] for m in MALFORMED_SHELL]
+    )
+    def test_malformed_lines(self, line, named, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": 1, "ca')
+        argv = line.format(missing=tmp_path / "missing", bad=bad).split()
+        printed = _run_refused(argv, tmp_path, capsys)
+        assert named in printed
+
+    def test_command_filter_names_the_ledger_writers(self):
+        from repro.__main__ import LEDGER_COMMANDS
+
+        writers = {
+            command for command, sub in _subparsers().items()
+            if "--no-ledger" in sub._option_string_actions
+        }
+        assert writers == set(LEDGER_COMMANDS)
+
+    def test_validate_fail_on_none_is_accepted(self, capsys):
+        assert main([
+            "validate", "iso2d", "--mode", "rtm", "--fail-on", "none",
+            "--no-ledger",
+        ]) == 0
+        assert "repro validate" in capsys.readouterr().out
