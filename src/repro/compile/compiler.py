@@ -70,6 +70,8 @@ from repro.core.schedule import (
     RESIDENCY_STEPS,
     Schedule,
 )
+from repro.optim.autotune import TuningPlan, options_with_plan
+from repro.optim.tuning import fused_launch_estimate
 from repro.utils.errors import (
     CompileError,
     DeviceOutOfMemoryError,
@@ -80,7 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.acc.runtime import Runtime
     from repro.core.pipeline import OffloadPipeline
     from repro.core.platform import Platform
-    from repro.optim.autotune import TuningPlan
 
 @dataclass(frozen=True)
 class CompileRequest:
@@ -829,8 +830,6 @@ def compile_case(
     any failure to prove equivalence; the returned object always has
     ``verified=True``.
     """
-    from repro.optim.autotune import options_with_plan
-
     if source_pipeline is not None:
         base = source_pipeline.options
     else:
@@ -953,7 +952,6 @@ def _applied_record(
     )
     if opp.kind == "fuse-computes" and len(opp.kernels) >= 2:
         from repro.gpusim.specs import CUDA_5_0
-        from repro.optim import fused_launch_estimate
 
         rt = recording.pipeline.rt
         try:

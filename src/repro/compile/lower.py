@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
+from repro.optim.transformations import fuse_kernels
 from repro.utils.errors import CompileError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -198,8 +199,6 @@ class WorkloadRegistry:
         if kernel in self._by_name:
             return self._by_name[kernel]
         if "+" in kernel:
-            from repro.optim import fuse_kernels
-
             fused = fuse_kernels(*self.parts(kernel), name=kernel)
             self._by_name[kernel] = fused
             return fused

@@ -17,81 +17,51 @@
 * :mod:`~repro.observe.runlog` — run-scoped structured logging threaded
   through the pipeline, multi-GPU and resilience layers.
 
+Names load on first access. The pipeline, multi-GPU, resilience, serve
+and compile layers import only :mod:`~repro.observe.runlog`, and that
+loads none of the ledger, report and scaling tools (``scaling`` itself
+runs the multi-GPU pipeline).
+
 See ``docs/observability.md``.
 """
 
-from repro.observe.ledger import (
-    DEFAULT_LEDGER_PATH,
-    LEDGER_SCHEMA,
-    LedgerRecord,
-    RunLedger,
-    append_run,
-    ledger_path_from_args,
-    plan_fingerprint,
-)
-from repro.observe.reduce import (
-    CriticalPath,
-    KernelAggregate,
-    QueueUtilization,
-    RankReduction,
-    TraceReduction,
-    reduce_trace,
-)
-from repro.observe.report import (
-    DEFAULT_THRESHOLD,
-    DEFAULT_WINDOW,
-    LedgerReport,
-    compare_metric,
-    diff_ledger,
-)
-from repro.observe.runlog import RunLog, count, current_runlog, emit
-from repro.observe.scaling import (
-    DEFAULT_RANKS,
-    SCALE_CASES,
-    ScaleCaseResult,
-    ScalePoint,
-    assert_scaling_shape,
-    run_scale_case,
-    run_scale_point,
-    run_scale_sweep,
-    scale_document,
-)
+from repro import lazy_exports
 
-__all__ = [
-    # reduce
-    "TraceReduction",
-    "RankReduction",
-    "KernelAggregate",
-    "QueueUtilization",
-    "CriticalPath",
-    "reduce_trace",
-    # ledger
-    "LEDGER_SCHEMA",
-    "DEFAULT_LEDGER_PATH",
-    "LedgerRecord",
-    "RunLedger",
-    "append_run",
-    "ledger_path_from_args",
-    "plan_fingerprint",
-    # report
-    "DEFAULT_THRESHOLD",
-    "DEFAULT_WINDOW",
-    "LedgerReport",
-    "compare_metric",
-    "diff_ledger",
-    # runlog
-    "RunLog",
-    "current_runlog",
-    "emit",
-    "count",
-    # scaling
-    "DEFAULT_RANKS",
-    "SCALE_CASES",
-    "ScalePoint",
-    "ScaleCaseResult",
-    "run_scale_point",
-    "run_scale_case",
-    "run_scale_sweep",
-    "scale_document",
-    "assert_scaling_shape",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "reduce": (
+        "TraceReduction",
+        "RankReduction",
+        "KernelAggregate",
+        "QueueUtilization",
+        "CriticalPath",
+        "reduce_trace",
+    ),
+    "ledger": (
+        "LEDGER_SCHEMA",
+        "DEFAULT_LEDGER_PATH",
+        "LedgerRecord",
+        "RunLedger",
+        "append_run",
+        "ledger_path_from_args",
+        "plan_fingerprint",
+    ),
+    "report": (
+        "DEFAULT_THRESHOLD",
+        "DEFAULT_WINDOW",
+        "LedgerReport",
+        "compare_metric",
+        "diff_ledger",
+    ),
+    "runlog": ("RunLog", "current_runlog", "emit", "count"),
+    "scaling": (
+        "DEFAULT_RANKS",
+        "SCALE_CASES",
+        "ScalePoint",
+        "ScaleCaseResult",
+        "run_scale_point",
+        "run_scale_case",
+        "run_scale_sweep",
+        "scale_document",
+        "assert_scaling_shape",
+    ),
+})

@@ -10,75 +10,49 @@ Two tuning regimes live here:
   per kernel (``python -m repro tune``).
 
 All reported times are simulated seconds on the device clock.
+
+Names load on first access. The static helpers sit low in the layer map
+(:mod:`repro.bench` and :mod:`repro.compile` import them); the autotuner
+reaches up into :mod:`repro.analyze` and :mod:`repro.core`, and importing
+a static helper does not load it.
 """
 
-from repro.optim.autotune import (
-    KernelObservation,
-    KernelPlan,
-    ProbeDegradedWarning,
-    ProbeResult,
-    ScheduleCandidate,
-    TuneRequest,
-    TuningPlan,
-    extract_observations,
-    load_plan,
-    options_with_plan,
-    run_probe,
-    transfer_overlap_seconds,
-    tune_case,
-)
-from repro.optim.transformations import (
-    loop_fission,
-    mark_uncoalesced,
-    with_transposition,
-    inline_receiver_loop,
-    remove_branches,
-    fuse_kernels,
-    collapse_nest,
-)
-from repro.optim.tuning import (
-    register_sweep,
-    RegisterSweepPoint,
-    best_register_count,
-    vector_length_sweep,
-    predict_best_launch,
-    fused_launch_estimate,
-    FusedLaunchEstimate,
-    async_comparison,
-    AsyncComparison,
-)
+from repro import lazy_exports
 
-__all__ = [
-    # transformations
-    "loop_fission",
-    "mark_uncoalesced",
-    "with_transposition",
-    "inline_receiver_loop",
-    "remove_branches",
-    "fuse_kernels",
-    "collapse_nest",
-    # static tuners
-    "register_sweep",
-    "RegisterSweepPoint",
-    "best_register_count",
-    "vector_length_sweep",
-    "predict_best_launch",
-    "fused_launch_estimate",
-    "FusedLaunchEstimate",
-    "async_comparison",
-    "AsyncComparison",
-    # closed-loop tuner
-    "KernelObservation",
-    "KernelPlan",
-    "ProbeDegradedWarning",
-    "ProbeResult",
-    "ScheduleCandidate",
-    "TuneRequest",
-    "TuningPlan",
-    "extract_observations",
-    "load_plan",
-    "options_with_plan",
-    "run_probe",
-    "transfer_overlap_seconds",
-    "tune_case",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "transformations": (
+        "loop_fission",
+        "mark_uncoalesced",
+        "with_transposition",
+        "inline_receiver_loop",
+        "remove_branches",
+        "fuse_kernels",
+        "collapse_nest",
+    ),
+    "tuning": (  # static tuners
+        "register_sweep",
+        "RegisterSweepPoint",
+        "best_register_count",
+        "vector_length_sweep",
+        "predict_best_launch",
+        "fused_launch_estimate",
+        "FusedLaunchEstimate",
+        "async_comparison",
+        "AsyncComparison",
+    ),
+    "autotune": (  # closed-loop tuner
+        "KernelObservation",
+        "KernelPlan",
+        "ProbeDegradedWarning",
+        "ProbeResult",
+        "ScheduleCandidate",
+        "TuneRequest",
+        "TuningPlan",
+        "extract_observations",
+        "load_plan",
+        "options_with_plan",
+        "run_probe",
+        "transfer_overlap_seconds",
+        "tune_case",
+    ),
+})

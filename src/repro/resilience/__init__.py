@@ -25,13 +25,16 @@ Layout
 ``report``
     :class:`ResilienceReport` (text/JSON).
 
-Only ``faults`` and ``report`` are imported eagerly: ``recovery`` and
-``chaos`` import the core pipelines, which themselves import this package's
-fault vocabulary — the lazy split keeps that cycle open.
+Only ``faults`` and ``report`` are imported eagerly. The names of
+``injector``, ``recovery`` and ``chaos`` load on first access
+(:func:`repro.lazy_exports`): ``recovery`` and ``chaos`` import the core
+pipelines, which themselves import this package's fault vocabulary — the
+lazy split keeps that cycle open.
 """
 
 from __future__ import annotations
 
+from repro import lazy_exports
 from repro.resilience.faults import (  # noqa: F401
     ALL_KINDS,
     DEVICE_KINDS,
@@ -47,31 +50,21 @@ from repro.resilience.faults import (  # noqa: F401
 )
 from repro.resilience.report import FaultOutcome, ResilienceReport  # noqa: F401
 
-_LAZY = {
-    "FaultInjector": ("repro.resilience.injector", "FaultInjector"),
-    "BoundInjector": ("repro.resilience.injector", "BoundInjector"),
-    "BackoffPolicy": ("repro.resilience.recovery", "BackoffPolicy"),
-    "CheckpointStore": ("repro.resilience.recovery", "CheckpointStore"),
-    "ResilientPipeline": ("repro.resilience.recovery", "ResilientPipeline"),
-    "ResilientMultiGpu": ("repro.resilience.recovery", "ResilientMultiGpu"),
-    "RecoveryStats": ("repro.resilience.recovery", "RecoveryStats"),
-    "run_chaos_case": ("repro.resilience.chaos", "run_chaos_case"),
-    "run_chaos_case_multigpu": (
-        "repro.resilience.chaos", "run_chaos_case_multigpu"
+__getattr__, __dir__, _LAZY = lazy_exports(__name__, {
+    "injector": ("FaultInjector", "BoundInjector"),
+    "recovery": (
+        "BackoffPolicy",
+        "CheckpointStore",
+        "ResilientPipeline",
+        "ResilientMultiGpu",
+        "RecoveryStats",
     ),
-    "run_chaos_campaign": ("repro.resilience.chaos", "run_chaos_campaign"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.resilience' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), attr)
-
+    "chaos": (
+        "run_chaos_case",
+        "run_chaos_case_multigpu",
+        "run_chaos_campaign",
+    ),
+})
 
 __all__ = [
     "ALL_KINDS", "DEVICE_KINDS", "MPI_KINDS", "PROTOCOL_KINDS",

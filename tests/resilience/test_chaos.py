@@ -17,10 +17,12 @@ from repro.trace.tracer import Tracer
 from repro.utils.errors import ConfigurationError
 
 
-def _args(**over):
+def _args(tmp_path, **over):
+    """A ``chaos`` command line; its run ledger goes under ``tmp_path``."""
     kw = dict(
         case="ac2d", seed=7, faults=None, ranks=1, mode="modeling",
         nt=8, format="text", out=None, trace=None,
+        ledger=str(tmp_path / "ledger.jsonl"), no_ledger=False,
     )
     kw.update(over)
     return argparse.Namespace(**kw)
@@ -84,8 +86,8 @@ class TestCampaignDeterminism:
 
 
 class TestCli:
-    def test_recovered_run_exits_zero(self, capsys):
-        rc = run_chaos_command(_args(faults="kernel-launch@9"))
+    def test_recovered_run_exits_zero(self, tmp_path, capsys):
+        rc = run_chaos_command(_args(tmp_path, faults="kernel-launch@9"))
         out = capsys.readouterr().out
         assert rc == 0
         assert "ALL RECOVERED" in out
@@ -93,7 +95,7 @@ class TestCli:
     def test_json_format_and_out_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         rc = run_chaos_command(
-            _args(faults="ecc@5", format="json", out=str(path))
+            _args(tmp_path, faults="ecc@5", format="json", out=str(path))
         )
         assert rc == 0
         doc = json.loads(path.read_text())
@@ -103,7 +105,7 @@ class TestCli:
     def test_trace_export(self, tmp_path, capsys):
         path = tmp_path / "chaos-trace.json"
         rc = run_chaos_command(
-            _args(faults="pcie-transient@3", trace=str(path))
+            _args(tmp_path, faults="pcie-transient@3", trace=str(path))
         )
         assert rc == 0
         doc = json.loads(path.read_text())

@@ -62,6 +62,7 @@ class TestTuneCommand:
         path = tmp_path / "plan.json"
         assert main([
             "tune", "acoustic-2d", "--budget", "2", "--out", str(path),
+            "--ledger", str(tmp_path / "ledger.jsonl"),
         ]) == 0
         out = capsys.readouterr().out
         assert "TuningPlan" in out and "step time" in out
@@ -83,7 +84,7 @@ class TestTuneCommand:
         path = tmp_path / "plan.json"
         assert main([
             "tune", "el2d", "--mode", "modeling", "--budget", "2",
-            "--out", str(path),
+            "--out", str(path), "--ledger", str(tmp_path / "ledger.jsonl"),
         ]) == 0
         capsys.readouterr()
         assert main(["figures", "tuned", "--plan", str(path)]) == 0

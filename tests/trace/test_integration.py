@@ -130,7 +130,8 @@ class TestTraceCli:
         """``python -m repro trace iso2d`` writes a Perfetto-loadable trace
         containing spans from every instrumented layer."""
         out = tmp_path / "trace.json"
-        rc = main(["trace", "iso2d", "--nt", "12", "--out", str(out)])
+        rc = main(["trace", "iso2d", "--nt", "12", "--out", str(out),
+                   "--ledger", str(tmp_path / "ledger.jsonl")])
         assert rc == 0
         trace = json.loads(out.read_text())
         validate_perfetto(trace)
@@ -145,7 +146,8 @@ class TestTraceCli:
     def test_ranks_add_halo_track(self, tmp_path):
         out = tmp_path / "trace.json"
         rc = main(["trace", "iso2d", "--nt", "8", "--ranks", "2",
-                   "--out", str(out)])
+                   "--out", str(out),
+                   "--ledger", str(tmp_path / "ledger.jsonl")])
         assert rc == 0
         trace = json.loads(out.read_text())
         validate_perfetto(trace)
@@ -158,7 +160,8 @@ class TestTraceCli:
         out = tmp_path / "t.json"
         jsonl = tmp_path / "t.jsonl"
         rc = main(["trace", "ac2d", "--mode", "modeling", "--nt", "8",
-                   "--out", str(out), "--jsonl", str(jsonl)])
+                   "--out", str(out), "--jsonl", str(jsonl),
+                   "--ledger", str(tmp_path / "ledger.jsonl")])
         assert rc == 0
         validate_perfetto(json.loads(out.read_text()))
         lines = jsonl.read_text().strip().splitlines()
