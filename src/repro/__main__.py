@@ -15,7 +15,7 @@ import importlib
 import os
 import sys
 
-from repro.core.cases import CASES, MODES, SURVEY_CASES, case_targets, parse_case, parse_survey_case
+from repro.cases import CASES, MODES, SURVEY_CASES, case_targets, parse_case, parse_survey_case
 from repro.utils.errors import ConfigurationError
 
 #: the figure studies ``figures NAME`` prints

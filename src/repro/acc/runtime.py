@@ -19,16 +19,18 @@ Present-table semantics follow OpenACC 2.0:
   lifetime changes, with optional partial (ghost-node) extents and
   non-contiguous chunk counts.
 
-A repeated schedule step need not re-derive every directive: while nothing
-watches them (:attr:`Runtime.unobserved`), :meth:`Runtime.record` keeps the
-priced device ops a step ran as a :class:`StepTape` and
-:meth:`Runtime.replay` runs them again. A kernel whose queue came from the
-auto-async rotation is taped relative to the rotation cursor, and every
-attach or detach bumps :attr:`Runtime.table_epoch`, so a tape is only
-replayed against the present table it was priced under. A fault injector
-on the device gates the replay: it counts the tape's launches and
-transfers in one step, or refuses when an armed fault could fire on one
-of them, and the step then runs per-op.
+A repeated schedule step need not re-derive every directive.
+:meth:`Runtime.run_step` is the one tape policy, for interpreted actions
+and compiled steps alike: while nothing watches the directives, the first
+call per key keeps the priced device ops the step ran as a
+:class:`StepTape` (:meth:`Runtime.record`) and later calls run them again
+(:meth:`Runtime.replay`). A kernel whose queue came from the auto-async
+rotation is taped relative to the rotation cursor, and every attach or
+detach drops the tapes, so a tape is only replayed against the present
+table it was priced under. A fault injector on the device gates the
+replay: it counts the tape's launches and transfers in one step, or
+refuses when an armed fault could fire on one of them, and the step then
+runs per-op.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ class StepTape:
     the auto-async rotation; they replay on the queues the rotation would
     hand out from the cursor at replay time (:meth:`at`). ``launches``
     and ``transfers`` count the ops a fault injector sees. A tape holds
-    no allocation (an attach bumps the table epoch, and a tape recorded
-    across one is not kept) and no MPI message (not a device op), so
+    no allocation (an attach drops the runtime's tapes, and one recorded
+    across it is not kept) and no MPI message (not a device op), so
     those are all its injector ops.
     """
 
@@ -143,8 +145,9 @@ class Runtime:
         # while a StepTape records: its op list so far and the indices of
         # the ops whose queue came from the rotation (else None)
         self._taping: tuple[list[PricedOp], list[int]] | None = None
-        #: bumped by every present-table attach and detach
-        self.table_epoch = 0
+        # the kept step tapes (see run_step); every present-table attach
+        # and detach replaces the dict, dropping them
+        self._tapes: dict[tuple, StepTape] = {}
         self._recorders: list = []
         # the persona and flags are fixed for this runtime, so lowering is a
         # pure function of (construct, workload, schedule, queue)
@@ -164,17 +167,39 @@ class Runtime:
         for rec in self._recorders:
             rec.record(kind, sizes=sizes, **fields)
 
-    @property
-    def unobserved(self) -> bool:
-        """Whether nothing watches individual directives: no recorder and
-        no enabled tracer. Only then may a step replay a tape instead of
-        running each directive (the device's event sinks still see every
-        replayed op, and its fault injector gates each replay)."""
-        return not self._recorders and not self.tracer.enabled
-
     # ------------------------------------------------------------------
     # step tapes
     # ------------------------------------------------------------------
+    def run_step(self, key: tuple, run: Callable[..., None], *args) -> bool:
+        """Run one repeated step, ``run(*args)``, under the tape policy;
+        returns whether a tape replayed it.
+
+        While anything watches the directives (a recorder or an enabled
+        tracer) the step runs per-op. Otherwise the first call per key
+        records a tape, kept only if the present table did not change
+        while it recorded, and later calls replay it; a replay the fault
+        injector refuses runs per-op instead. ``key`` is flat and starts
+        with the step's owner, hashed by identity, so no owner picks up
+        another's tape; the device's toolkit, host pinning and PCIe link
+        complete it here. The device's event sinks see every replayed
+        op."""
+        if self._recorders or self.tracer.enabled:
+            run(*args)
+            return False
+        device = self.device
+        key += (device.toolkit, device.pinned_host, device.pcie)
+        tapes = self._tapes
+        tape = tapes.get(key)
+        if tape is None:
+            tape = self.record(lambda: run(*args))
+            if self._tapes is tapes:  # the present table held while it recorded
+                tapes[key] = tape
+        elif self.replay(tape):
+            return True
+        else:
+            run(*args)
+        return False
+
     def record(self, run: Callable[[], None]) -> StepTape:
         """Call ``run`` through the per-op path and return the priced ops
         it ran as a tape."""
@@ -298,7 +323,7 @@ class Runtime:
     def _attach(
         self, name: str, data: np.ndarray | int, transfer: bool, copyout: bool
     ) -> None:
-        self.table_epoch += 1
+        self._tapes = {}
         entry = self._table.get(name)
         if entry is not None:
             entry.refcount += 1
@@ -317,7 +342,7 @@ class Runtime:
         self._table[name] = PresentEntry(name, nbytes, 1, copyout)
 
     def _detach(self, name: str, force_copyout: bool | None = None) -> None:
-        self.table_epoch += 1
+        self._tapes = {}
         entry = self.present_entry(name)
         entry.refcount -= 1
         if entry.refcount > 0:

@@ -28,8 +28,8 @@ from repro.analyze.framework import (
     lint_program,
 )
 from repro.analyze.frontend import program_from_file
-from repro.core.cases import INVENTORY as _INVENTORY  # noqa: F401 (the wall benchmark's name)
-from repro.core.cases import case_targets, record_args
+from repro.cases import INVENTORY as _INVENTORY  # noqa: F401 (the wall benchmark's name)
+from repro.cases import case_targets, record_args
 
 
 def lint_case(

@@ -27,7 +27,7 @@ from repro.analyze.dataflow.opportunities import (
 )
 from repro.analyze.frontend import program_from_file
 from repro.analyze.program import DirectiveProgram
-from repro.core.cases import case_targets, record_args
+from repro.cases import case_targets, record_args
 
 
 def _record_case(

@@ -170,7 +170,7 @@ def run_validate_command(args) -> int:
     from repro.analyze.report import print_results
     from repro.compile.cli import load_opportunities
     from repro.compile.compiler import CompileRequest
-    from repro.core.cases import case_targets
+    from repro.cases import case_targets
     from repro.observe.ledger import append_run, ledger_path_from_args
     from repro.observe.runlog import RunLog
     from repro.utils.errors import CompileError, StaleArtifactError

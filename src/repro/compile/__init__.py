@@ -58,7 +58,6 @@ from repro.compile.lower import (
 from repro.compile.runner import (
     clear_cache,
     compiled_for_pipeline,
-    compiled_steps_for_rank,
     run_pipeline_compiled,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "clear_cache",
     "compile_case",
     "compiled_for_pipeline",
-    "compiled_steps_for_rank",
     "lower_events",
     "measure_case",
     "opportunities_from_artifact",

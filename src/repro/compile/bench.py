@@ -7,9 +7,9 @@ identical schedule on identical fresh twins (same device spec, persona,
 flags), so the simulated times agree by construction and the
 ``perf_counter`` delta isolates interpreter overhead and the launches
 removed by fusion.  Neither side re-derives each launch in steady state:
-the interpreter replays each repeated step from the priced-op tape its
-first run recorded, and a fast bound step replays its own tape, so the
-difference is mostly the first (recorded) steps and the fused launches.
+both replay each repeated step from the priced-op tape its first run
+recorded (the runtime's one tape policy), so the difference is mostly
+the first (recorded) steps and the fused launches.
 
 ``python -m repro compile all --bench BENCH_step.json`` persists the
 results in the same shape as ``BENCH_autotune.json``; the benchmark
@@ -86,10 +86,9 @@ def measure_case(
         lambda: _run_interpreted(request, options, runtime_factory), repeats
     )
 
-    def run_compiled() -> None:
-        compiled.bind(runtime_factory(), faithful=False).run()
-
-    compiled_total = _time_best(run_compiled, repeats)
+    compiled_total = _time_best(
+        lambda: compiled.bind(runtime_factory()).run(), repeats
+    )
     nt = max(1, request.nt)
     interp_step = interp_total / nt
     compiled_step = compiled_total / nt

@@ -28,7 +28,7 @@ from repro.compile.compiler import (
     _default_runtime_factory,
     compile_case,
 )
-from repro.core.cases import case_targets
+from repro.cases import case_targets
 from repro.core.config import GPUOptions
 from repro.utils.errors import CompileError, StaleArtifactError
 

@@ -24,7 +24,7 @@ closures).  The pipeline is:
    :func:`~repro.analyze.dataflow.apply_opportunity`; hoisted updates
    move to a phase prologue that runs once.
 5. **Verification gate** (inside :func:`compile_case`) — the compiled
-   schedule is replayed faithfully on a fresh twin under a recorder and
+   schedule is run on a fresh twin under a recorder and
    its :func:`~repro.analyze.dataflow.replay_fingerprint` must be
    bitwise-identical to the interpreted program's.  Failure raises
    :class:`~repro.utils.errors.CompileError`; an unverified
@@ -120,7 +120,7 @@ class CompileRequest:
     def from_case(cls, case: str, mode: str, nt: int = 24) -> "CompileRequest":
         """Build a request from a seed-case spelling (``iso2d`` ...),
         using the exact recording parameters of ``repro deps``."""
-        from repro.core.cases import parse_case, record_args
+        from repro.cases import parse_case, record_args
 
         physics, ndim = parse_case(case)
         return cls(physics=physics, mode=mode, nt=nt, **record_args(ndim))
@@ -202,7 +202,7 @@ def _default_runtime_factory(
 
 def _twin_pipeline(source: "OffloadPipeline", rt: "Runtime", options: GPUOptions):
     """A shallow twin of ``source`` on a fresh runtime: same workloads and
-    inventory, private phase/present/tape bookkeeping, never itself compiled."""
+    inventory, private phase/present bookkeeping, never itself compiled."""
     import copy
 
     twin = copy.copy(source)
@@ -210,7 +210,6 @@ def _twin_pipeline(source: "OffloadPipeline", rt: "Runtime", options: GPUOptions
     twin.options = options
     twin._present_names = []
     twin._phase = "idle"
-    twin._tapes = {}
     return twin
 
 
@@ -709,27 +708,18 @@ class CompiledPipeline:
             for side in ("interpreted", "compiled")
         }
 
-    def bind(
-        self, rt: "Runtime", faithful: bool | None = None
-    ) -> "BoundPipeline":
-        return BoundPipeline(self, rt, faithful=faithful)
+    def bind(self, rt: "Runtime") -> "BoundPipeline":
+        return BoundPipeline(self, rt)
 
 
 class BoundPipeline:
     """A :class:`CompiledPipeline` bound to one live runtime."""
 
-    def __init__(
-        self,
-        compiled: CompiledPipeline,
-        rt: "Runtime",
-        faithful: bool | None = None,
-    ):
+    def __init__(self, compiled: CompiledPipeline, rt: "Runtime"):
         self.compiled = compiled
         self.rt = rt
         self.steps: dict[str, BoundStep] = {
-            phase: bind_ops(
-                phase, ops, rt, compiled.registry, compiled.plan, faithful
-            )
+            phase: bind_ops(phase, ops, rt, compiled.registry, compiled.plan)
             for phase, ops in compiled.steps.items()
         }
 
@@ -988,13 +978,13 @@ def _verify_compiled(
     source_pipeline: "OffloadPipeline | None",
     interpreted: DirectiveProgram,
 ) -> None:
-    """The bitwise gate: faithfully replay the compiled schedule under a
-    recorder on a fresh twin and demand fingerprint equality with the
-    interpreted program.  Mutates ``compiled.verified`` on success."""
+    """The bitwise gate: run the compiled schedule under a recorder on a
+    fresh twin and demand fingerprint equality with the interpreted
+    program.  Mutates ``compiled.verified`` on success."""
     rt = runtime_factory()
     recorder = ProgramRecorder(name=f"{compiled.request.name}-compiled")
     rt.attach_recorder(recorder)
-    bound = compiled.bind(rt, faithful=True)
+    bound = compiled.bind(rt)
     times = bound.run()
     if not times.success:
         raise CompileError(

@@ -9,22 +9,13 @@ the *transformed* event template (after verified opportunities were
 applied by :func:`repro.analyze.dataflow.apply_opportunity`) and turns
 each :class:`~repro.analyze.program.AccEvent` into a
 :class:`LoweredOp` — a closed, self-describing operation — then *binds*
-the op list against a live runtime:
-
-* **faithful** binding replays through the runtime's own directive
-  methods, so recorders and tracers observe the compiled schedule
-  exactly as they would an interpreted one.  The bitwise verification
-  gate runs in this mode.
-* **fast** binding resolves the persona lowering once per op at bind
-  time and emits closures that talk straight to the simulated
-  :class:`~repro.gpusim.device.Device`.  Only legal when nothing is
-  watching (:attr:`~repro.acc.runtime.Runtime.unobserved`); data-region
-  bookkeeping still goes through the runtime so the present table stays
-  truthful.  A fast step without data-region ops records the priced ops
-  of its first call (:meth:`~repro.acc.runtime.Runtime.record`) and
-  replays that tape (:meth:`~repro.acc.runtime.Runtime.replay`) on later
-  calls, as the interpreter does for its repeated steps; a fault
-  injector gates each replay there.
+the op list against a live runtime: each op calls the runtime's own
+directive method, so present checks, recorders and tracers see a
+compiled step exactly as they see an interpreted one, and the bitwise
+verification gate replays the path every run takes. A bound step is one
+step of the runtime's tape policy
+(:meth:`~repro.acc.runtime.Runtime.run_step`), as the interpreter's
+repeated actions are.
 
 Fused computes carry ``"a+b"`` kernel names; :class:`WorkloadRegistry`
 resolves them by fusing the named parts with
@@ -43,7 +34,7 @@ from repro.utils.errors import CompileError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.acc.clauses import LoopSchedule
-    from repro.acc.runtime import Runtime, StepTape
+    from repro.acc.runtime import Runtime
     from repro.analyze.program import AccEvent
     from repro.optim.autotune import TuningPlan
     from repro.propagators.base import KernelWorkload
@@ -63,8 +54,8 @@ class LoweredOp:
     of partial updates and the per-name ``sizes`` of data regions come
     from the recording's extent table, so binding needs no program
     context. ``full`` records that an update covered the whole array
-    (``nbytes is None`` in the event), which faithful replay must
-    preserve for the recorder.
+    (``nbytes is None`` in the event), which binding must preserve for
+    the recorder.
     """
 
     kind: str
@@ -213,45 +204,23 @@ class WorkloadRegistry:
             ) from None
 
 
-#: op kinds whose fast thunks only price and run device ops (no
-#: present-table changes), so a fast step made of them can be taped
-_TAPEABLE_KINDS = ("compute", "update", "wait", "host_write", "host_read")
-
-
-@dataclass
+@dataclass(eq=False)
 class BoundStep:
-    """A callable sequence of bound thunks for one pipeline phase.
-
-    A fast step bound with its runtime (``rt``) whose ops are all
-    tapeable runs its thunks once while nothing watches, keeping the
-    priced ops they ran as a :class:`~repro.acc.runtime.StepTape`, and
-    replays that tape on later calls under the same device pricing
-    (toolkit, host pinning, PCIe link). A replay the device's fault
-    injector refuses runs the thunks instead."""
+    """A callable sequence of bound directive calls for one pipeline
+    phase. Each call is one step of the runtime's tape policy
+    (:meth:`~repro.acc.runtime.Runtime.run_step`), keyed by the step."""
 
     phase: str
     ops: tuple[LoweredOp, ...]
-    faithful: bool
-    rt: "Runtime | None" = field(repr=False, default=None)
+    rt: "Runtime" = field(repr=False)
     _thunks: list[Callable[[], None]] = field(repr=False, default_factory=list)
-    _tapes: dict[tuple, "StepTape"] = field(repr=False, default_factory=dict)
 
     def _run(self) -> None:
         for thunk in self._thunks:
             thunk()
 
     def __call__(self) -> None:
-        rt = self.rt
-        if rt is None or not rt.unobserved:
-            self._run()
-            return
-        device = rt.device
-        key = (device.toolkit, device.pinned_host, device.pcie)
-        tape = self._tapes.get(key)
-        if tape is None:
-            self._tapes[key] = rt.record(self._run)
-        elif not rt.replay(tape):
-            self._run()
+        self.rt.run_step((self,), self._run)
 
     @property
     def launches(self) -> int:
@@ -276,9 +245,9 @@ def _plan_override(op: LoweredOp, registry: WorkloadRegistry, plan):
     return workload, construct, schedule
 
 
-def _bind_faithful(
+def _bind(
     op: LoweredOp, rt: "Runtime", registry: WorkloadRegistry, plan
-) -> Callable[[], None] | None:
+) -> Callable[[], None]:
     if op.kind == "enter":
         sizes = dict(op.sizes)
         copyin = {n: sizes[n] for n in op.copyin}
@@ -319,69 +288,19 @@ def _bind_faithful(
     raise CompileError(f"cannot bind op kind '{op.kind}'")
 
 
-def _bind_fast(
-    op: LoweredOp, rt: "Runtime", registry: WorkloadRegistry, plan
-) -> Callable[[], None] | None:
-    device = rt.device
-    if op.kind == "compute":
-        workload, construct, schedule = _plan_override(op, registry, plan)
-        # persona lowering happens ONCE, here, instead of per launch
-        cfg = rt.compiler.lower(
-            construct, workload, schedule, rt.flags, async_queue=op.queue
-        )
-        factor = rt.compiler.async_enqueue_factor
-        wait_on, wait_all = op.wait_on, op.wait_all
-
-        def compute_thunk():
-            if wait_all:
-                device.wait(None)
-            for q in wait_on:
-                device.wait(q)
-            device.launch(workload, cfg, enqueue_cost_factor=factor)
-
-        return compute_thunk
-    if op.kind == "update":
-        tag = f"update_{op.direction}:{op.var}"
-        mover = device.d2h if op.direction == "host" else device.h2d
-        n, chunks, queue = op.nbytes, op.chunks, op.queue
-        return lambda: mover(n, name=tag, chunks=chunks, queue=queue)
-    if op.kind == "wait":
-        return lambda: device.wait(op.queue)
-    if op.kind in ("host_write", "host_read"):
-        return None  # pure annotations; nothing records them in fast mode
-    # data-region ops keep real present-table bookkeeping either way
-    return _bind_faithful(op, rt, registry, plan)
-
-
 def bind_ops(
     phase: str,
     ops: Iterable[LoweredOp],
     rt: "Runtime",
     registry: WorkloadRegistry,
     plan: "TuningPlan | None" = None,
-    faithful: bool | None = None,
 ) -> BoundStep:
-    """Bind lowered ops against a live runtime into a :class:`BoundStep`.
-
-    ``faithful=None`` auto-detects: replay through runtime directives
-    whenever something watches them (not :attr:`~repro.acc.runtime.
-    Runtime.unobserved`: a recorder or an enabled tracer must see the
-    schedule), straight-to-device closures otherwise. A fast closure
-    still consults the device's fault injector on every op.
-    """
+    """Bind lowered ops against a live runtime into a :class:`BoundStep`
+    that calls the runtime's directive method for each op."""
     ops = tuple(ops)
-    if faithful is None:
-        faithful = not rt.unobserved
-    binder = _bind_faithful if faithful else _bind_fast
-    tapeable = not faithful and all(op.kind in _TAPEABLE_KINDS for op in ops)
-    step = BoundStep(
-        phase=phase, ops=ops, faithful=faithful, rt=rt if tapeable else None,
+    return BoundStep(
+        phase, ops, rt, [_bind(op, rt, registry, plan) for op in ops]
     )
-    for op in ops:
-        thunk = binder(op, rt, registry, plan)
-        if thunk is not None:
-            step._thunks.append(thunk)
-    return step
 
 
 __all__ = [

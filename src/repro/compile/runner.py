@@ -8,15 +8,10 @@
 then execute the verified :class:`~repro.compile.compiler.BoundPipeline`
 on the pipeline's own runtime.  The bound pipeline interprets the same
 :class:`~repro.core.schedule.Schedule` as the interpreter, one lowered
-step per action.  Binding auto-detects fidelity — a runtime with
-recorders (sanitize sessions) or a live tracer replays faithfully
-through the directive layer; a bare runtime gets the straight-to-device
-closures.
-
-:func:`compiled_steps_for_rank` serves :mod:`repro.core.multigpu`: each
-rank's interior step loop swaps in the compiled ``forward``/``backward``
-steps while halo exchange, snapshots and phase transitions stay with the
-interpreter (they touch live neighbour state).
+step per action, through the runtime's directive methods.
+:class:`~repro.core.multigpu.MultiGpuPipeline` binds each rank's
+compilation (:func:`compiled_for_pipeline`) the same way and drives its
+``forward``/``backward`` steps inside its own exchange loop.
 
 Compilation failures are never silent: :class:`CompileError` propagates.
 A case the *interpreter* also refuses (known-failure persona, OOM on
@@ -29,12 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.compile.compiler import (
-    BoundPipeline,
-    CompiledPipeline,
-    CompileRequest,
-    compile_case,
-)
+from repro.compile.compiler import CompiledPipeline, CompileRequest, compile_case
 from repro.core.schedule import Schedule
 from repro.observe import runlog
 from repro.utils.errors import DeviceOutOfMemoryError
@@ -187,27 +177,8 @@ def run_pipeline_compiled(
     return times
 
 
-def compiled_steps_for_rank(
-    pipe: "OffloadPipeline",
-    mode: str,
-    nt: int,
-    snap_period: int,
-    snapshot_decimate: int = 1,
-) -> BoundPipeline:
-    """Per-rank compiled steps for :class:`~repro.core.multigpu.
-    MultiGpuPipeline`: the caller drives ``steps['forward']`` /
-    ``steps['backward']`` inside its own exchange loop.  Ranks under a
-    sanitize session bind faithfully (their recorders must see every
-    directive)."""
-    compiled = compiled_for_pipeline(
-        pipe, mode, nt, snap_period, snapshot_decimate
-    )
-    return compiled.bind(pipe.rt)
-
-
 __all__ = [
     "clear_cache",
     "compiled_for_pipeline",
     "run_pipeline_compiled",
-    "compiled_steps_for_rank",
 ]

@@ -479,19 +479,19 @@ class MultiGpuPipeline:
         each rank's first step of the phase, after the interpreted
         allocation/swap it must follow.  When the proof refuses, the
         fallback to the interpreter is *loud*: a warning plus the
-        ``multigpu.compiled_fallback`` ledger counter. Ranks under a
-        sanitize session bind faithfully, so their recorders still see
-        every directive.
+        ``multigpu.compiled_fallback`` ledger counter. Compiled steps
+        call the rank runtime's directives, so a sanitize session's
+        recorders still see every one.
         """
         if not self.options.compiled:
             return None
-        from repro.compile.runner import compiled_steps_for_rank
+        from repro.compile.runner import compiled_for_pipeline
 
         bound = [
-            compiled_steps_for_rank(
+            compiled_for_pipeline(
                 rc.pipe, schedule.mode, schedule.nt, schedule.snap_period,
                 schedule.decimate,
-            )
+            ).bind(rc.pipe.rt)
             for rc in self.ranks
         ]
         prologue_ranks = [b.steps.get(PROLOGUE_OF[phase]) for b in bound]

@@ -23,9 +23,9 @@ sequence itself lives in :mod:`repro.core.schedule`; :meth:`~OffloadPipeline.
 perform` maps each of its actions onto one phase method.
 
 A repeated action runs its phase method once per distinct situation and is
-replayed from that run's priced-op tape afterwards (see
-:meth:`~OffloadPipeline.perform`): the schedule repeats the same directives
-step after step, and only the stream timeline moves.
+replayed from that run's priced-op tape afterwards (the runtime's tape
+policy, :meth:`~repro.acc.runtime.Runtime.run_step`): the schedule repeats
+the same directives step after step, and only the stream timeline moves.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.acc.runtime import Runtime, StepTape
+from repro.acc.runtime import Runtime
 from repro.core.config import GpuTimes, GPUOptions
 from repro.core.inventory import field_inventory, primary_wavefield
 from repro.core.schedule import (
@@ -133,8 +133,6 @@ class OffloadPipeline:
         self.imaging_workloads = imaging_condition_workloads(self.shape)
         self._present_names: list[str] = []
         self._phase = "idle"
-        # priced-op tapes of repeated actions (see perform)
-        self._tapes: dict[tuple, StepTape] = {}
 
     @property
     def tracer(self):
@@ -371,31 +369,16 @@ class OffloadPipeline:
         says whether a forward step injects the source (a backward step,
         the receivers); estimate runs always inject.
 
-        While nothing watches the runtime's directives, a repeated action
-        runs its phase method once per key and replays the priced ops it
-        ran (:meth:`~repro.acc.runtime.Runtime.record`) afterwards. The
-        key holds everything the ops depend on: the action and its
-        arguments, the phase, the present-table epoch, and the device's
-        toolkit, host pinning and PCIe link. A step whose ops an armed
-        fault could reach runs its phase method again, keeping the tape
-        (:meth:`~repro.acc.runtime.Runtime.replay` refuses it)."""
-        rt = self.rt
-        if action not in REPEATED_PHASES or not rt.unobserved:
+        A repeated action is one step of the runtime's tape policy
+        (:meth:`~repro.acc.runtime.Runtime.run_step`), keyed by the
+        action, its arguments and the phase; a replayed step still bumps
+        its run-log counter."""
+        if action not in REPEATED_PHASES:
             self._perform(action, step, inject)
-            return
-        device, epoch = rt.device, rt.table_epoch
-        key = (
-            action, inject, step.decimate, self._phase, epoch,
-            device.toolkit, device.pinned_host, device.pcie,
-        )
-        tape = self._tapes.get(key)
-        if tape is None:
-            tape = rt.record(lambda: self._perform(action, step, inject))
-            if rt.table_epoch == epoch:
-                self._tapes[key] = tape
-        elif not rt.replay(tape):
-            self._perform(action, step, inject)
-        elif action in _STEP_COUNTERS:
+        elif self.rt.run_step(
+            (self, action, inject, step.decimate, self._phase),
+            self._perform, action, step, inject,
+        ) and action in _STEP_COUNTERS:
             runlog.count(_STEP_COUNTERS[action])
 
     def _perform(self, action: str, step: Step, inject: bool) -> None:

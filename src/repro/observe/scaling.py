@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.core.cases import CASES, parse_case, space_order_of
+from repro.cases import CASES, parse_case, space_order_of
 from repro.observe.reduce import TraceReduction, reduce_trace
 from repro.utils.errors import ConfigurationError
 

@@ -906,7 +906,7 @@ def request_for_case(
     ``iso3d`` ... — same grammar as the trace CLI), at the benchmark
     inventory's paper-scale grid shape."""
     from repro.bench.workloads import modeling_case
-    from repro.core.cases import parse_case
+    from repro.cases import parse_case
 
     physics, ndim = parse_case(case)
     spec = modeling_case(physics, ndim)

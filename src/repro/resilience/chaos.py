@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cases import CASES, MODES, layered_config, parse_case, space_order_of
+from repro.cases import CASES, MODES, layered_config, parse_case, space_order_of
 from repro.resilience.faults import (
     DEVICE_KINDS,
     MPI_KINDS,

@@ -17,7 +17,7 @@ picks the report (``--json`` is kept as an alias of ``--format json``).
 
 from __future__ import annotations
 
-from repro.core.cases import case_targets, record_args
+from repro.cases import case_targets, record_args
 from repro.sanitize.drivers import sanitize_pipeline, sanitize_script
 from repro.sanitize.fixit import apply_fixes, collect_fixes
 from repro.sanitize.session import SanitizeResult

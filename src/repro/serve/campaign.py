@@ -29,7 +29,7 @@ import json
 
 import numpy as np
 
-from repro.core.cases import SURVEY_CASES, layered_config, parse_survey_case
+from repro.cases import SURVEY_CASES, layered_config, parse_survey_case
 from repro.core.config import RTMConfig
 from repro.core.survey import run_survey, shot_line
 from repro.resilience.faults import FaultPlan, parse_faults

@@ -14,7 +14,7 @@ Perfetto UI is the modelled GPU timeline, not this process's wall clock.
 
 from __future__ import annotations
 
-from repro.core.cases import RECORD_SHAPES, layered_config, parse_case, space_order_of
+from repro.cases import RECORD_SHAPES, layered_config, parse_case, space_order_of
 from repro.trace.export import summary_text, write_jsonl, write_perfetto
 from repro.trace.tracer import Tracer
 from repro.utils.errors import ConfigurationError

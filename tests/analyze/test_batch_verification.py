@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cases import INVENTORY, RECORD_SHAPES
+from repro.cases import INVENTORY, RECORD_SHAPES
 from repro.analyze.dataflow import (
     ReplayVerifier,
     apply_opportunity,

@@ -13,7 +13,7 @@ from repro.analyze.cli import lint_case
 from repro.analyze.dataflow import interpret_program
 from repro.analyze.framework import Severity
 from repro.analyze.rules import rule
-from repro.core.cases import INVENTORY
+from repro.cases import INVENTORY
 from repro.sanitize import sanitize_script
 
 #: rule key -> the fault-seeded script both detectors must flag

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from repro.core.cases import INVENTORY, RECORD_SHAPES
+from repro.cases import INVENTORY, RECORD_SHAPES
 from repro.analyze.dataflow import (
     OpportunityReport,
     apply_opportunity,

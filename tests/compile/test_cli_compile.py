@@ -6,7 +6,7 @@ import pytest
 
 from repro.__main__ import build_parser
 from repro.compile.cli import run_compile_command
-from repro.core.cases import case_targets
+from repro.cases import case_targets
 
 
 def parse(*argv):

@@ -1,4 +1,4 @@
-"""Lowering: events -> LoweredOps -> bound thunks (both fidelities)."""
+"""Lowering: events -> LoweredOps -> steps bound to runtime directives."""
 
 import pytest
 
@@ -15,7 +15,7 @@ from repro.core.modeling import _build_runtime
 from repro.core.config import GPUOptions
 from repro.core.platform import CRAY_K40
 from repro.propagators.workloads import workloads_for
-from repro.utils.errors import CompileError
+from repro.utils.errors import CompileError, PresentTableError
 
 EXTENTS = {"u": 4096, "v": 2048}
 
@@ -104,24 +104,39 @@ class TestBinding:
         rec = ProgramRecorder(name="bound")
         rt.attach_recorder(rec)
         step = bind_ops("test", ops, rt, WorkloadRegistry(pool))
-        assert step.faithful  # recorder attached -> auto-faithful
         step()
         assert [e.kind for e in rec.program.events] == [
             "enter", "compute", "update", "wait", "exit",
         ]
         assert rec.program.events[1].queue is None  # async_=False, not None
 
-    def test_fast_mode_charges_the_device_identically(self):
+    @pytest.mark.parametrize("index", [1, 2], ids=["compute", "update"])
+    def test_absent_array_is_refused(self, index):
         pool = workloads()
-        ops = lower_events(self.events(pool[0].name), {"u": 4096})
-        reg = WorkloadRegistry(pool)
-        rt_a, rt_b = fresh_rt(), fresh_rt()
-        bind_ops("test", ops, rt_a, reg, faithful=True)()
-        fast = bind_ops("test", ops, rt_b, reg)
-        assert not fast.faithful
-        fast()
-        assert rt_b.device.elapsed == pytest.approx(rt_a.device.elapsed)
-        assert rt_b.device.kernel_launches == rt_a.device.kernel_launches
+        ops = lower_events([self.events(pool[0].name)[index]], {"u": 4096})
+        rt = fresh_rt()
+        step = bind_ops("test", ops, rt, WorkloadRegistry(pool))
+        with pytest.raises(PresentTableError, match="'u' is not present"):
+            step()
+        # a tape kept while 'u' was present is not replayed once it left
+        rt.enter_data(copyin={"u": 4096})
+        step()
+        step()
+        rt.exit_data(delete=("u",))
+        with pytest.raises(PresentTableError, match="'u' is not present"):
+            step()
+
+    def test_recorder_attached_after_binding_sees_the_step(self):
+        pool = workloads()
+        ops = lower_events(self.events(pool[0].name)[1:3], {"u": 4096})
+        rt = fresh_rt()
+        rt.enter_data(copyin={"u": 4096})
+        step = bind_ops("test", ops, rt, WorkloadRegistry(pool))
+        step()  # taped while nothing watches
+        rec = ProgramRecorder(name="late")
+        rt.attach_recorder(rec)
+        step()
+        assert [e.kind for e in rec.program.events] == ["compute", "update"]
 
     def test_launch_count_property(self):
         pool = workloads()

@@ -97,8 +97,8 @@ class TestMultiGpu:
         assert all(t.success for t in times)
 
     def test_sanitized_ranks_stay_clean_under_compiled_steps(self):
-        # recorders force faithful binding; the sanitizer must see the
-        # same coherent schedule it sees interpreted
+        # compiled steps call the ranks' directives; the sanitizer must
+        # see the same coherent schedule it sees interpreted
         from repro.sanitize.session import SanitizeSession
 
         def diag_rules(compiled):

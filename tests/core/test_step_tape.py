@@ -87,7 +87,7 @@ def test_tape_replay_equals_per_op_path(case):
     taped, times, log, recorded = _run(case, None)
     traced, ref_times, ref_log, ref_recorded = _run(case, Tracer())
 
-    assert ref_recorded == [] and not traced._tapes  # tracing bypasses the tape
+    assert ref_recorded == [] and not traced.rt._tapes  # tracing bypasses the tape
     assert times == ref_times
     assert times.profile.to_json() == ref_times.profile.to_json()
     assert list(times.categories.items()) == list(ref_times.categories.items())

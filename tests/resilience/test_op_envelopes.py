@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core.cases import CASES
+from repro.cases import CASES
 from repro.core.config import GPUOptions, ModelingConfig, RTMConfig
 from repro.resilience.chaos import (
     CHAOS_SHAPES,

@@ -67,6 +67,12 @@ LAYERS_ABOVE = [
     ("repro.bench", ("analyze", "sanitize", "compile", "serve", "resilience")),
     ("repro.serve", ("analyze", "sanitize", "compile", "bench", "optim")),
     ("repro.compile", ("serve", "bench", "resilience")),
+    # the command shell parses (and refuses) a line before a command loads
+    ("repro.__main__", (
+        "grid", "stencil", "boundary", "model", "source", "propagators",
+        "acc", "gpusim", "trace", "mpisim", "core", "analyze", "sanitize",
+        "observe", "optim", "compile", "serve", "bench", "resilience",
+    )),
 ]
 
 

@@ -15,7 +15,7 @@ from repro.model import layered_model
 from repro.mpisim.comm import SimMPI
 from repro.mpisim.halo import HaloExchanger
 from repro.trace import Tracer, validate_perfetto
-from repro.core.cases import parse_case
+from repro.cases import parse_case
 from repro.trace.cli import trace_case
 from repro.utils.errors import ConfigurationError
 
