@@ -20,8 +20,11 @@ with per-axis 1-D coefficient profiles
 As in the paper we keep :math:`\\kappa_i = 1`, so the per-dimension state is
 exactly *four one-dimensional arrays*: ``(b, a)`` evaluated at integer and at
 half-shifted positions (staggered fields sample the profiles at
-``i + 1/2``). Memory variables :math:`\\psi` are lazily allocated per named
-derivative, so propagators simply write::
+``i + 1/2``). Each is also kept as a view shaped to broadcast along its
+axis, built at construction, so :meth:`CPML.damp` builds nothing per call:
+it only cuts the axis-0 profiles to a live band's rows. Memory variables
+:math:`\\psi` are lazily allocated per named derivative, so propagators
+simply write::
 
     dpdx = staggered_diff_forward(p, axis=1, h)
     dpdx = cpml.damp("dpdx", axis=1, deriv=dpdx, half=True)
@@ -116,6 +119,15 @@ class CPML:
                 per_pos_a[half] = a_arr.astype(DTYPE)
             self.b.append(per_pos_b)
             self.a.append(per_pos_a)
+        #: per axis and half, the ``(b, a)`` profiles as views shaped to
+        #: broadcast along their axis: what :meth:`damp` multiplies by
+        self._profiles = [
+            {
+                half: (self._broadcast(b[half], axis), self._broadcast(a[half], axis))
+                for half in (False, True)
+            }
+            for axis, (b, a) in enumerate(zip(self.b, self.a))
+        ]
         self._psi: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -204,8 +216,7 @@ class CPML:
         if psi is None:
             psi = np.zeros(self.grid.shape, dtype=DTYPE)
             self._psi[name] = psi
-        b = self._broadcast(self.b[axis][half], axis)
-        a = self._broadcast(self.a[axis][half], axis)
+        b, a = self._profiles[axis][half]
         if rows is not None:
             psi = psi[rows]
             if axis == 0:

@@ -32,17 +32,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_REPEATS = 5
 
 
-def _time_best(fn: Callable[[], None], repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock seconds of ``fn`` (GC paused)."""
-    fn()  # warm-up: imports, allocation paths, memoised lowering
-    best = float("inf")
+def _time_best(fns: tuple[Callable[[], None], ...], repeats: int) -> list[float]:
+    """Best-of-``repeats`` wall-clock seconds of each of ``fns`` (GC
+    paused). After one warm-up each (imports, allocation paths, memoised
+    lowering), the repetitions interleave, so a burst of load on the
+    machine lands on every side rather than on one."""
+    for fn in fns:
+        fn()
+    best = [float("inf")] * len(fns)
     enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
+            for i, fn in enumerate(fns):
+                t0 = time.perf_counter()
+                fn()
+                best[i] = min(best[i], time.perf_counter() - t0)
     finally:
         if enabled:
             gc.enable()
@@ -82,12 +87,12 @@ def measure_case(
     per-step host seconds both ways, the speedup, launch counts, and the
     roofline-modelled simulated savings of the applied fusions.
     """
-    interp_total = _time_best(
-        lambda: _run_interpreted(request, options, runtime_factory), repeats
-    )
-
-    compiled_total = _time_best(
-        lambda: compiled.bind(runtime_factory()).run(), repeats
+    interp_total, compiled_total = _time_best(
+        (
+            lambda: _run_interpreted(request, options, runtime_factory),
+            lambda: compiled.bind(runtime_factory()).run(),
+        ),
+        repeats,
     )
     nt = max(1, request.nt)
     interp_step = interp_total / nt

@@ -223,9 +223,9 @@ class Shot:
             amp = self.source.amplitude(n)
             srcs = [(self.source.index, amp)] if amp != 0.0 else []
             self.fwd.step(srcs)
-            self.seismogram[n, :] = self.receivers.record(self.fwd.snapshot_field())
+            field = self.fwd.snapshot_field()
+            self.seismogram[n, :] = self.receivers.record(field)
             if step.snap:
-                field = self.fwd.snapshot_field()
                 self.store.save(n, field)
                 if self.illum is not None:
                     illumination_update(self.illum, field)

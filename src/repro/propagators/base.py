@@ -196,6 +196,8 @@ class Propagator(ABC):
         #: the live band ``(r0, r1)``: None until measured, ``(n0, 0)`` while
         #: every row is +0.0
         self._band: tuple[int, int] | None = None
+        #: the band at the last :meth:`_observed_rows` call
+        self._observed_band: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     # field management
@@ -360,6 +362,22 @@ class Propagator(ABC):
             band = (0, n0)
         self._band = band
         return None if band == (0, n0) else slice(*band)
+
+    def _observed_rows(self) -> slice:
+        """The rows in which an observable derived row by row from the state
+        (the elastic pressure, kept in a buffer) must be recomputed: the live
+        band when it holds the band of the previous call, else every row.
+
+        Outside the band the state is +0.0, and each row there was outside
+        the previous band too, so the buffer already holds what +0.0 state
+        derives to. A band that is not known yet, or re-measured narrower
+        (after :meth:`restore_state` or :meth:`reset`), takes every row once.
+        """
+        band, last = self._band, self._observed_band
+        self._observed_band = band
+        if band is None or last is None or band[0] > last[0] or band[1] < last[1]:
+            return slice(None)
+        return slice(*band)
 
     def _state_arrays(self) -> list[np.ndarray]:
         """Every time-varying array: the fields and C-PML memory variables."""

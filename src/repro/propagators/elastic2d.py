@@ -97,9 +97,15 @@ class ElasticPropagator2D(Propagator):
 
     def snapshot_field(self) -> np.ndarray:
         """Pressure-like observable ``-(sxx + szz)/2`` (what a hydrophone in
-        the solid would sense; the RTM imaging condition correlates it)."""
-        np.add(self.sxx, self.szz, out=self._pressure)
-        self._pressure *= np.float32(-0.5)
+        the solid would sense; the RTM imaging condition correlates it).
+
+        The returned array is the propagator's buffer, recomputed over the
+        live band only (:meth:`_observed_rows`): read or copy it, never
+        write it."""
+        rows = self._observed_rows()
+        p = self._pressure[rows]
+        np.add(self.sxx[rows], self.szz[rows], out=p)
+        p *= np.float32(-0.5)
         return self._pressure
 
     def _add_pressure(self, indices, amplitudes, scale) -> None:

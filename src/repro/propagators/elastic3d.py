@@ -96,10 +96,14 @@ class ElasticPropagator3D(Propagator):
         self._pressure = np.zeros(self.grid.shape, dtype=DTYPE)
 
     def snapshot_field(self) -> np.ndarray:
-        """Pressure-like observable ``-(sxx + syy + szz)/3``."""
-        np.add(self.sxx, self.syy, out=self._pressure)
-        self._pressure += self.szz
-        self._pressure *= np.float32(-1.0 / 3.0)
+        """Pressure-like observable ``-(sxx + syy + szz)/3``, in the
+        propagator's buffer, recomputed over the live band only (as in
+        :meth:`ElasticPropagator2D.snapshot_field`)."""
+        rows = self._observed_rows()
+        p = self._pressure[rows]
+        np.add(self.sxx[rows], self.syy[rows], out=p)
+        p += self.szz[rows]
+        p *= np.float32(-1.0 / 3.0)
         return self._pressure
 
     def _add_pressure(self, indices, amplitudes, scale) -> None:

@@ -9,6 +9,17 @@ feeds back into the physics.
 All operators are pure NumPy slice arithmetic — views, not copies — so a
 single fused expression per axis keeps memory traffic at the theoretical
 minimum the roofline model in :mod:`repro.gpusim` assumes.
+
+The set-up of a call is built once, as devito builds a stencil operator
+once and applies it every time step: each call looks up the memoised
+*plan* of its (operator, ndim, axis, order, spacing and its type, scalar
+type) — the slice tuples and the coefficient scalars it applies
+(:func:`_plan`). Slice stops count from the end of the axis, so the key
+holds no length: one plan serves every length, and a live band growing
+through many row counts adds no entry. The axis length is still checked
+on every call. A planned call runs the same ufunc sequence on the same
+scalars as building them per call did, so its results are bitwise those
+of the per-call form (``tests/stencil/test_plans.py``).
 """
 
 from __future__ import annotations
@@ -37,6 +48,62 @@ def _axis_slice(ndim: int, axis: int, sl: slice) -> tuple[slice, ...]:
     return tuple(out)
 
 
+#: One plan per (operator, ndim, axis, order, spacing, type(spacing),
+#: scalar type of the field): see :func:`_plan`. The spacing's type is part
+#: of the key because the coefficient arithmetic follows it (``1.0 /
+#: np.float32(h)`` rounds in float32), so a float spacing and an equal
+#: ``np.float32`` one give different bits.
+_PLANS: dict[tuple, tuple] = {}
+
+
+def _build_plan(op: str, ndim: int, axis: int, order: int, spacing, scal) -> tuple:
+    """The slices and coefficients of one operator call, for any axis
+    length: every slice stop counts from the end of the axis.
+
+    ``"second"`` gives ``(need, center, c0, terms)``, ``"forward"`` and
+    ``"backward"`` give ``(need, target, terms)``: ``need`` is the shortest
+    axis the operator accepts, and each term is ``(coefficient, hi, lo)``
+    with the coefficient a ``scal`` scalar (the field's precision).
+    """
+    m = stencil_radius(order)
+
+    def sl(start: int, from_end: int) -> tuple[slice, ...]:
+        return _axis_slice(ndim, axis, slice(start, -from_end or None))
+
+    if op == "second":
+        c0, side = second_derivative_coefficients(order)
+        inv_h2 = 1.0 / (spacing * spacing)
+        terms = tuple(
+            (scal(ck * inv_h2), sl(m + k, m - k), sl(m - k, m + k))
+            for k, ck in enumerate(side, start=1)
+        )
+        return 2 * m + 1, sl(m, m), scal(c0 * inv_h2), terms
+    inv_h = 1.0 / spacing
+    terms = tuple(
+        (scal(ck * inv_h), sl(m - 1 + k, m - k), sl(m - k, m + k - 1))
+        for k, ck in enumerate(staggered_coefficients(order), start=1)
+    )
+    if op == "forward":
+        return 2 * m, sl(m - 1, m), terms
+    return 2 * m + 1, sl(m, m - 1), terms
+
+
+def _plan(op: str, u: np.ndarray, axis: int, spacing, order: int) -> tuple:
+    """The memoised plan of ``op`` for ``u``, after checking that ``u`` is
+    long enough along ``axis`` (on every call: a plan fits any length)."""
+    scal = u.dtype.type
+    key = (op, u.ndim, axis, order, spacing, type(spacing), scal)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _build_plan(op, u.ndim, axis, order, spacing, scal)
+    n = u.shape[axis]
+    if n < plan[0]:
+        raise ConfigurationError(
+            f"axis {axis} has {n} points, needs >= {plan[0]} for order {order}"
+        )
+    return plan
+
+
 def second_derivative(
     u: np.ndarray,
     axis: int,
@@ -52,25 +119,13 @@ def second_derivative(
     is added to ``out`` instead of overwriting — that is how
     :func:`laplacian` fuses the axis contributions without temporaries.
     """
-    m = stencil_radius(order)
-    n = u.shape[axis]
-    if n < 2 * m + 1:
-        raise ConfigurationError(
-            f"axis {axis} has {n} points, needs >= {2 * m + 1} for order {order}"
-        )
-    c0, side = second_derivative_coefficients(order)
-    inv_h2 = 1.0 / (spacing * spacing)
-    ndim = u.ndim
-    center = _axis_slice(ndim, axis, slice(m, n - m))
+    _, center, c0, terms = _plan("second", u, axis, spacing, order)
     if out is None:
         out = np.zeros_like(u)
         accumulate = False
-    scal = u.dtype.type  # keep scalar precision matched to the field
-    acc = np.multiply(u[center], scal(c0 * inv_h2))
-    for k, ck in enumerate(side, start=1):
-        up = u[_axis_slice(ndim, axis, slice(m + k, n - m + k))]
-        dn = u[_axis_slice(ndim, axis, slice(m - k, n - m - k))]
-        acc += scal(ck * inv_h2) * (up + dn)
+    acc = np.multiply(u[center], c0)
+    for ck, up, dn in terms:
+        acc += ck * (u[up] + u[dn])
     if accumulate:
         out[center] += acc
     else:
@@ -103,6 +158,19 @@ def laplacian(
     return out
 
 
+def _staggered(u: np.ndarray, out: np.ndarray | None, target, terms) -> np.ndarray:
+    """Apply a staggered plan: the sum of ``coefficient * (hi - lo)`` terms
+    into ``out[target]``."""
+    if out is None:
+        out = np.zeros_like(u)
+    acc = None
+    for ck, hi, lo in terms:
+        term = ck * (u[hi] - u[lo])
+        acc = term if acc is None else acc + term
+    out[target] = acc
+    return out
+
+
 def staggered_diff_forward(
     u: np.ndarray,
     axis: int,
@@ -116,27 +184,8 @@ def staggered_diff_forward(
     ``D+ u[i] = (1/h) * sum_m c_m (u[i+m] - u[i-m+1])``.
     Valid for ``i`` in ``m-1 .. n-m-1``.
     """
-    m = stencil_radius(order)
-    n = u.shape[axis]
-    if n < 2 * m:
-        raise ConfigurationError(
-            f"axis {axis} has {n} points, needs >= {2 * m} for order {order}"
-        )
-    coefs = staggered_coefficients(order)
-    inv_h = 1.0 / spacing
-    ndim = u.ndim
-    target = _axis_slice(ndim, axis, slice(m - 1, n - m))
-    if out is None:
-        out = np.zeros_like(u)
-    scal = u.dtype.type
-    acc = None
-    for k, ck in enumerate(coefs, start=1):
-        hi = u[_axis_slice(ndim, axis, slice(m - 1 + k, n - m + k))]
-        lo = u[_axis_slice(ndim, axis, slice(m - k, n - m - k + 1))]
-        term = scal(ck * inv_h) * (hi - lo)
-        acc = term if acc is None else acc + term
-    out[target] = acc
-    return out
+    _, target, terms = _plan("forward", u, axis, spacing, order)
+    return _staggered(u, out, target, terms)
 
 
 def staggered_diff_backward(
@@ -154,27 +203,8 @@ def staggered_diff_backward(
     ``D- u[i] = (1/h) * sum_m c_m (u[i+m-1] - u[i-m])``.
     Valid for ``i`` in ``m .. n-m``.
     """
-    m = stencil_radius(order)
-    n = u.shape[axis]
-    if n < 2 * m + 1:
-        raise ConfigurationError(
-            f"axis {axis} has {n} points, needs >= {2 * m + 1} for order {order}"
-        )
-    coefs = staggered_coefficients(order)
-    inv_h = 1.0 / spacing
-    ndim = u.ndim
-    target = _axis_slice(ndim, axis, slice(m, n - m + 1))
-    if out is None:
-        out = np.zeros_like(u)
-    scal = u.dtype.type
-    acc = None
-    for k, ck in enumerate(coefs, start=1):
-        hi = u[_axis_slice(ndim, axis, slice(m + k - 1, n - m + k))]
-        lo = u[_axis_slice(ndim, axis, slice(m - k, n - m - k + 1))]
-        term = scal(ck * inv_h) * (hi - lo)
-        acc = term if acc is None else acc + term
-    out[target] = acc
-    return out
+    _, target, terms = _plan("backward", u, axis, spacing, order)
+    return _staggered(u, out, target, terms)
 
 
 # ----------------------------------------------------------------------

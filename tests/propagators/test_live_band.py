@@ -5,7 +5,8 @@ propagator whose band is pinned to the whole grid before each step is the
 reference. After every operation, every field and C-PML memory variable
 of the banded propagator must equal the reference's bit for bit (compared
 as ``uint32``, so -0.0 differs from +0.0), and every row outside the band
-must be +0.0.
+must be +0.0. After every step the observable (``snapshot_field``, which
+the elastic propagators derive over the band only) must match too.
 """
 
 from __future__ import annotations
@@ -59,6 +60,14 @@ def _assert_same_state(banded, full) -> None:
             mf.get(name, zero).view(np.uint32),
             err_msg=name,
         )
+
+
+def _assert_same_observable(banded, full) -> None:
+    np.testing.assert_array_equal(
+        banded.snapshot_field().view(np.uint32),
+        full.snapshot_field().view(np.uint32),
+        err_msg="snapshot_field",
+    )
 
 
 def _assert_zero_outside_band(p) -> None:
@@ -189,6 +198,8 @@ def test_band_steps_bitwise_like_the_full_grid(case, data):
         _apply(full, kind, arg, caps_f, _full_step)
         _assert_same_state(banded, full)
         _assert_zero_outside_band(banded)
+        if kind == "step":
+            _assert_same_observable(banded, full)
 
 
 def test_band_inside_the_interior_keeps_the_absorbing_formula():
@@ -234,13 +245,15 @@ def test_negative_zero_is_live(case):
         banded.step(src)
         _full_step(full, src)
         _assert_same_state(banded, full)
+        _assert_same_observable(banded, full)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_restore_measures_the_band_again(case):
     """Restoring a capture whose live rows lie outside the current band (a
     reset and a source elsewhere came between) measures the band anew,
-    and the narrower band it finds steps exactly."""
+    and the narrower band it finds steps exactly; the observable derived
+    over the band forgets the rows the new band leaves out."""
     banded, full = _small_pair(case)
     deep, shallow = [(_at(34, banded), 1.0)], [(_at(4, banded), 1.0)]
     ops = (
@@ -254,6 +267,8 @@ def test_restore_measures_the_band_again(case):
         _apply(full, kind, arg, caps_f, _full_step)
         _assert_same_state(banded, full)
         _assert_zero_outside_band(banded)
+        if kind == "step":
+            _assert_same_observable(banded, full)
 
 
 def test_rebinding_u_from_outside_leaves_no_stale_view():
