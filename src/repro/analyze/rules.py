@@ -13,7 +13,7 @@ trivially matchable (the static rule id is ``<code>-<key>``, e.g.
 ``DF0xx`` codes mirror the sanitizer's five dynamic rules; ``DF1xx``
 codes are static-only cross-rank findings (message matching and deadlock
 detection have no dynamic counterpart — a deadlocked run never returns).
-``DF2xx`` codes are static-only verification findings: ``DF201``-``DF204``
+``DF2xx`` codes are static-only verification findings: ``DF201``-``DF203``
 are emitted by the translation validator (:mod:`repro.compile.validate`),
 which proves a compiled pipeline's lowered schedule simulates the
 recorded program, and ``DF210``/``DF211`` by the capacity prover
@@ -228,21 +228,6 @@ _RULES = (
         ),
         alt_message=None,
         anchor="fused-access-overlap",
-    ),
-    Rule(
-        key="cross-rank-reorder",
-        code="DF204",
-        severity=Severity.ERROR,
-        dynamic_pass=None,
-        static_pass="translation-validate",
-        title="Per-rank reorder perturbs the message schedule",
-        message=(
-            "rank {rank}'s reordered schedule changes its send/recv "
-            "sequence ({detail}) — the cross-rank matching recorded by the "
-            "interpreter no longer holds"
-        ),
-        alt_message=None,
-        anchor="cross-rank-reorder",
     ),
     Rule(
         key="device-over-capacity",

@@ -9,7 +9,7 @@ One command, two static provers over a case's recorded schedule:
   any allocation happens;
 * the **translation validator** (:mod:`repro.compile.validate`) compiles
   the case and re-proves, per recorded instance, that the lowered
-  per-phase steps simulate the recorded program (``DF201``-``DF204``) —
+  per-phase steps simulate the recorded program (``DF201``-``DF203``) —
   the same gate :func:`~repro.compile.compiler.compile_case` runs before
   the bitwise replay backstop.
 

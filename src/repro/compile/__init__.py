@@ -25,11 +25,8 @@ Guarantees:
   effective maxregcount.
 
 Entry points: ``python -m repro compile CASE|all`` (see
-:mod:`repro.compile.cli`), the ``GPUOptions.compiled`` fast path wired
-into :func:`repro.core.pipeline.run_pipeline_modeling` /
-:func:`~repro.core.pipeline.run_pipeline_rtm` and
-:class:`~repro.core.multigpu.MultiGpuPipeline`
-(:mod:`repro.compile.runner`), and the wall-clock benchmark behind
+:mod:`repro.compile.cli`), :func:`compile_case` followed by
+``.bind(runtime).run()``, and the wall-clock benchmark behind
 ``BENCH_step.json`` (:mod:`repro.compile.bench`).
 """
 
@@ -55,11 +52,6 @@ from repro.compile.lower import (
     bind_ops,
     lower_events,
 )
-from repro.compile.runner import (
-    clear_cache,
-    compiled_for_pipeline,
-    run_pipeline_compiled,
-)
 
 __all__ = [
     "AppliedOpportunity",
@@ -74,13 +66,10 @@ __all__ = [
     "WorkloadRegistry",
     "apply_to_template",
     "bind_ops",
-    "clear_cache",
     "compile_case",
-    "compiled_for_pipeline",
     "lower_events",
     "measure_case",
     "opportunities_from_artifact",
     "record_segments",
-    "run_pipeline_compiled",
     "select_opportunities",
 ]

@@ -5,7 +5,7 @@ This is the front half of :mod:`repro.compile` (the back half —
 closures).  The pipeline is:
 
 1. **Segmented recording** (:func:`record_segments`) — interpret the
-   :class:`~repro.core.schedule.Schedule` on a twin runtime + :class:`~
+   :class:`~repro.core.schedule.Schedule` on a fresh runtime + :class:`~
    repro.analyze.recorder.ProgramRecorder`, marking which event range
    each schedule action produced.
 2. **Template extraction** — every repeated phase (forward step,
@@ -24,7 +24,7 @@ closures).  The pipeline is:
    :func:`~repro.analyze.dataflow.apply_opportunity`; hoisted updates
    move to a phase prologue that runs once.
 5. **Verification gate** (inside :func:`compile_case`) — the compiled
-   schedule is run on a fresh twin under a recorder and
+   schedule is run on a fresh runtime under a recorder and
    its :func:`~repro.analyze.dataflow.replay_fingerprint` must be
    bitwise-identical to the interpreted program's.  Failure raises
    :class:`~repro.utils.errors.CompileError`; an unverified
@@ -200,50 +200,32 @@ def _default_runtime_factory(
     return lambda: _build_runtime(options, plat)
 
 
-def _twin_pipeline(source: "OffloadPipeline", rt: "Runtime", options: GPUOptions):
-    """A shallow twin of ``source`` on a fresh runtime: same workloads and
-    inventory, private phase/present bookkeeping, never itself compiled."""
-    import copy
-
-    twin = copy.copy(source)
-    twin.rt = rt
-    twin.options = options
-    twin._present_names = []
-    twin._phase = "idle"
-    return twin
-
-
 def record_segments(
     request: CompileRequest,
     options: GPUOptions,
     runtime_factory: Callable[[], "Runtime"],
-    source_pipeline: "OffloadPipeline | None" = None,
     name: str | None = None,
 ) -> SegmentedRecording:
     """Record the interpreted schedule with per-phase event boundaries:
     one :class:`Segment` per schedule action.  Failures are *not* soft
     here: a known-failure persona raises :class:`CompileError` and device
-    OOM propagates (callers map both onto the interpreter's
-    ``failed_times`` semantics).
+    OOM propagates.
     """
     from repro.core.pipeline import OffloadPipeline
 
     rt = runtime_factory()
     recorder = ProgramRecorder(name=name or request.name)
     rt.attach_recorder(recorder)
-    if source_pipeline is not None:
-        pipe = _twin_pipeline(source_pipeline, rt, options)
-    else:
-        pipe = OffloadPipeline(
-            rt,
-            request.physics,
-            request.shape,
-            nreceivers=request.nreceivers,
-            space_order=request.space_order,
-            boundary_width=request.boundary_width,
-            options=options,
-            pml_variant=request.pml_variant,
-        )
+    pipe = OffloadPipeline(
+        rt,
+        request.physics,
+        request.shape,
+        nreceivers=request.nreceivers,
+        space_order=request.space_order,
+        boundary_width=request.boundary_width,
+        options=options,
+        pml_variant=request.pml_variant,
+    )
     schedule = request.schedule
     if schedule.known_failure(rt.compiler, pipe.physics, pipe.ndim):
         raise CompileError(
@@ -806,8 +788,6 @@ def compile_case(
     platform: "Platform | None" = None,
     plan: "TuningPlan | None" = None,
     artifact: dict | None = None,
-    runtime_factory: Callable[[], "Runtime"] | None = None,
-    source_pipeline: "OffloadPipeline | None" = None,
 ) -> CompiledPipeline:
     """Lower one case's recorded schedule into a verified
     :class:`CompiledPipeline`.
@@ -820,20 +800,13 @@ def compile_case(
     any failure to prove equivalence; the returned object always has
     ``verified=True``.
     """
-    if source_pipeline is not None:
-        base = source_pipeline.options
-    else:
-        base = options if options is not None else GPUOptions()
-    base = replace(base, compiled=False)
+    base = options if options is not None else GPUOptions()
     if plan is not None:
         base = options_with_plan(base, plan)
     active_plan = base.plan
-    if runtime_factory is None:
-        runtime_factory = _default_runtime_factory(base, platform)
+    runtime_factory = _default_runtime_factory(base, platform)
 
-    recording = record_segments(
-        request, base, runtime_factory, source_pipeline=source_pipeline
-    )
+    recording = record_segments(request, base, runtime_factory)
     program = recording.program
     sha = program.sha()
     if artifact is not None:
@@ -891,7 +864,7 @@ def compile_case(
         cross_variants=cross_variants,
     )
     _validate_compiled_or_raise(compiled, recording)
-    _verify_compiled(compiled, base, runtime_factory, source_pipeline, program)
+    _verify_compiled(compiled, runtime_factory, program)
     return compiled
 
 
@@ -973,13 +946,11 @@ def _applied_record(
 
 def _verify_compiled(
     compiled: CompiledPipeline,
-    options: GPUOptions,
     runtime_factory: Callable[[], "Runtime"],
-    source_pipeline: "OffloadPipeline | None",
     interpreted: DirectiveProgram,
 ) -> None:
     """The bitwise gate: run the compiled schedule under a recorder on a
-    fresh twin and demand fingerprint equality with the interpreted
+    fresh runtime and demand fingerprint equality with the interpreted
     program.  Mutates ``compiled.verified`` on success."""
     rt = runtime_factory()
     recorder = ProgramRecorder(name=f"{compiled.request.name}-compiled")

@@ -4,8 +4,7 @@ simulates the recorded program.
 The compiler (:mod:`repro.compile.compiler`) historically had exactly one
 safety argument: bitwise replay.  That gate is sound but blind — it can
 only *refuse* what it cannot replay, so every cross-phase fusion was
-skipped and the multi-GPU driver fell back to the interpreter whenever a
-prologue hoist appeared.  This module adds the missing static half: a
+skipped.  This module adds the missing static half: a
 simulation relation between the lowered per-phase op lists of a
 :class:`~repro.compile.compiler.CompiledPipeline` and the recorded
 :class:`~repro.analyze.program.DirectiveProgram`, checked obligation by
@@ -29,10 +28,6 @@ Proof obligations, each with its ``DF2xx`` rule
     the moved half of a fused kernel carries its access set past every
     intervening event; any read/write conflict on the way refutes the
     fusion.
-``DF204`` *cross-rank-reorder*
-    lifting a prologue into a multi-GPU schedule must leave every rank's
-    send/recv sequence — and hence the cross-rank message matching of
-    :func:`~repro.analyze.dataflow.crossrank.match_messages` — unchanged.
 
 :func:`validate_opportunity` checks one opportunity on one program (the
 unit the cross-check tests compare against replay verification);
@@ -45,7 +40,7 @@ strictly more conservative, never admitting what replay rejects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.analyze.dataflow.graph import DependenceGraph
 from repro.analyze.framework import Diagnostic, Severity
@@ -56,7 +51,6 @@ from repro.core.schedule import PROLOGUE_GATE, PROLOGUE_OF, REPEATED_PHASES
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analyze.dataflow.opportunities import OptimizationOpportunity
     from repro.compile.compiler import CompiledPipeline, SegmentedRecording
-    from repro.compile.lower import LoweredOp
 
 PASS_NAME = "translation-validate"
 
@@ -535,78 +529,9 @@ def validate_compiled(
     return report
 
 
-# ----------------------------------------------------------------------
-# cross-rank reorder proof (the multi-GPU prologue lift)
-# ----------------------------------------------------------------------
-def prologue_lift_proof(
-    prologue_ops_by_rank: Sequence[Iterable["LoweredOp"]],
-    exchanged: Iterable[str],
-) -> list[Diagnostic]:
-    """``DF204``: prove that running each rank's hoisted prologue ahead
-    of the stepping loop leaves the cross-rank message schedule intact.
-
-    The multi-GPU driver's halo exchange is the only cross-rank traffic;
-    a prologue is liftable iff it carries no send/recv of its own and
-    touches no exchanged field (a hoisted update of a halo-exchanged
-    array would reorder against every exchange of the loop it left).
-    An empty return admits the lift.
-    """
-    exchanged = set(exchanged)
-    diags: list[Diagnostic] = []
-    for rank, ops in enumerate(prologue_ops_by_rank):
-        for op in ops:
-            if op.kind in ("send", "recv"):
-                diags.append(_diag(
-                    "cross-rank-reorder",
-                    rank=rank,
-                    detail=(
-                        f"the prologue itself performs a {op.kind} of "
-                        f"'{op.var}'"
-                    ),
-                    var=op.var,
-                ))
-            elif op.kind == "update" and op.var in exchanged:
-                diags.append(_diag(
-                    "cross-rank-reorder",
-                    rank=rank,
-                    detail=(
-                        f"hoisted update {op.direction} of exchanged "
-                        f"field '{op.var}' moves across the halo exchange"
-                    ),
-                    var=op.var,
-                ))
-    return diags
-
-
-def message_schedule_preserved(
-    pre: list[DirectiveProgram], post: list[DirectiveProgram]
-) -> bool:
-    """Whether two multi-rank schedules carry the same message matching:
-    per-channel ordered payload sequences and unmatched counts agree
-    (the formal ceremony behind :func:`prologue_lift_proof`, exercised
-    directly by the validator tests on synthetic reorders)."""
-    from repro.analyze.dataflow.crossrank import match_messages
-
-    def signature(programs: list[DirectiveProgram]):
-        match = match_messages(programs)
-        channels: dict[tuple, list] = {}
-        for pair in match.pairs:
-            key = (pair.send[0], pair.recv[0])
-            channels.setdefault(key, []).append(pair.var)
-        return (
-            {k: tuple(v) for k, v in channels.items()},
-            len(match.unmatched_sends),
-            len(match.unmatched_recvs),
-        )
-
-    return signature(pre) == signature(post)
-
-
 __all__ = [
     "PASS_NAME",
     "ValidationReport",
     "validate_opportunity",
     "validate_compiled",
-    "prologue_lift_proof",
-    "message_schedule_preserved",
 ]

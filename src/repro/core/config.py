@@ -52,9 +52,9 @@ class GPUOptions:
     #: refuse to run when :mod:`repro.sanitize` finds coherence/ghost/race
     #: hazards in a sanitized dry run of this configuration's schedule
     sanitize: bool = False
-    #: refuse to run when the static validators (:mod:`repro.analyze.capacity`
-    #: and, for compiled runs, :mod:`repro.compile.validate`) find DF2xx
-    #: errors — e.g. a proven device OOM — before any allocation happens
+    #: refuse to run when the capacity prover (:mod:`repro.analyze.capacity`)
+    #: finds DF2xx errors — e.g. a proven device OOM — before any
+    #: allocation happens
     strict_validate: bool = False
     #: per-kernel schedule overrides from the closed-loop tuner (a
     #: :class:`~repro.optim.autotune.TuningPlan`, or any object exposing
@@ -64,10 +64,6 @@ class GPUOptions:
     #: :func:`repro.optim.autotune.options_with_plan`, which also applies
     #: the plan's global ``maxregcount``/async choices
     plan: Any = None
-    #: execute through :mod:`repro.compile`: the schedule is lowered to a
-    #: fused, bitwise-verified step function instead of being interpreted
-    #: directive-by-directive (estimate-mode drivers only)
-    compiled: bool = False
 
 
 @dataclass

@@ -31,7 +31,7 @@ from repro.core.config import GpuTimes, GPUOptions
 from repro.core.inventory import device_resident_bytes
 from repro.core.pipeline import OffloadPipeline
 from repro.core.platform import CRAY_K40, Platform
-from repro.core.schedule import PROLOGUE_OF, Schedule
+from repro.core.schedule import Schedule
 from repro.core.shot import _build_runtime
 from repro.gpusim.kernelmodel import estimate_kernel_time
 from repro.gpusim.memory import DeviceMemory
@@ -466,85 +466,6 @@ class MultiGpuPipeline:
         runlog.count("multigpu.exchanges")
 
     # ------------------------------------------------------------------
-    def _compiled_steps(self, schedule: Schedule, phase: str):
-        """Per-rank compiled step callables for ``phase`` when
-        ``options.compiled`` is set, else None (interpreted).
-
-        Only the interior step loop compiles — halo exchange, snapshots
-        and phase transitions stay interpreted because they touch live
-        neighbour state. A compilation that produced phase prologues
-        (hoisted updates) is admitted when the translation validator's
-        cross-rank reorder proof (``DF204``) shows the prologue touches
-        no halo-exchanged field: the prologue then runs lazily before
-        each rank's first step of the phase, after the interpreted
-        allocation/swap it must follow.  When the proof refuses, the
-        fallback to the interpreter is *loud*: a warning plus the
-        ``multigpu.compiled_fallback`` ledger counter. Compiled steps
-        call the rank runtime's directives, so a sanitize session's
-        recorders still see every one.
-        """
-        if not self.options.compiled:
-            return None
-        from repro.compile.runner import compiled_for_pipeline
-
-        bound = [
-            compiled_for_pipeline(
-                rc.pipe, schedule.mode, schedule.nt, schedule.snap_period,
-                schedule.decimate,
-            ).bind(rc.pipe.rt)
-            for rc in self.ranks
-        ]
-        prologue_ranks = [b.steps.get(PROLOGUE_OF[phase]) for b in bound]
-        if any(p is not None for p in prologue_ranks):
-            from repro.analyze.framework import Severity
-            from repro.compile.validate import prologue_lift_proof
-
-            exchanged = {self.primary, self._backward_name()}
-            diags = prologue_lift_proof(
-                [tuple(p.ops) if p is not None else () for p in prologue_ranks],
-                exchanged,
-            )
-            if any(d.severity >= Severity.ERROR for d in diags):
-                import warnings
-
-                reasons = "; ".join(d.message for d in diags[:2])
-                warnings.warn(
-                    f"multi-GPU {phase} falls back to the interpreter: "
-                    f"the prologue lift fails the cross-rank reorder "
-                    f"proof (DF204): {reasons}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                runlog.count("multigpu.compiled_fallback")
-                runlog.emit(
-                    "compiled.fallback", phase=phase, rule="DF204",
-                    reasons=reasons,
-                )
-                return None
-
-            def lift(step, prologue):
-                ran = [False]
-
-                def call() -> None:
-                    if prologue is not None and not ran[0]:
-                        ran[0] = True
-                        prologue()
-                    step()
-
-                return call
-
-            runlog.emit(
-                "compiled", ranks=len(bound), phase=phase,
-                prologue_lifted=True,
-            )
-            return [
-                lift(b.steps[phase], p)
-                for b, p in zip(bound, prologue_ranks)
-            ]
-        runlog.emit("compiled", ranks=len(bound), phase=phase)
-        return [b.steps[phase] for b in bound]
-
-    # ------------------------------------------------------------------
     def run(
         self,
         nt: int,
@@ -558,15 +479,12 @@ class MultiGpuPipeline:
         across all ranks, then the actions after."""
         schedule = Schedule(mode, nt, snap_period, snapshot_decimate)
         runlog.emit("run", op=mode, nt=nt, ranks=len(self.ranks))
-        kernels = ("forward", "backward") if mode == "rtm" else ("forward",)
-        compiled = {phase: self._compiled_steps(schedule, phase) for phase in kernels}
         for step in schedule:
             for rc in self.ranks:
                 for action in step.pre:
                     rc.pipe.perform(action, step)
-            steps = compiled.get(step.kind)
-            for r, rc in enumerate(self.ranks):
-                steps[r]() if steps else rc.pipe.perform(step.kind, step)
+            for rc in self.ranks:
+                rc.pipe.perform(step.kind, step)
             if step.n is not None:  # a time step: swap the fresh halos
                 self.exchange(
                     self.primary if step.kind == "forward"

@@ -423,19 +423,11 @@ def run_schedule(pipeline: OffloadPipeline, schedule: Schedule) -> GpuTimes:
     """Estimate mode (no physics): interpret ``schedule`` on the pipeline.
 
     A known compiler failure or a device OOM while building residency
-    yields the failed record; ``options.compiled`` hands the schedule to
-    the verified compiled pipeline instead."""
+    yields the failed record."""
     if schedule.known_failure(
         pipeline.options.compiler, pipeline.physics, pipeline.ndim
     ):
         return failed_times("compiler")
-    if pipeline.options.compiled:
-        from repro.compile.runner import run_pipeline_compiled
-
-        return run_pipeline_compiled(
-            pipeline, schedule.mode, schedule.nt, schedule.snap_period,
-            schedule.decimate,
-        )
     for step in schedule:
         for action in step.actions:
             try:

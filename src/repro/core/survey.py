@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.config import GPUOptions, GpuTimes, RTMConfig
 from repro.core.imaging import mute_shallow, normalize_image
 from repro.core.platform import CRAY_K40, Platform
-from repro.core.rtm import estimate_rtm, run_rtm
+from repro.core.rtm import run_rtm
 from repro.model.earth_model import EarthModel
 from repro.trace.tracer import Tracer
 from repro.utils.errors import ConfigurationError
@@ -63,12 +63,6 @@ def run_survey(
     default depth, shot x-index). The stack is normalised and muted once at
     the end (per-shot normalisation would over-weight poorly illuminated
     shots).
-
-    With ``gpu_options.compiled`` the timing side runs through the
-    memoised compiled pipeline (:func:`repro.compile.runner.
-    compiled_for_pipeline`): every shot shares one schedule shape, so the
-    survey compiles exactly once and the remaining shots are cache hits.
-    Physics is unchanged — the propagators never see the pipeline.
     """
     if config.model is None:
         raise ConfigurationError("run_survey needs an EarthModel")
@@ -87,34 +81,12 @@ def run_survey(
     for x in xs:
         if not 0 <= x < config.model.grid.shape[1]:
             raise ConfigurationError(f"shot x-index {x} outside the grid")
-        shot_cfg = config.for_shot(x)
-        if gpu_options is not None and gpu_options.compiled:
-            # compiled fast path: physics pipeline-free, timing from the
-            # memoised compiled schedule (identical across shots — one
-            # compilation per survey, cache hits for the rest)
-            result = run_rtm(shot_cfg, gpu_options=None, platform=platform)
-            nrecv = result.seismogram.shape[1]
-            times = estimate_rtm(
-                config.physics.lower(),
-                config.model.grid.shape,
-                config.nt,
-                snap_period=result.extras["snap_period"],
-                platform=platform,
-                options=gpu_options,
-                nreceivers=nrecv,
-                space_order=config.space_order,
-                boundary_width=config.boundary_width,
-                pml_variant=config.pml_variant,
-                tracer=tracer,
-            )
-            gpu_times.append(times)
-        else:
-            result = run_rtm(
-                shot_cfg, gpu_options=gpu_options, platform=platform,
-                tracer=tracer,
-            )
-            if result.gpu is not None:
-                gpu_times.append(result.gpu)
+        result = run_rtm(
+            config.for_shot(x), gpu_options=gpu_options, platform=platform,
+            tracer=tracer,
+        )
+        if result.gpu is not None:
+            gpu_times.append(result.gpu)
         shot_images.append(result.raw_image)
         stacked += result.raw_image
     mute = (

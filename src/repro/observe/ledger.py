@@ -47,6 +47,27 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _numbers(doc: dict, key: str) -> dict[str, float]:
+    """``doc[key]`` (``metrics`` or ``counters``) as floats: a JSON object
+    of numbers, booleans refused (``true`` would read as 1.0)."""
+    values = doc.get(key, {})
+    if not isinstance(values, dict):
+        raise TypeError(f"{key} is not an object")
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{key}[{name!r}] = {value!r} is not a number")
+    return {name: float(value) for name, value in values.items()}
+
+
+def _integer(doc: dict, key: str, default: int) -> int:
+    """``doc[key]`` (``ranks`` or ``schema``): a JSON integer, not a
+    boolean or a float that ``int()`` would truncate."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} {value!r} is not an integer")
+    return value
+
+
 @dataclass
 class LedgerRecord:
     """One observed run."""
@@ -92,18 +113,32 @@ class LedgerRecord:
 
     @staticmethod
     def from_json(doc: dict) -> "LedgerRecord":
+        """The record one ledger line holds. Raises KeyError, TypeError
+        or OverflowError on a line no writer produces: a missing command,
+        a field of the wrong type, a metric or counter that is not a
+        number."""
+        if not isinstance(doc, dict):
+            raise TypeError("not a JSON object")
+        if not isinstance(doc["command"], str):
+            raise TypeError("command is not a string")
+        for key in ("case", "mode"):
+            if not isinstance(doc.get(key), (str, type(None))):
+                raise TypeError(f"{key} is not a string")
+        events = doc.get("events", [])
+        if not isinstance(events, list):
+            raise TypeError("events is not a list")
         return LedgerRecord(
             command=doc["command"],
             case=doc.get("case"),
             mode=doc.get("mode"),
-            ranks=int(doc.get("ranks", 1)),
-            metrics=dict(doc.get("metrics", {})),
+            ranks=_integer(doc, "ranks", 1),
+            metrics=_numbers(doc, "metrics"),
             run_id=doc.get("run_id", ""),
             timestamp=doc.get("timestamp", ""),
             plan_hash=doc.get("plan_hash"),
-            events=list(doc.get("events", ())),
-            counters=dict(doc.get("counters", {})),
-            schema=int(doc.get("schema", LEDGER_SCHEMA)),
+            events=events,
+            counters=_numbers(doc, "counters"),
+            schema=_integer(doc, "schema", LEDGER_SCHEMA),
         )
 
     @staticmethod
@@ -162,7 +197,7 @@ class RunLedger:
                 try:
                     doc = json.loads(line)
                     rec = LedgerRecord.from_json(doc)
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
                     self.warnings.append(
                         f"{self.path}:{lineno}: skipped unreadable record "
                         f"({type(exc).__name__}: {exc})"

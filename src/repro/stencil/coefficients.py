@@ -79,10 +79,13 @@ def second_derivative_coefficients(order: int) -> tuple[float, tuple[float, ...]
     m = order // 2
     c0 = w[m]
     side = tuple(w[m + k] for k in range(1, m + 1))
-    # sanity: the stencil must be symmetric
+    # the float64 moment solve loses the symmetry from order 14 up
     for k in range(1, m + 1):
         if not math.isclose(w[m + k], w[m - k], rel_tol=1e-12, abs_tol=1e-14):
-            raise AssertionError("2nd-derivative stencil lost symmetry")
+            raise ConfigurationError(
+                f"2nd-derivative stencil of order {order} lost symmetry "
+                f"in the coefficient solve"
+            )
     return float(c0), side
 
 
@@ -107,8 +110,11 @@ def staggered_coefficients(order: int) -> tuple[float, ...]:
     )
     w = _solve_moments(offsets, 1)
     # w[k] is the weight of offset k+1/2 and w[m+k] of -(k+1/2); antisymmetry
-    # means w[k] == -w[m+k].
+    # means w[k] == -w[m+k], which the solve loses from order 18 up.
     for k in range(m):
         if not math.isclose(w[k], -w[m + k], rel_tol=1e-12, abs_tol=1e-14):
-            raise AssertionError("staggered stencil lost antisymmetry")
+            raise ConfigurationError(
+                f"staggered stencil of order {order} lost antisymmetry "
+                f"in the coefficient solve"
+            )
     return tuple(float(w[k]) for k in range(m))

@@ -28,7 +28,6 @@ class TestRegistryShape:
             "dependence-edge-not-preserved",
             "hoist-not-dominated",
             "fused-access-overlap",
-            "cross-rank-reorder",
             "device-over-capacity",
             "checkpoint-spike",
         }
@@ -72,14 +71,12 @@ class TestRegistryShape:
         assert rule("dependence-edge-not-preserved").code == "DF201"
         assert rule("hoist-not-dominated").code == "DF202"
         assert rule("fused-access-overlap").code == "DF203"
-        assert rule("cross-rank-reorder").code == "DF204"
         assert rule("device-over-capacity").code == "DF210"
         assert rule("checkpoint-spike").code == "DF211"
         from repro.analyze.framework import Severity
 
         for key in ("dependence-edge-not-preserved", "hoist-not-dominated",
-                    "fused-access-overlap", "cross-rank-reorder",
-                    "device-over-capacity"):
+                    "fused-access-overlap", "device-over-capacity"):
             assert rule(key).severity is Severity.ERROR, key
         assert rule("checkpoint-spike").severity is Severity.WARNING
 
@@ -93,7 +90,6 @@ class TestRegistryShape:
         rule("fused-access-overlap").format(
             kernel="a+b", var="u", idx=2, detail="…"
         )
-        rule("cross-rank-reorder").format(rank=0, detail="…")
         rule("device-over-capacity").format(
             peak=1, detail="…", usable=0, device="K40", idx=4
         )

@@ -143,12 +143,10 @@ def _executed_shot() -> str:
 def _compiled_case() -> str:
     """iso2d RTM at nt 8, compiled, then its bound run."""
     from repro.compile import CompileRequest, compile_case
-    from repro.compile.runner import clear_cache
     from repro.core import GPUOptions
     from repro.core.platform import CRAY_K40
     from repro.core.shot import _build_runtime
 
-    clear_cache()
     compiled = compile_case(CompileRequest.from_case("iso2d", "rtm", nt=8))
     times = compiled.bind(_build_runtime(GPUOptions(), CRAY_K40)).run()
     return _sha(

@@ -1,6 +1,5 @@
 """The translation validator: per-opportunity proofs, the whole-pipeline
-simulation relation, the validator-vs-replay cross-check, and the
-multi-GPU prologue lift."""
+simulation relation and the validator-vs-replay cross-check."""
 
 import pytest
 
@@ -9,12 +8,7 @@ from repro.analyze.dataflow.opportunities import OptimizationOpportunity
 from repro.analyze.framework import Severity
 from repro.analyze.program import AccEvent, DirectiveProgram
 from repro.compile import CompileRequest, compile_case
-from repro.compile.lower import LoweredOp
-from repro.compile.validate import (
-    message_schedule_preserved,
-    prologue_lift_proof,
-    validate_opportunity,
-)
+from repro.compile.validate import validate_opportunity
 
 
 def prog(events, extents=None):
@@ -241,84 +235,3 @@ class TestWholePipelineValidation:
         assert doc["obligations"] == compiled.validation.obligations
         assert doc["program_sha"] == compiled.program_sha
 
-
-class TestPrologueLift:
-    def _update(self, var, direction="device"):
-        return LoweredOp(kind="update", var=var, direction=direction)
-
-    def test_clean_prologue_admitted(self):
-        diags = prologue_lift_proof(
-            [(self._update("wf:p_prev"),), ()], exchanged={"wf:p"}
-        )
-        assert diags == []
-
-    def test_df204_on_exchanged_field(self):
-        diags = prologue_lift_proof(
-            [(self._update("wf:p"),)], exchanged={"wf:p", "bwd:p"}
-        )
-        assert diags
-        assert all(d.rule == "DF204-cross-rank-reorder" for d in diags)
-
-    def test_df204_on_prologue_send(self):
-        op = LoweredOp(kind="send", var="wf:p")
-        diags = prologue_lift_proof([(op,)], exchanged=set())
-        assert any("send" in d.message for d in diags)
-
-    def test_multigpu_compiled_path_stays_compiled(self):
-        from repro.core.config import GPUOptions
-        from repro.core.multigpu import MultiGpuPipeline
-        from repro.observe.runlog import RunLog
-
-        runlog = RunLog(command="test", case="iso2d x2")
-        with runlog.activate():
-            pipe = MultiGpuPipeline(
-                "isotropic", (96, 96), 2,
-                options=GPUOptions(compiled=True),
-            )
-            pipe.run(8, 4, "rtm")
-        doc = runlog.to_json()
-        compiled_phases = {
-            e.get("phase") for e in doc.get("events", [])
-            if e.get("kind") == "compiled"
-        }
-        assert {"forward", "backward"} <= compiled_phases
-        assert "multigpu.compiled_fallback" not in doc.get("counters", {})
-
-
-class TestMessageSchedule:
-    def _rank(self, events):
-        p = DirectiveProgram()
-        for e in events:
-            p.add(e)
-        p.extents.update({"u": 1024})
-        return p
-
-    def _pair(self, first="u", second="v"):
-        r0 = self._rank([
-            AccEvent(kind="send", var=first, peer=1),
-            AccEvent(kind="send", var=second, peer=1),
-        ])
-        r1 = self._rank([
-            AccEvent(kind="recv", var=first, peer=0),
-            AccEvent(kind="recv", var=second, peer=0),
-        ])
-        return [r0, r1]
-
-    def test_identical_schedules_preserved(self):
-        assert message_schedule_preserved(self._pair(), self._pair())
-
-    def test_consistent_cross_var_swap_is_preserved(self):
-        # channels are per-(src, dst, var): swapping two *different* vars
-        # on both ends leaves every channel's matching intact
-        assert message_schedule_preserved(
-            self._pair("u", "v"), self._pair("v", "u")
-        )
-
-    def test_dropped_receive_detected(self):
-        pre = self._pair()
-        post = self._pair()
-        # the reorder pushed a receive out of the schedule: rank 1 now
-        # misses the second message and the unmatched counts diverge
-        dropped = self._rank([AccEvent(kind="recv", var="u", peer=0)])
-        post[1] = dropped
-        assert not message_schedule_preserved(pre, post)

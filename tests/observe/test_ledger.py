@@ -3,6 +3,8 @@
 import json
 import os
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from repro.observe.ledger import (
     LEDGER_SCHEMA,
     LedgerRecord,
@@ -76,6 +78,69 @@ class TestLedgerFile:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert RunLedger(str(tmp_path / "absent.jsonl")).records() == []
+
+
+#: any JSON value, NaN and the infinities included (``json`` reads and
+#: writes them)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged_record(draw) -> dict:
+    """A valid record's JSON with random values in its numeric and list
+    fields: a whole field replaced, or one metric or counter."""
+    doc = record(makespan_s=3.0, comm_s=1.0).to_json()
+    doc["counters"] = {"steps": 8.0}
+    fields = draw(st.lists(
+        st.sampled_from(("metrics", "counters", "ranks", "events")),
+        min_size=1, unique=True,
+    ))
+    for key in fields:
+        if key in ("metrics", "counters") and draw(st.booleans()):
+            name = draw(st.sampled_from(sorted(doc[key])) | st.text(max_size=4))
+            doc[key][name] = draw(JSON)
+        else:
+            doc[key] = draw(JSON)
+    return doc
+
+
+class TestRandomDamage:
+    """Random ledger damage through every ledger reader: each line is read
+    with float metrics or skipped with a warning naming it, and
+    ``report`` never raises."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=damaged_record())
+    def test_readers_fail_closed(self, tmp_path, doc):
+        from repro.__main__ import main
+
+        path = tmp_path / "ledger.jsonl"
+        lines = [record(makespan_s=1.0).to_json(),
+                 record(makespan_s=2.0).to_json(), doc]
+        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+        ledger = RunLedger(str(path))
+        recs = ledger.records()
+        if len(recs) == 3:
+            assert ledger.warnings == []
+            for rec in recs:
+                values = [*rec.metrics.values(), *rec.counters.values()]
+                assert all(type(v) is float for v in values)
+                assert type(rec.ranks) is int
+            checked = (0, 1)
+        else:
+            assert len(recs) == 2
+            (warning,) = ledger.warnings
+            assert warning.startswith(f"{path}:3: ")
+            checked = (2,)
+        assert main(["report", "--ledger", str(path)]) == 0
+        assert main(["report", "--check", "--ledger", str(path)]) in checked
 
 
 class TestAppendRun:

@@ -1,5 +1,7 @@
 """Ledger regression report: direction policy, windows, the CI gate."""
 
+import json
+
 import pytest
 
 from repro.observe.ledger import LedgerRecord, RunLedger
@@ -144,6 +146,27 @@ class TestCheckFailsClosed:
         put(ledger, makespan_s=1.0)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"schema": 1, "command": "scale", "metr')
+        assert main(["report", "--ledger", str(path)]) == 0
+        assert f"warning: {path}:3: skipped" in capsys.readouterr().out
+        assert main(["report", "--ledger", str(path), "--check"]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"report: --check: {path}:3: skipped")
+
+    @pytest.mark.parametrize(
+        "value", [None, "abc", [1], {}, True],
+        ids=["null", "string", "list", "object", "true"],
+    )
+    def test_non_numeric_metric(self, tmp_path, capsys, value):
+        from repro.__main__ import main
+
+        path = tmp_path / "l.jsonl"
+        ledger = RunLedger(str(path))
+        put(ledger, makespan_s=1.0)
+        put(ledger, makespan_s=1.0)
+        doc = ledger.records()[-1].to_json()
+        doc["metrics"]["makespan_s"] = value
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc) + "\n")
         assert main(["report", "--ledger", str(path)]) == 0
         assert f"warning: {path}:3: skipped" in capsys.readouterr().out
         assert main(["report", "--ledger", str(path), "--check"]) == 2

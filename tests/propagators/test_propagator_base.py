@@ -63,6 +63,13 @@ class TestStabilityGuards:
         with pytest.raises(ConfigurationError):
             make_propagator("acoustic", small_model_2d, space_order=7, boundary_width=8)
 
+    @pytest.mark.parametrize("physics,order", [("isotropic", 14), ("acoustic", 18)])
+    def test_order_the_coefficient_solve_cannot_represent_rejected(
+        self, small_model_2d, physics, order
+    ):
+        with pytest.raises(ConfigurationError, match=f"order {order} "):
+            make_propagator(physics, small_model_2d, space_order=order, boundary_width=16)
+
 
 class TestFieldManagement:
     def test_reset_zeroes_fields(self, small_model_2d):

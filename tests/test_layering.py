@@ -4,11 +4,14 @@ lazily.
 Importing a package loads its own layer and the layers below it, never
 one above (``docs/architecture.md``, "Key seams"). Each import check runs
 in a fresh interpreter and lists the ``repro`` modules that one import
-loaded.
+loaded. A function-local import is invisible to that check until the
+function runs, so ``core``'s imports of the layers above it are also
+listed from its source.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import importlib
 import json
@@ -76,6 +79,36 @@ LAYERS_ABOVE = [
 ]
 
 
+#: ``core``'s imports of a layer above it, each local to the function that
+#: needs it: (file, enclosing function, imported module)
+CORE_UPWARD = {
+    ("shot.py", "build_pipeline", "repro.analyze.drivers"),
+    ("shot.py", "build_pipeline", "repro.sanitize.drivers"),
+    ("shot.py", "build_pipeline", "repro.analyze.validate_cli"),
+    ("multigpu.py", "ExchangeProtocol.from_faults", "repro.resilience.faults"),
+    ("multigpu.py", "ExchangeProtocol.fault_specs", "repro.resilience.faults"),
+}
+
+
+def _imports(tree: ast.AST, scope: tuple[str, ...] = ()):
+    """(enclosing function, module) for every import under ``tree``;
+    ``from M import N`` imports ``M.N`` when that is a module."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _imports(node, (*scope, node.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield ".".join(scope), alias.name
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                path = Path(_SRC, *name.split("."))
+                is_module = path.is_dir() or path.with_suffix(".py").exists()
+                yield ".".join(scope), name if is_module else node.module
+        else:
+            yield from _imports(node, scope)
+
+
 class TestImportGraph:
     def test_bare_import_loads_only_the_package(self):
         assert _loaded_by("repro") == {"repro", "repro.version"}
@@ -86,6 +119,16 @@ class TestImportGraph:
     def test_loads_no_layer_above(self, module, above):
         leaked = sorted(m for m in _loaded_by(module) if _layer(m) in above)
         assert leaked == []
+
+    def test_core_imports_up_only_in_the_listed_functions(self):
+        above = dict(LAYERS_ABOVE)["repro.core"]
+        found = {
+            (path.name, scope, module)
+            for path in Path(_SRC, "repro", "core").glob("*.py")
+            for scope, module in _imports(ast.parse(path.read_text("utf-8")))
+            if module.startswith("repro.") and _layer(module) in above
+        }
+        assert found == CORE_UPWARD
 
     def test_core_loads_only_the_runlog_of_observe(self):
         observe = {m for m in _loaded_by("repro.core") if _layer(m) == "observe"}
