@@ -19,8 +19,8 @@ from benchmarks.conftest import emit, run_once
 from repro.bench.workloads import ALL_CASES
 from repro.compile import CompileRequest, compile_case, measure_case
 from repro.compile.bench import bench_document
-from repro.compile.compiler import _default_runtime_factory
 from repro.core.config import GPUOptions
+from repro.core.platform import CRAY_K40
 
 NT = 24
 SNAP_PERIOD = 4
@@ -42,10 +42,9 @@ def _compile_all() -> dict[str, dict]:
                 f"{case.physics}{case.ndim}d", mode, nt=NT
             )
             options = GPUOptions()
-            factory = _default_runtime_factory(options, None)
             compiled = compile_case(request, options=options)
             cases[request.name] = measure_case(
-                request, compiled, options, factory, repeats=REPEATS
+                request, compiled, options, CRAY_K40, repeats=REPEATS
             )
     return bench_document(cases, nt=NT, snap_period=SNAP_PERIOD,
                           repeats=REPEATS)
@@ -110,8 +109,5 @@ class TestPricing:
         request = CompileRequest.from_case("iso2d", "modeling", nt=8)
         options = GPUOptions()
         compiled = compile_case(request, options=options)
-        row = measure_case(
-            request, compiled, options,
-            _default_runtime_factory(options, None), repeats=1,
-        )
+        row = measure_case(request, compiled, options, CRAY_K40, repeats=1)
         assert row["verified"] and row["speedup"] > 0

@@ -104,8 +104,7 @@ def lint_ledger_metrics(results: list[LintResult]) -> dict[str, float]:
 def run_lint_command(args) -> int:
     """``python -m repro lint`` entry point (argparse namespace in)."""
     from repro.analyze.report import print_results
-    from repro.observe.ledger import append_run, ledger_path_from_args
-    from repro.observe.runlog import RunLog
+    from repro.observe.ledger import ledger_path_from_args, observed_run
 
     results = _lint_results(args)
     verdict = print_results(
@@ -114,9 +113,9 @@ def run_lint_command(args) -> int:
     )
     path = ledger_path_from_args(args)
     if args.deep and path is not None:
-        runlog = RunLog(command="lint", case=args.case or args.script,
-                        mode=args.mode, ranks=1)
-        append_run(path, runlog, lint_ledger_metrics(results))
+        with observed_run(path, "lint", args.case or args.script,
+                          args.mode) as record:
+            record.metrics = lint_ledger_metrics(results)
     return verdict
 
 

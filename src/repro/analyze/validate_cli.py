@@ -61,17 +61,13 @@ def validate_request(request, options=None, platform=None, artifact=None,
     refusal message lands in ``error`` and counts as a finding).
     """
     from repro.analyze.capacity import checkpoint_spike, prove_capacity
-    from repro.compile.compiler import (
-        _default_runtime_factory,
-        compile_case,
-        record_segments,
-    )
+    from repro.compile.compiler import compile_case, record_segments
     from repro.core.config import GPUOptions
+    from repro.core.platform import CRAY_K40
 
     opts = options if options is not None else GPUOptions()
-    recording = record_segments(
-        request, opts, _default_runtime_factory(opts, platform)
-    )
+    platform = platform if platform is not None else CRAY_K40
+    recording = record_segments(request, opts, platform)
     device = recording.pipeline.rt.device
     proof = prove_capacity(
         recording.program,
@@ -171,8 +167,7 @@ def run_validate_command(args) -> int:
     from repro.compile.cli import load_opportunities
     from repro.compile.compiler import CompileRequest
     from repro.cases import case_targets
-    from repro.observe.ledger import append_run, ledger_path_from_args
-    from repro.observe.runlog import RunLog
+    from repro.observe.ledger import ledger_path_from_args, observed_run
     from repro.utils.errors import CompileError, StaleArtifactError
 
     artifact = None
@@ -187,30 +182,28 @@ def run_validate_command(args) -> int:
     for name, _, _, mode in case_targets(args.case, args.mode):
         label = f"{name} ({mode})"
         request = CompileRequest.from_case(name, mode, nt=args.nt)
-        runlog = RunLog(
-            command="validate", case=label, mode=request.mode, nt=request.nt
-        )
-        with runlog.activate():
-            try:
+        try:
+            with observed_run(ledger_path, "validate", label,
+                              request.mode) as record:
                 outcome = validate_request(request, artifact=artifact)
-            except StaleArtifactError as exc:
-                print(f"validate {label}: STALE ARTIFACT\n  {exc}")
-                return 2
-            result = outcome["result"]
-            proof = outcome["proof"]
-            compiled = outcome["compiled"]
-            metrics = {
-                "validate_errors": float(result.count(Severity.ERROR)),
-                "validate_warnings": float(result.count(Severity.WARNING)),
-                "peak_bytes": float(proof.peak_bytes),
-                "usable_bytes": float(proof.usable_bytes or 0),
-            }
-            if compiled is not None and compiled.validation is not None:
-                metrics["obligations"] = float(compiled.validation.obligations)
-                metrics["admitted_cross_phase"] = float(
-                    sum(1 for a in compiled.applied if "->" in a.phase)
-                )
-            append_run(ledger_path, runlog, metrics)
+                result = outcome["result"]
+                proof = outcome["proof"]
+                compiled = outcome["compiled"]
+                metrics = {
+                    "validate_errors": float(result.count(Severity.ERROR)),
+                    "validate_warnings": float(result.count(Severity.WARNING)),
+                    "peak_bytes": float(proof.peak_bytes),
+                    "usable_bytes": float(proof.usable_bytes or 0),
+                }
+                if compiled is not None and compiled.validation is not None:
+                    metrics["obligations"] = float(compiled.validation.obligations)
+                    metrics["admitted_cross_phase"] = float(
+                        sum(1 for a in compiled.applied if "->" in a.phase)
+                    )
+                record.metrics = metrics
+        except StaleArtifactError as exc:
+            print(f"validate {label}: STALE ARTIFACT\n  {exc}")
+            return 2
         outcomes.append((label, request, outcome))
     if args.artifact:
         doc = {

@@ -24,9 +24,9 @@ import time
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.acc.runtime import Runtime
     from repro.compile.compiler import CompiledPipeline, CompileRequest
     from repro.core.config import GPUOptions
+    from repro.core.platform import Platform
 
 #: timing repetitions; min-of-N suppresses scheduler noise
 DEFAULT_REPEATS = 5
@@ -55,14 +55,13 @@ def _time_best(fns: tuple[Callable[[], None], ...], repeats: int) -> list[float]
 
 
 def _run_interpreted(
-    request: "CompileRequest",
-    options: "GPUOptions",
-    runtime_factory: Callable[[], "Runtime"],
+    request: "CompileRequest", options: "GPUOptions", platform: "Platform"
 ) -> None:
     from repro.core.pipeline import OffloadPipeline, run_schedule
+    from repro.core.shot import _build_runtime
 
     pipe = OffloadPipeline(
-        runtime_factory(),
+        _build_runtime(options, platform),
         request.physics,
         request.shape,
         nreceivers=request.nreceivers,
@@ -78,7 +77,7 @@ def measure_case(
     request: "CompileRequest",
     compiled: "CompiledPipeline",
     options: "GPUOptions",
-    runtime_factory: Callable[[], "Runtime"],
+    platform: "Platform",
     repeats: int = DEFAULT_REPEATS,
 ) -> dict:
     """Wall-clock interpreted vs compiled for one case.
@@ -87,10 +86,12 @@ def measure_case(
     per-step host seconds both ways, the speedup, launch counts, and the
     roofline-modelled simulated savings of the applied fusions.
     """
+    from repro.core.shot import _build_runtime
+
     interp_total, compiled_total = _time_best(
         (
-            lambda: _run_interpreted(request, options, runtime_factory),
-            lambda: compiled.bind(runtime_factory()).run(),
+            lambda: _run_interpreted(request, options, platform),
+            lambda: compiled.bind(_build_runtime(options, platform)).run(),
         ),
         repeats,
     )

@@ -22,14 +22,10 @@ import json
 
 from repro.analyze.dataflow import validate_opportunities
 from repro.compile.bench import bench_document, measure_case
-from repro.compile.compiler import (
-    CompiledPipeline,
-    CompileRequest,
-    _default_runtime_factory,
-    compile_case,
-)
+from repro.compile.compiler import CompiledPipeline, CompileRequest, compile_case
 from repro.cases import case_targets
 from repro.core.config import GPUOptions
+from repro.core.platform import CRAY_K40
 from repro.utils.errors import CompileError, StaleArtifactError
 
 __all__ = ["run_compile_command", "load_opportunities"]
@@ -141,8 +137,9 @@ def _print_target(doc: dict) -> None:
 
 def run_compile_command(args) -> int:
     """``python -m repro compile`` entry point (argparse namespace in)."""
-    from repro.observe.ledger import append_run, ledger_path_from_args
-    from repro.observe.runlog import RunLog
+    from repro.observe.ledger import (
+        ledger_path_from_args, observed_run, plan_fingerprint,
+    )
 
     plan = None
     if args.plan:
@@ -163,44 +160,39 @@ def run_compile_command(args) -> int:
     for name, _, _, mode in case_targets(args.case, args.mode):
         label = f"{name} ({mode})"
         request = CompileRequest.from_case(name, mode, nt=args.nt)
-        runlog = RunLog(
-            command="compile", case=label, mode=request.mode, nt=request.nt
-        )
-        with runlog.activate():
-            try:
+        try:
+            with observed_run(ledger_path, "compile", label,
+                              request.mode) as record:
                 compiled = compile_case(request, plan=plan, artifact=artifact)
-            except StaleArtifactError as exc:
-                print(f"compile {label}: STALE ARTIFACT\n  {exc}")
-                return 2
-            except CompileError as exc:
-                print(f"compile {label}: FAILED\n  {exc}")
-                failures += 1
-                continue
-            bench = None
-            if args.bench:
-                options = GPUOptions()
-                bench = measure_case(
-                    request,
-                    compiled,
-                    options,
-                    _default_runtime_factory(options, None),
-                    repeats=args.repeats,
-                )
-                bench_cases[compiled.request.name] = bench
-            metrics = {
-                "applied": float(len(compiled.applied)),
-                "launches_interpreted": float(
-                    compiled.launches_per_step()["interpreted"]
-                ),
-                "launches_compiled": float(
-                    compiled.launches_per_step()["compiled"]
-                ),
-                **_selection_metrics(compiled),
-            }
-            if bench is not None:
-                metrics["interpreted_step_s"] = bench["interpreted_step_s"]
-                metrics["compiled_step_s"] = bench["compiled_step_s"]
-            append_run(ledger_path, runlog, metrics, plan=plan)
+                bench = None
+                if args.bench:
+                    bench = measure_case(
+                        request, compiled, GPUOptions(), CRAY_K40,
+                        repeats=args.repeats,
+                    )
+                    bench_cases[compiled.request.name] = bench
+                metrics = {
+                    "applied": float(len(compiled.applied)),
+                    "launches_interpreted": float(
+                        compiled.launches_per_step()["interpreted"]
+                    ),
+                    "launches_compiled": float(
+                        compiled.launches_per_step()["compiled"]
+                    ),
+                    **_selection_metrics(compiled),
+                }
+                if bench is not None:
+                    metrics["interpreted_step_s"] = bench["interpreted_step_s"]
+                    metrics["compiled_step_s"] = bench["compiled_step_s"]
+                record.metrics = metrics
+                record.plan_hash = plan_fingerprint(plan)
+        except StaleArtifactError as exc:
+            print(f"compile {label}: STALE ARTIFACT\n  {exc}")
+            return 2
+        except CompileError as exc:
+            print(f"compile {label}: FAILED\n  {exc}")
+            failures += 1
+            continue
         docs.append(_describe(label, compiled, bench))
     if args.bench and bench_cases:
         doc = bench_document(

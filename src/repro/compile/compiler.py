@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.analyze.dataflow import (
     OptimizationOpportunity,
@@ -62,6 +62,7 @@ from repro.compile.lower import (
 )
 from repro.core.config import GpuTimes, GPUOptions
 from repro.core.pipeline import device_times, failed_times
+from repro.core.platform import CRAY_K40, Platform
 from repro.core.schedule import (
     PHASE_ORDER,
     PROLOGUE_GATE,
@@ -70,6 +71,7 @@ from repro.core.schedule import (
     RESIDENCY_STEPS,
     Schedule,
 )
+from repro.core.shot import _build_runtime
 from repro.optim.autotune import TuningPlan, options_with_plan
 from repro.optim.tuning import fused_launch_estimate
 from repro.utils.errors import (
@@ -81,7 +83,6 @@ from repro.utils.errors import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.acc.runtime import Runtime
     from repro.core.pipeline import OffloadPipeline
-    from repro.core.platform import Platform
 
 @dataclass(frozen=True)
 class CompileRequest:
@@ -190,20 +191,10 @@ class SegmentedRecording:
         return events[slices[0].start:slices[0].stop]
 
 
-def _default_runtime_factory(
-    options: GPUOptions, platform: "Platform | None"
-) -> Callable[[], "Runtime"]:
-    from repro.core.modeling import _build_runtime
-    from repro.core.platform import CRAY_K40
-
-    plat = platform if platform is not None else CRAY_K40
-    return lambda: _build_runtime(options, plat)
-
-
 def record_segments(
     request: CompileRequest,
     options: GPUOptions,
-    runtime_factory: Callable[[], "Runtime"],
+    platform: Platform = CRAY_K40,
     name: str | None = None,
 ) -> SegmentedRecording:
     """Record the interpreted schedule with per-phase event boundaries:
@@ -213,7 +204,7 @@ def record_segments(
     """
     from repro.core.pipeline import OffloadPipeline
 
-    rt = runtime_factory()
+    rt = _build_runtime(options, platform)
     recorder = ProgramRecorder(name=name or request.name)
     rt.attach_recorder(recorder)
     pipe = OffloadPipeline(
@@ -785,7 +776,7 @@ def opportunities_from_artifact(
 def compile_case(
     request: CompileRequest,
     options: GPUOptions | None = None,
-    platform: "Platform | None" = None,
+    platform: Platform = CRAY_K40,
     plan: "TuningPlan | None" = None,
     artifact: dict | None = None,
 ) -> CompiledPipeline:
@@ -804,9 +795,8 @@ def compile_case(
     if plan is not None:
         base = options_with_plan(base, plan)
     active_plan = base.plan
-    runtime_factory = _default_runtime_factory(base, platform)
 
-    recording = record_segments(request, base, runtime_factory)
+    recording = record_segments(request, base, platform)
     program = recording.program
     sha = program.sha()
     if artifact is not None:
@@ -864,7 +854,7 @@ def compile_case(
         cross_variants=cross_variants,
     )
     _validate_compiled_or_raise(compiled, recording)
-    _verify_compiled(compiled, runtime_factory, program)
+    _verify_compiled(compiled, base, platform, program)
     return compiled
 
 
@@ -946,13 +936,14 @@ def _applied_record(
 
 def _verify_compiled(
     compiled: CompiledPipeline,
-    runtime_factory: Callable[[], "Runtime"],
+    options: GPUOptions,
+    platform: Platform,
     interpreted: DirectiveProgram,
 ) -> None:
     """The bitwise gate: run the compiled schedule under a recorder on a
     fresh runtime and demand fingerprint equality with the interpreted
     program.  Mutates ``compiled.verified`` on success."""
-    rt = runtime_factory()
+    rt = _build_runtime(options, platform)
     recorder = ProgramRecorder(name=f"{compiled.request.name}-compiled")
     rt.attach_recorder(recorder)
     bound = compiled.bind(rt)

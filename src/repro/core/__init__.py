@@ -26,8 +26,8 @@ from repro.core.imaging import (
 )
 from repro.core.inventory import field_inventory, device_resident_bytes
 from repro.core.pipeline import OffloadPipeline
-from repro.core.modeling import run_modeling, run_modeling_gpu, estimate_modeling
-from repro.core.rtm import run_rtm, run_rtm_gpu, estimate_rtm
+from repro.core.modeling import run_modeling, estimate_modeling
+from repro.core.rtm import run_rtm, estimate_rtm
 from repro.core.multigpu import (
     MultiGpuTimes,
     estimate_multi_gpu_modeling,
@@ -65,10 +65,8 @@ __all__ = [
     "device_resident_bytes",
     "OffloadPipeline",
     "run_modeling",
-    "run_modeling_gpu",
     "estimate_modeling",
     "run_rtm",
-    "run_rtm_gpu",
     "estimate_rtm",
     "SurveyResult",
     "OffloadPlan",

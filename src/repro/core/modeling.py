@@ -28,17 +28,6 @@ def run_modeling(
     return Shot(config, "modeling", gpu_options, platform, tracer).run()
 
 
-def run_modeling_gpu(
-    config: ModelingConfig,
-    gpu_options: GPUOptions | None = None,
-    platform: Platform = CRAY_K40,
-) -> ModelingResult:
-    """Modeling with the GPU pipeline attached (convenience wrapper)."""
-    return run_modeling(
-        config, gpu_options=gpu_options or GPUOptions(), platform=platform
-    )
-
-
 def estimate_modeling(
     physics: str,
     shape: tuple[int, ...],

@@ -255,45 +255,6 @@ class ExchangeProtocol:
     sync_before_send: bool = True
     queue: int = 1
 
-    @classmethod
-    def from_faults(cls, specs, queue: int = 1) -> "ExchangeProtocol":
-        """Build a (mis)protocol from shared fault specs — the single fault
-        vocabulary of :mod:`repro.resilience.faults`. Accepts
-        :class:`~repro.resilience.faults.FaultSpec` objects or kind strings;
-        non-protocol kinds are ignored (they inject through the device/MPI
-        hooks instead)."""
-        from repro.resilience import faults as F
-
-        kinds = {getattr(s, "kind", s) for s in specs}
-        unknown = kinds - set(F.ALL_KINDS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault kind(s): {', '.join(sorted(unknown))}"
-            )
-        racy = F.HALO_SEND_BEFORE_SYNC in kinds
-        return cls(
-            update_host_before_send=F.HALO_STALE_HOST not in kinds,
-            update_ghost_device=F.HALO_STALE_DEVICE not in kinds,
-            async_updates=racy,
-            sync_before_send=not racy,
-            queue=queue,
-        )
-
-    def fault_specs(self) -> tuple:
-        """The protocol-hazard fault specs this configuration embodies
-        (empty for the correct protocol) — the reverse of
-        :meth:`from_faults`."""
-        from repro.resilience import faults as F
-
-        specs = []
-        if not self.update_host_before_send:
-            specs.append(F.FaultSpec(F.HALO_STALE_HOST))
-        if not self.update_ghost_device:
-            specs.append(F.FaultSpec(F.HALO_STALE_DEVICE))
-        if self.async_updates and not self.sync_before_send:
-            specs.append(F.FaultSpec(F.HALO_SEND_BEFORE_SYNC))
-        return tuple(specs)
-
 
 @dataclass
 class _RankContext:

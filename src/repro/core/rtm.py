@@ -31,15 +31,6 @@ def run_rtm(
     return Shot(config, "rtm", gpu_options, platform, tracer).run()
 
 
-def run_rtm_gpu(
-    config: RTMConfig,
-    gpu_options: GPUOptions | None = None,
-    platform: Platform = CRAY_K40,
-) -> RTMResult:
-    """RTM with the GPU pipeline attached (convenience wrapper)."""
-    return run_rtm(config, gpu_options=gpu_options or GPUOptions(), platform=platform)
-
-
 def estimate_rtm(
     physics: str,
     shape: tuple[int, ...],

@@ -10,17 +10,20 @@
   :class:`~repro.core.multigpu.MultiGpuPipeline` over rank counts,
   assert the scaling shape against the paper's cluster model, publish
   ``BENCH_scaling.json``;
-* :mod:`~repro.observe.ledger` — the append-only JSONL run ledger every
-  ``trace``/``tune``/``chaos``/``scale`` invocation writes to;
+* :mod:`~repro.observe.ledger` — the append-only JSONL run ledger: one
+  :class:`~repro.observe.ledger.LedgerRecord` per run of ``trace``,
+  ``tune``, ``chaos``, ``scale``, ``serve``, ``compile``, ``validate`` or
+  ``lint --deep``, each writer inside one ``observed_run`` scope;
 * :mod:`~repro.observe.report` — the ``report [--check]`` regression
   gate over the ledger trajectory;
-* :mod:`~repro.observe.runlog` — run-scoped structured logging threaded
-  through the pipeline, multi-GPU and resilience layers.
+* :mod:`~repro.observe.runlog` — the ambient ``emit``/``count`` calls
+  threaded through the pipeline, multi-GPU, resilience and serve layers;
+  they add to the record of the enclosing ``observed_run``.
 
-Names load on first access. The pipeline, multi-GPU, resilience, serve
-and compile layers import only :mod:`~repro.observe.runlog`, and that
-loads none of the ledger, report and scaling tools (``scaling`` itself
-runs the multi-GPU pipeline).
+Names load on first access. The pipeline, multi-GPU and resilience
+layers import only :mod:`~repro.observe.runlog`, and that loads none of
+the ledger, report and scaling tools (``scaling`` itself runs the
+multi-GPU pipeline).
 
 See ``docs/observability.md``.
 """
@@ -41,7 +44,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "DEFAULT_LEDGER_PATH",
         "LedgerRecord",
         "RunLedger",
-        "append_run",
+        "observed_run",
         "ledger_path_from_args",
         "plan_fingerprint",
     ),
@@ -52,7 +55,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "compare_metric",
         "diff_ledger",
     ),
-    "runlog": ("RunLog", "current_runlog", "emit", "count"),
+    "runlog": ("emit", "count"),
     "scaling": (
         "DEFAULT_RANKS",
         "SCALE_CASES",

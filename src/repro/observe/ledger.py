@@ -4,8 +4,10 @@ Every run of a ledger-writing command (``trace``, ``tune``, ``chaos``,
 ``scale``, ``serve``, ``compile``, ``validate``, ``lint --deep``) appends one
 :class:`LedgerRecord` — run identity (command, case, mode, ranks), the
 TuningPlan fingerprint in effect, the run's reduced metrics, and the
-structured events its :class:`~repro.observe.runlog.RunLog` accumulated
-(recoveries, degrades, phase transitions). ``python -m repro report``
+structured events and counters the run emitted (recoveries, degrades,
+phase transitions). Each writer runs inside :func:`observed_run`, which
+makes the record the ambient run log of :mod:`repro.observe.runlog` for
+the run and appends it when the run completes. ``python -m repro report``
 reads the trajectory back and diffs the latest run of each group against
 its history, so a schedule change that quietly costs 10% of step time is
 caught by CI rather than by a reader of BENCH files.
@@ -20,17 +22,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-
-from repro.utils.errors import ConfigurationError
+from typing import Any, Iterator
 
 #: current record schema
 LEDGER_SCHEMA = 1
 #: default ledger location, relative to the working directory
 DEFAULT_LEDGER_PATH = os.path.join(".repro", "ledger.jsonl")
+#: cap on stored events per run — a runaway loop (nt in the thousands)
+#: must not turn the ledger into a trace; the overflow is counted in
+#: ``counters["ledger.dropped_events"]``, not kept
+MAX_EVENTS = 512
 
 
 def plan_fingerprint(plan) -> str | None:
@@ -49,13 +56,17 @@ def _utcnow() -> str:
 
 def _numbers(doc: dict, key: str) -> dict[str, float]:
     """``doc[key]`` (``metrics`` or ``counters``) as floats: a JSON object
-    of numbers, booleans refused (``true`` would read as 1.0)."""
+    of finite numbers, booleans refused (``true`` would read as 1.0) and
+    so are ``NaN`` and ``Infinity`` (no comparison gates a NaN)."""
     values = doc.get(key, {})
     if not isinstance(values, dict):
         raise TypeError(f"{key} is not an object")
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError(f"{key}[{name!r}] = {value!r} is not a number")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise TypeError(
+                f"{key}[{name!r}] = {value!r} is not a finite number"
+            )
     return {name: float(value) for name, value in values.items()}
 
 
@@ -70,7 +81,9 @@ def _integer(doc: dict, key: str, default: int) -> int:
 
 @dataclass
 class LedgerRecord:
-    """One observed run."""
+    """One observed run; inside :func:`observed_run` also the ambient
+    run log that :func:`repro.observe.runlog.emit` and
+    :func:`~repro.observe.runlog.count` add to."""
 
     command: str
     case: str | None
@@ -89,6 +102,18 @@ class LedgerRecord:
             self.run_id = uuid.uuid4().hex[:12]
         if not self.timestamp:
             self.timestamp = _utcnow()
+
+    # ------------------------------------------------------------------
+    def log(self, kind: str, **fields: Any) -> None:
+        """Record one structured event (``kind`` plus free-form fields)."""
+        if len(self.events) >= MAX_EVENTS:
+            self.count("ledger.dropped_events")
+            return
+        self.events.append({"kind": kind, **fields})
+
+    def count(self, name: str, amount: float = 1.0) -> None:
+        """Bump a named run counter."""
+        self.counters[name] = self.counters.get(name, 0.0) + amount
 
     # ------------------------------------------------------------------
     @property
@@ -116,7 +141,7 @@ class LedgerRecord:
         """The record one ledger line holds. Raises KeyError, TypeError
         or OverflowError on a line no writer produces: a missing command,
         a field of the wrong type, a metric or counter that is not a
-        number."""
+        finite number."""
         if not isinstance(doc, dict):
             raise TypeError("not a JSON object")
         if not isinstance(doc["command"], str):
@@ -139,23 +164,6 @@ class LedgerRecord:
             events=events,
             counters=_numbers(doc, "counters"),
             schema=_integer(doc, "schema", LEDGER_SCHEMA),
-        )
-
-    @staticmethod
-    def from_runlog(
-        runlog, metrics: dict[str, float], plan_hash: str | None = None
-    ) -> "LedgerRecord":
-        """Fold a finished :class:`~repro.observe.runlog.RunLog` and the
-        run's reduced metrics into one record."""
-        return LedgerRecord(
-            command=runlog.command,
-            case=runlog.case,
-            mode=runlog.mode,
-            ranks=runlog.ranks,
-            metrics=dict(metrics),
-            plan_hash=plan_hash,
-            events=list(runlog.events),
-            counters=dict(runlog.counters),
         )
 
 
@@ -241,31 +249,37 @@ def ledger_path_from_args(args) -> str | None:
     return getattr(args, "ledger", None) or DEFAULT_LEDGER_PATH
 
 
-def append_run(
+@contextmanager
+def observed_run(
     ledger_path: str | None,
-    runlog,
-    metrics: dict[str, float],
-    plan=None,
-) -> LedgerRecord | None:
-    """The one-call hook the CLIs use: fold ``runlog`` + ``metrics`` into
-    a record and append it to ``ledger_path``. ``None`` path disables the
-    ledger (``--no-ledger``); returns the appended record or None."""
-    if ledger_path is None:
-        return None
-    if runlog is None:
-        raise ConfigurationError("append_run needs an active RunLog")
-    record = LedgerRecord.from_runlog(
-        runlog, metrics, plan_hash=plan_fingerprint(plan)
-    )
-    return RunLedger(ledger_path).append(record)
+    command: str,
+    case: str | None = None,
+    mode: str | None = None,
+    ranks: int = 1,
+) -> Iterator[LedgerRecord]:
+    """Observe one run: the body runs with a fresh record as the ambient
+    run log and sets its ``metrics`` (and ``plan_hash``). The record is
+    appended to ``ledger_path`` when the body exits without an exception;
+    a ``None`` path (``--no-ledger``) appends nothing."""
+    from repro.observe import runlog  # local: the shell loads this module for its path
+
+    record = LedgerRecord(command, case, mode, int(ranks), {})
+    token = runlog.ambient.set(record)
+    try:
+        yield record
+    finally:
+        runlog.ambient.reset(token)
+    if ledger_path is not None:
+        RunLedger(ledger_path).append(record)
 
 
 __all__ = [
     "LEDGER_SCHEMA",
     "DEFAULT_LEDGER_PATH",
+    "MAX_EVENTS",
     "plan_fingerprint",
     "LedgerRecord",
     "RunLedger",
-    "append_run",
+    "observed_run",
     "ledger_path_from_args",
 ]

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.trace.tracer import SPAN, Tracer, TraceEvent
+from repro.utils.fold import nearest_rank
 
 #: span categories counted as device compute
 COMPUTE_CATS = frozenset({"kernel"})
@@ -86,15 +87,6 @@ def intersect_intervals(
         else:
             j += 1
     return out
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (q in [0, 1])."""
-    if not sorted_values:
-        return 0.0
-    idx = max(0, min(len(sorted_values) - 1,
-                     int(round(q * len(sorted_values) + 0.5)) - 1))
-    return sorted_values[idx]
 
 
 # ----------------------------------------------------------------------
@@ -463,7 +455,7 @@ def reduce_trace(
             count=len(durs),
             total_s=sum(durs),
             mean_s=sum(durs) / len(durs),
-            p95_s=_percentile(durs, 0.95),
+            p95_s=nearest_rank(durs, 0.95),
             max_s=durs[-1],
         )
 

@@ -1,124 +1,42 @@
 """Run-scoped structured logging: one context, many subsystems.
 
-A :class:`RunLog` carries the identity of the invocation being observed
-(command, case, mode, ranks) and accumulates structured events and
-counters while the run executes. Instrumented layers never hold a
-reference to it — they call the module-level :func:`emit` / :func:`count`
-with whatever context they have (``rank=...``, ``phase=...``) and the
-ambient log, if any, records it. With no active log both are no-ops, so
-the pipeline/recovery hot paths stay unconditional, mirroring the
-``NULL_TRACER`` convention of :mod:`repro.trace`.
+The run being observed is one :class:`~repro.observe.ledger.LedgerRecord`,
+installed as the ambient record by
+:func:`~repro.observe.ledger.observed_run`. Instrumented layers never
+hold a reference to it — they call the module-level :func:`emit` /
+:func:`count` with whatever context they have (``rank=...``,
+``phase=...``) and the ambient record, if any, keeps it. With no active
+record both are no-ops, so the pipeline/recovery hot paths stay
+unconditional, mirroring the ``NULL_TRACER`` convention of
+:mod:`repro.trace`.
 
-The accumulated events and counters are exactly what
-:class:`~repro.observe.ledger.LedgerRecord` persists, so a chaos
-campaign's retries, restarts and degrade actions land in the same ledger
-line as the run's reduced metrics.
+This module imports nothing: ``core`` loads it at import time, and the
+ledger (with its JSON and hashing) loads only with a ledger writer.
 """
 
 from __future__ import annotations
 
 import contextvars
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
-#: ambient run log (None outside any `activate` scope)
-_current: contextvars.ContextVar["RunLog | None"] = contextvars.ContextVar(
+#: the ambient run record (None outside any ``observed_run`` scope)
+ambient: contextvars.ContextVar = contextvars.ContextVar(
     "repro_runlog", default=None
 )
 
-#: cap on stored events per run — a runaway loop (nt in the thousands)
-#: must not turn the ledger into a trace; overflow is counted, not kept
-MAX_EVENTS = 512
-
-
-class RunLog:
-    """Structured event + counter accumulator for one observed run."""
-
-    def __init__(
-        self,
-        command: str,
-        case: str | None = None,
-        mode: str | None = None,
-        ranks: int = 1,
-        **context: Any,
-    ):
-        self.command = command
-        self.case = case
-        self.mode = mode
-        self.ranks = int(ranks)
-        self.context = dict(context)
-        self.events: list[dict] = []
-        self.counters: dict[str, float] = {}
-        self.dropped_events = 0
-
-    # ------------------------------------------------------------------
-    def log(self, kind: str, **fields: Any) -> None:
-        """Record one structured event (``kind`` plus free-form fields)."""
-        if len(self.events) >= MAX_EVENTS:
-            self.dropped_events += 1
-            return
-        event = {"kind": kind}
-        event.update(fields)
-        self.events.append(event)
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        """Bump a named run counter."""
-        self.counters[name] = self.counters.get(name, 0.0) + amount
-
-    # ------------------------------------------------------------------
-    def identity(self) -> dict:
-        """The grouping key fields of this run (ledger trend axis)."""
-        return {
-            "command": self.command,
-            "case": self.case,
-            "mode": self.mode,
-            "ranks": self.ranks,
-        }
-
-    def to_json(self) -> dict:
-        doc = dict(self.identity())
-        if self.context:
-            doc["context"] = dict(self.context)
-        doc["events"] = list(self.events)
-        doc["counters"] = dict(sorted(self.counters.items()))
-        if self.dropped_events:
-            doc["dropped_events"] = self.dropped_events
-        return doc
-
-    # ------------------------------------------------------------------
-    @contextmanager
-    def activate(self) -> Iterator["RunLog"]:
-        """Install this log as the ambient one for the ``with`` body."""
-        token = _current.set(self)
-        try:
-            yield self
-        finally:
-            _current.reset(token)
-
-
-def current_runlog() -> RunLog | None:
-    """The ambient RunLog, or None when nothing is being observed."""
-    return _current.get()
-
 
 def emit(kind: str, **fields: Any) -> None:
-    """Record an event on the ambient log; no-op outside a run scope."""
-    log = _current.get()
-    if log is not None:
-        log.log(kind, **fields)
+    """Record an event on the ambient run; no-op outside a run scope."""
+    record = ambient.get()
+    if record is not None:
+        record.log(kind, **fields)
 
 
 def count(name: str, amount: float = 1.0) -> None:
-    """Bump a counter on the ambient log; no-op outside a run scope."""
-    log = _current.get()
-    if log is not None:
-        log.count(name, amount)
+    """Bump a counter on the ambient run; no-op outside a run scope."""
+    record = ambient.get()
+    if record is not None:
+        record.count(name, amount)
 
 
-__all__ = [
-    "MAX_EVENTS",
-    "RunLog",
-    "current_runlog",
-    "emit",
-    "count",
-]
+__all__ = ["emit", "count"]

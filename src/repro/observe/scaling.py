@@ -311,20 +311,18 @@ def run_scale_case(
 ) -> ScaleCaseResult:
     """Sweep one case over ``ranks``; optionally append each point to the
     run ledger."""
-    from repro.observe.ledger import append_run
-    from repro.observe.runlog import RunLog
+    from repro.observe.ledger import observed_run
 
     _, ndim = parse_case(case)
     points: list[ScalePoint] = []
     for n in sorted(set(int(r) for r in ranks)):
-        runlog = RunLog(command="scale", case=case, mode=mode, ranks=n, nt=nt)
-        with runlog.activate():
+        with observed_run(ledger_path, "scale", case, mode, n) as record:
             point, _ = run_scale_point(case, n, mode=mode, nt=nt)
-        points.append(point)
-        if points[0].ranks == 1 and point.ranks > 1:
-            point.speedup = points[0].makespan_s / point.makespan_s
-            point.efficiency = point.speedup / point.ranks
-        append_run(ledger_path, runlog, point.metrics())
+            points.append(point)
+            if points[0].ranks == 1 and point.ranks > 1:
+                point.speedup = points[0].makespan_s / point.makespan_s
+                point.efficiency = point.speedup / point.ranks
+            record.metrics = point.metrics()
     result = ScaleCaseResult(
         case=case, mode=mode, nt=nt, shape=SCALE_SHAPES[ndim], points=points,
     )

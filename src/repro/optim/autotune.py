@@ -933,29 +933,26 @@ def run_tune_command(args) -> int:
         f"tuning {args.case} ({args.mode}) on {request.platform.name} / "
         f"{request.base_options.compiler.name}, budget {args.budget} probes"
     )
-    from repro.observe import RunLog, append_run, ledger_path_from_args
+    from repro.observe import (
+        ledger_path_from_args, observed_run, plan_fingerprint,
+    )
 
-    runlog = RunLog(command="tune", case=args.case, mode=args.mode,
-                    ranks=1, budget=args.budget, nt=args.nt)
-    with runlog.activate():
-        plan = tune_case(request, budget=args.budget, log=print)
-    plan.save(args.out)
-    print()
-    print(plan.summary_text())
-    print(f"wrote {args.out}")
     ledger_path = ledger_path_from_args(args)
-    record = append_run(
-        ledger_path, runlog,
-        {
+    with observed_run(ledger_path, "tune", args.case, args.mode) as record:
+        plan = tune_case(request, budget=args.budget, log=print)
+        plan.save(args.out)
+        print()
+        print(plan.summary_text())
+        print(f"wrote {args.out}")
+        record.metrics = {
             "baseline_step_seconds": plan.baseline_step_seconds,
             "tuned_step_seconds": plan.tuned_step_seconds,
             "improvement": plan.improvement,
             "transfer_overlap_fraction": plan.transfer_overlap_fraction,
             "probes": float(plan.probes),
-        },
-        plan=plan,
-    )
-    if record is not None:
+        }
+        record.plan_hash = plan_fingerprint(plan)
+    if ledger_path is not None:
         print(f"ledger {ledger_path} (run {record.run_id}, "
               f"plan {record.plan_hash})")
     return 0

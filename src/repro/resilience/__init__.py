@@ -40,7 +40,6 @@ from repro.resilience.faults import (  # noqa: F401
     DEVICE_KINDS,
     KIND_ALIASES,
     MPI_KINDS,
-    PROTOCOL_KINDS,
     SHOT_POISON,
     FaultEvent,
     FaultPlan,
@@ -67,7 +66,7 @@ __getattr__, __dir__, _LAZY = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "ALL_KINDS", "DEVICE_KINDS", "MPI_KINDS", "PROTOCOL_KINDS",
+    "ALL_KINDS", "DEVICE_KINDS", "MPI_KINDS",
     "KIND_ALIASES", "SHOT_POISON",
     "FaultSpec", "FaultPlan", "FaultEvent",
     "parse_fault_spec", "parse_faults",

@@ -275,53 +275,48 @@ def run_chaos_campaign(
 
 def run_chaos_command(args) -> int:
     """``python -m repro chaos`` entry point (argparse namespace in)."""
-    from repro.observe import RunLog, append_run, ledger_path_from_args
+    from repro.observe import ledger_path_from_args, observed_run
     from repro.trace.tracer import Tracer
 
     tracer = Tracer() if args.trace else None
 
     # ``all`` here honours --mode: the campaign crosses cases with modes
     cases = None if args.case.lower() == "all" else (args.case,)
-    runlog = RunLog(command="chaos", case=args.case, mode=args.mode,
-                    ranks=args.ranks, seed=args.seed)
-    with runlog.activate():
+    ledger_path = ledger_path_from_args(args)
+    with observed_run(ledger_path, "chaos", args.case, args.mode,
+                      args.ranks) as record:
         report = run_chaos_campaign(
             cases=cases, modes=MODES[args.mode], seed=args.seed,
             ranks=args.ranks, nt=args.nt, faults=args.faults, tracer=tracer,
         )
 
-    text = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-        print(f"wrote {args.out}")
-        if args.format != "json":
+        text = report.to_json() if args.format == "json" else report.to_text()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+            print(f"wrote {args.out}")
+            if args.format != "json":
+                print(text)
+        else:
             print(text)
-    else:
-        print(text)
 
-    if tracer is not None:
-        from repro.trace.export import write_perfetto
+        if tracer is not None:
+            from repro.trace.export import write_perfetto
 
-        write_perfetto(tracer, args.trace)
-        print(f"wrote {args.trace}")
+            write_perfetto(tracer, args.trace)
+            print(f"wrote {args.trace}")
 
-    runs = len(report.outcomes)
-    injected = report.injected
-    ledger_path = ledger_path_from_args(args)
-    record = append_run(
-        ledger_path, runlog,
-        {
+        runs = len(report.outcomes)
+        record.metrics = {
             "runs": float(runs),
-            "injected": float(injected),
+            "injected": float(report.injected),
             "unrecovered": float(report.unrecovered),
             "recovered_fraction": (
                 1.0 - report.unrecovered / runs if runs else 1.0
             ),
             "recovery_cost_s": report.recovery_cost_s,
-        },
-    )
-    if record is not None:
+        }
+    if ledger_path is not None:
         print(f"ledger {ledger_path} (run {record.run_id})")
     return 0 if report.unrecovered == 0 else 1
 

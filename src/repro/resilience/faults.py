@@ -5,8 +5,7 @@ surveys are not exotic — a PCIe transfer that times out, a kernel launch
 that fails, an uncorrectable ECC event, a mid-run device OOM at the
 Figure-4 swap, or a halo message that never arrives. This module gives each
 of those a *typed spec* so every layer of the stack (gpusim, acc, mpisim,
-the sanitizer's exchange-protocol knobs and the chaos CLI) speaks exactly
-one fault language.
+the survey service and the chaos CLI) speaks exactly one fault language.
 
 Determinism is the design center: a :class:`FaultPlan` is a pure function
 of its seed and specs. Faults fire on the *N-th eligible operation* of
@@ -47,13 +46,6 @@ MPI_DROP = "mpi-drop"
 MPI_DUP = "mpi-dup"
 #: MPI message delayed past the superstep that needed it
 MPI_DELAY = "mpi-delay"
-#: exchange-protocol hazards (PR 4's ExchangeProtocol knobs, promoted):
-#: the MPI send packs a host buffer no ``update host`` refreshed
-HALO_STALE_HOST = "halo-stale-host"
-#: the received ghost slab never reaches the card
-HALO_STALE_DEVICE = "halo-stale-device"
-#: the send races the asynchronous ``update host`` still filling the face
-HALO_SEND_BEFORE_SYNC = "halo-send-before-sync"
 #: a poisoned *shot*: the job itself fails on every node it lands on
 #: (corrupt trace headers, NaN source wavelet). Injected at the service
 #: layer (:mod:`repro.serve`) — it has no device category, so the
@@ -71,9 +63,6 @@ ALL_KINDS = (
     MPI_DROP,
     MPI_DUP,
     MPI_DELAY,
-    HALO_STALE_HOST,
-    HALO_STALE_DEVICE,
-    HALO_SEND_BEFORE_SYNC,
     SHOT_POISON,
 )
 
@@ -81,8 +70,6 @@ ALL_KINDS = (
 DEVICE_KINDS = (PCIE_TRANSIENT, PCIE_PERMANENT, KERNEL_LAUNCH, ECC, OOM)
 #: kinds that need a message-passing world (ranks > 1)
 MPI_KINDS = (MPI_DROP, MPI_DUP, MPI_DELAY)
-#: protocol-hazard kinds consumed by the sanitizer's ExchangeProtocol
-PROTOCOL_KINDS = (HALO_STALE_HOST, HALO_STALE_DEVICE, HALO_SEND_BEFORE_SYNC)
 
 #: kinds whose fault persists across retries of the same operation
 PERMANENT_KINDS = (PCIE_PERMANENT, RANK_DEAD)
@@ -139,8 +126,7 @@ class FaultSpec:
     op_index:
         1-based index of the eligible operation (within the kind's
         category, per matching rank) on which the fault first fires.
-        Protocol kinds ignore it (they describe a standing misprotocol,
-        not a point event).
+        ``shot-poison`` ignores it (it has no operation category).
     count:
         How many consecutive eligible operations fail, starting at
         ``op_index`` (transient kinds; ``count=2`` makes the first retry
@@ -251,7 +237,7 @@ class FaultPlan:
         specs = []
         for kind in kinds:
             cat = CATEGORY.get(kind)
-            if cat is None:  # protocol kinds: standing hazards, no op index
+            if cat is None:  # shot-poison: a service-level fault, no op index
                 specs.append(FaultSpec(kind))
                 continue
             n = max(1, int(op_counts.get(cat, 1)))
@@ -284,10 +270,8 @@ class FaultEvent:
 
 __all__ = [
     "PCIE_TRANSIENT", "PCIE_PERMANENT", "KERNEL_LAUNCH", "ECC", "OOM",
-    "RANK_DEAD", "MPI_DROP", "MPI_DUP", "MPI_DELAY",
-    "HALO_STALE_HOST", "HALO_STALE_DEVICE", "HALO_SEND_BEFORE_SYNC",
-    "SHOT_POISON",
-    "ALL_KINDS", "DEVICE_KINDS", "MPI_KINDS", "PROTOCOL_KINDS",
+    "RANK_DEAD", "MPI_DROP", "MPI_DUP", "MPI_DELAY", "SHOT_POISON",
+    "ALL_KINDS", "DEVICE_KINDS", "MPI_KINDS",
     "PERMANENT_KINDS", "CATEGORY", "KIND_ALIASES", "is_permanent",
     "FaultSpec", "FaultPlan", "FaultEvent",
     "parse_fault_spec", "parse_faults",

@@ -99,8 +99,7 @@ def run_serve_case(
     ledger_path: str | None = None,
 ) -> dict:
     """Serve one case at each worker count; returns the case document."""
-    from repro.observe.ledger import append_run
-    from repro.observe.runlog import RunLog
+    from repro.observe.ledger import observed_run
 
     config = serve_case_config(case, nt=nt)
     xs = shot_line(config.model, shots)
@@ -109,11 +108,7 @@ def run_serve_case(
 
     points = {}
     for w in sorted(set(int(n) for n in workers)):
-        runlog = RunLog(
-            command="serve", case=case, mode="rtm", ranks=w,
-            seed=seed, gpus=gpus, faults=plan.spec_string(),
-        )
-        with runlog.activate():
+        with observed_run(ledger_path, "serve", case, "rtm", w) as record:
             scheduler = SurveyScheduler(
                 workers=w, gpus=gpus, capacity=capacity, policy=policy,
                 plan=plan, seed=seed, quarantine_after=quarantine_after,
@@ -125,25 +120,25 @@ def run_serve_case(
                 )
             result = scheduler.run()
 
-        completed = result.completed_shots("primary")
-        expected_stack, expected_image = _expected_stack(
-            config, shot_images, completed
-        )
-        stack = result.stacks.get("primary")
-        image = result.images.get("primary")
-        stack_ok = stack is not None and np.array_equal(stack, expected_stack)
-        image_ok = image is not None and np.array_equal(image, expected_image)
-        full = len(completed) == len(xs)
-        # with nothing quarantined/shed/stranded, the survivors' golden
-        # IS the full golden — assert against it explicitly
-        if full:
-            stack_ok = stack_ok and np.array_equal(stack, golden_stack)
-            image_ok = image_ok and np.array_equal(image, golden_image)
-        verified = bool(stack_ok and image_ok)
+            completed = result.completed_shots("primary")
+            expected_stack, expected_image = _expected_stack(
+                config, shot_images, completed
+            )
+            stack = result.stacks.get("primary")
+            image = result.images.get("primary")
+            stack_ok = stack is not None and np.array_equal(stack, expected_stack)
+            image_ok = image is not None and np.array_equal(image, expected_image)
+            full = len(completed) == len(xs)
+            # with nothing quarantined/shed/stranded, the survivors' golden
+            # IS the full golden — assert against it explicitly
+            if full:
+                stack_ok = stack_ok and np.array_equal(stack, golden_stack)
+                image_ok = image_ok and np.array_equal(image, golden_image)
+            verified = bool(stack_ok and image_ok)
 
-        metrics = result.metrics()
-        metrics["verified"] = 1.0 if verified else 0.0
-        append_run(ledger_path, runlog, metrics)
+            metrics = result.metrics()
+            metrics["verified"] = 1.0 if verified else 0.0
+            record.metrics = metrics
         points[str(w)] = {
             "workers": w,
             "verified": verified,

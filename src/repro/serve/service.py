@@ -61,6 +61,7 @@ from repro.resilience.recovery import (
 from repro.serve.cache import ResultCache, ShotKey, model_hash
 from repro.serve.queue import PoisonShotError, ShotJob, ShotQueue
 from repro.utils.errors import ConfigurationError, DeviceLostError, ReproError
+from repro.utils.fold import nearest_rank
 
 #: simulated seconds to detect a dead worker and requeue its shot (a
 #: fixed deterministic charge: the failed pipeline's own clock dies with
@@ -148,14 +149,6 @@ class ServiceResult:
             j.latency_s for j in self.jobs if j.latency_s is not None
         )
 
-    @staticmethod
-    def _percentile(ordered: list[float], q: float) -> float:
-        """Nearest-rank percentile (deterministic, interpolation-free)."""
-        if not ordered:
-            return 0.0
-        rank = max(1, int(np.ceil(q * len(ordered))))
-        return float(ordered[rank - 1])
-
     # ------------------------------------------------------------------
     def metrics(self) -> dict:
         lat = self.latencies_s()
@@ -172,8 +165,8 @@ class ServiceResult:
             "shots_per_hour": (
                 done / self.makespan_s * 3600.0 if self.makespan_s > 0 else 0.0
             ),
-            "queue_p50_s": self._percentile(lat, 0.50),
-            "queue_p95_s": self._percentile(lat, 0.95),
+            "queue_p50_s": nearest_rank(lat, 0.50),
+            "queue_p95_s": nearest_rank(lat, 0.95),
             "queue_max_s": lat[-1] if lat else 0.0,
         }
         out.update(self.queue_counters)

@@ -102,37 +102,38 @@ def _trace_multigpu(
 def run_trace_command(args) -> int:
     """``python -m repro trace`` entry point (argparse namespace in)."""
     from repro.bench.report import format_gpu_times
-    from repro.observe import RunLog, append_run, ledger_path_from_args
+    from repro.observe import ledger_path_from_args, observed_run
     from repro.observe.reduce import reduce_trace
 
-    runlog = RunLog(command="trace", case=args.case, mode=args.mode,
-                    ranks=args.ranks, nt=args.nt)
-    with runlog.activate():
+    ledger_path = ledger_path_from_args(args)
+    with observed_run(ledger_path, "trace", args.case, args.mode,
+                      args.ranks) as record:
         tracer, result = trace_case(
             args.case, mode=args.mode, nt=args.nt, ranks=args.ranks
         )
-    trace = write_perfetto(tracer, args.out)
-    if args.jsonl:
-        write_jsonl(tracer, args.jsonl)
-    print(summary_text(tracer, title=f"Trace summary — {args.case} ({args.mode})"))
-    print()
-    reduction = reduce_trace(tracer)
-    print(reduction.to_text(
-        title=f"Trace reduction — {args.case} ({args.mode})"
-    ))
-    print()
-    if result.gpu is not None:
-        print(format_gpu_times("GPU time by category", result.gpu))
+        trace = write_perfetto(tracer, args.out)
+        if args.jsonl:
+            write_jsonl(tracer, args.jsonl)
+        print(summary_text(
+            tracer, title=f"Trace summary — {args.case} ({args.mode})"
+        ))
         print()
-    for r, times in enumerate(getattr(result, "rank_times", ())):
-        print(format_gpu_times(f"GPU time by category — rank {r}", times))
+        reduction = reduce_trace(tracer)
+        print(reduction.to_text(
+            title=f"Trace reduction — {args.case} ({args.mode})"
+        ))
         print()
-    print(f"wrote {args.out} ({len(trace['traceEvents'])} events; "
-          "open in https://ui.perfetto.dev)")
-    if args.jsonl:
-        print(f"wrote {args.jsonl}")
-    ledger_path = ledger_path_from_args(args)
-    record = append_run(ledger_path, runlog, reduction.summary_metrics())
-    if record is not None:
+        if result.gpu is not None:
+            print(format_gpu_times("GPU time by category", result.gpu))
+            print()
+        for r, times in enumerate(getattr(result, "rank_times", ())):
+            print(format_gpu_times(f"GPU time by category — rank {r}", times))
+            print()
+        print(f"wrote {args.out} ({len(trace['traceEvents'])} events; "
+              "open in https://ui.perfetto.dev)")
+        if args.jsonl:
+            print(f"wrote {args.jsonl}")
+        record.metrics = reduction.summary_metrics()
+    if ledger_path is not None:
         print(f"ledger {ledger_path} (run {record.run_id})")
     return 0

@@ -13,11 +13,7 @@ from repro.analyze.capacity import (
 )
 from repro.analyze.framework import Severity
 from repro.analyze.program import AccEvent, DirectiveProgram
-from repro.compile.compiler import (
-    CompileRequest,
-    _default_runtime_factory,
-    record_segments,
-)
+from repro.compile.compiler import CompileRequest, record_segments
 from repro.core.config import GPUOptions
 from repro.core.platform import CRAY_K40
 from repro.gpusim.memory import _aligned
@@ -27,10 +23,7 @@ from repro.utils.errors import AnalysisError
 
 def _record(case: str, mode: str, nt: int = 8):
     request = CompileRequest.from_case(case, mode, nt=nt)
-    options = GPUOptions()
-    return record_segments(
-        request, options, _default_runtime_factory(options, None)
-    )
+    return record_segments(request, GPUOptions(), CRAY_K40)
 
 
 def _phase_of(recording):

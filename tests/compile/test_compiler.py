@@ -11,20 +11,16 @@ from repro.compile import (
     opportunities_from_artifact,
     record_segments,
 )
-from repro.compile.compiler import (
-    REPEATED_PHASES,
-    _default_runtime_factory,
-)
+from repro.compile.compiler import REPEATED_PHASES
 from repro.core.config import GPUOptions
+from repro.core.platform import CRAY_K40
 from repro.utils.errors import CompileError, StaleArtifactError
 
 
 def recording(case="iso2d", mode="rtm", nt=8):
     request = CompileRequest.from_case(case, mode, nt=nt)
     options = GPUOptions()
-    return request, options, record_segments(
-        request, options, _default_runtime_factory(options, None)
-    )
+    return request, options, record_segments(request, options, CRAY_K40)
 
 
 class TestRequest:

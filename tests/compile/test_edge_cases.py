@@ -127,13 +127,10 @@ class TestStaleArtifact:
         req8 = CompileRequest.from_case("iso2d", "rtm", nt=8)
         from repro.analyze.dataflow import reports_to_json
         from repro.compile import record_segments
-        from repro.compile.compiler import _default_runtime_factory
         from repro.core.config import GPUOptions
+        from repro.core.platform import CRAY_K40
 
-        options = GPUOptions()
-        rec = record_segments(
-            req8, options, _default_runtime_factory(options, None)
-        )
+        rec = record_segments(req8, GPUOptions(), CRAY_K40)
         report = find_opportunities(rec.program, verify=False)
         report.program_sha = rec.program.sha()
         artifact = reports_to_json([report])

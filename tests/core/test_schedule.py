@@ -9,7 +9,6 @@ from repro.acc.compiler import CRAY_8_2_6, PGI_14_6
 from repro.analyze.drivers import record_pipeline_program
 from repro.compile.compiler import CompileRequest, record_segments
 from repro.core.config import GPUOptions
-from repro.core.modeling import _build_runtime
 from repro.core.platform import CRAY_K40
 from repro.core.schedule import PHASE_ORDER, Schedule
 from repro.utils.errors import ConfigurationError
@@ -74,10 +73,7 @@ def test_recording_interprets_the_schedule(schedule):
         nt=schedule.nt, snap_period=schedule.snap_period,
         snapshot_decimate=schedule.snapshot_decimate,
     )
-    options = GPUOptions()
-    recording = record_segments(
-        request, options, lambda: _build_runtime(options, CRAY_K40)
-    )
+    recording = record_segments(request, GPUOptions(), CRAY_K40)
     assert [s.phase for s in recording.segments] == [a for a, _ in _flat(schedule)]
     program = record_pipeline_program(
         "acoustic", (32, 32), schedule.mode, nt=schedule.nt,

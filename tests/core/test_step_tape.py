@@ -15,7 +15,7 @@ from repro.core.config import GPUOptions
 from repro.core.platform import CRAY_K40
 from repro.core.schedule import REPEATED_PHASES, Schedule
 from repro.core.shot import build_pipeline
-from repro.observe.runlog import RunLog
+from repro.observe.ledger import observed_run
 from repro.trace import Tracer
 
 PERSONAS = (PGI_13_7, PGI_14_3, PGI_14_6, CRAY_8_2_6)
@@ -43,8 +43,7 @@ def _run(case, tracer):
         return record(run)
 
     rt.record = counting_record
-    log = RunLog("step-tape")
-    with log.activate():
+    with observed_run(None, "step-tape") as log:
         for index, step in enumerate(Schedule(mode, nt, snap)):
             if index == cut and pipe.phase != "idle":
                 phase = pipe.phase

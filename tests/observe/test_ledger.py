@@ -1,19 +1,22 @@
 """Run ledger: append, read-back, grouping, robustness, fingerprints."""
 
 import json
+import math
 import os
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.observe.ledger import (
     LEDGER_SCHEMA,
     LedgerRecord,
     RunLedger,
-    append_run,
     ledger_path_from_args,
+    observed_run,
     plan_fingerprint,
 )
-from repro.observe.runlog import RunLog
+from repro.observe.runlog import count, emit
+from repro.utils.errors import CompileError
 
 
 def record(case="iso2d", ranks=1, command="trace", **metrics):
@@ -35,14 +38,14 @@ class TestRecord:
         assert back.metrics == rec.metrics
         assert back.run_id == rec.run_id
 
-    def test_from_runlog_carries_events_and_counters(self):
-        log = RunLog(command="chaos", case="el2d", mode="both", ranks=2)
-        log.log("recovery", action="retry")
-        log.count("recovery.actions")
-        rec = LedgerRecord.from_runlog(log, {"unrecovered": 0.0})
-        assert rec.group == ("chaos", "el2d", "both", 2)
-        assert rec.events == [{"kind": "recovery", "action": "retry"}]
-        assert rec.counters == {"recovery.actions": 1.0}
+    def test_events_and_counters_roundtrip(self):
+        rec = LedgerRecord("chaos", "el2d", "both", 2, {"unrecovered": 0.0})
+        rec.log("recovery", action="retry")
+        rec.count("recovery.actions")
+        back = LedgerRecord.from_json(json.loads(json.dumps(rec.to_json())))
+        assert back.group == ("chaos", "el2d", "both", 2)
+        assert back.events == [{"kind": "recovery", "action": "retry"}]
+        assert back.counters == {"recovery.actions": 1.0}
 
 
 class TestLedgerFile:
@@ -132,6 +135,7 @@ class TestRandomDamage:
             for rec in recs:
                 values = [*rec.metrics.values(), *rec.counters.values()]
                 assert all(type(v) is float for v in values)
+                assert all(math.isfinite(v) for v in values)
                 assert type(rec.ranks) is int
             checked = (0, 1)
         else:
@@ -144,9 +148,31 @@ class TestRandomDamage:
 
 
 class TestAppendRun:
-    def test_none_path_disables(self):
-        log = RunLog(command="trace")
-        assert append_run(None, log, {"makespan_s": 1.0}) is None
+    def test_none_path_disables(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with observed_run(None, "trace") as rec:
+            rec.metrics = {"makespan_s": 1.0}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_appends_nothing(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        with pytest.raises(CompileError):
+            with observed_run(str(path), "compile", "iso2d (rtm)", "rtm"):
+                emit("phase", phase="forward")
+                raise CompileError("refused")
+        assert not path.exists()
+
+    def test_appends_the_ambient_record(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
+        with observed_run(path, "scale", "ac2d", "rtm", 2) as rec:
+            emit("run", op="rtm")
+            count("multigpu.exchanges", 4)
+            rec.metrics = {"makespan_s": 2.0}
+        (back,) = RunLedger(path).records()
+        assert back.to_json() == rec.to_json()
+        assert back.group == ("scale", "ac2d", "rtm", 2)
+        assert back.events == [{"kind": "run", "op": "rtm"}]
+        assert back.counters == {"multigpu.exchanges": 4.0}
 
     def test_appends_with_plan_hash(self, tmp_path):
         from repro.optim.autotune import TuningPlan
@@ -157,10 +183,10 @@ class TestAppendRun:
             baseline_step_seconds=1.0, tuned_step_seconds=0.9,
         )
         path = str(tmp_path / "ledger.jsonl")
-        log = RunLog(command="tune", case="iso2d", mode="rtm")
-        rec = append_run(path, log, {"improvement": 0.1}, plan=plan)
-        assert rec.plan_hash == plan_fingerprint(plan)
-        assert RunLedger(path).latest().plan_hash == rec.plan_hash
+        with observed_run(path, "tune", "iso2d", "rtm") as rec:
+            rec.metrics = {"improvement": 0.1}
+            rec.plan_hash = plan_fingerprint(plan)
+        assert RunLedger(path).latest().plan_hash == plan_fingerprint(plan)
 
 
 class TestPlanFingerprint:

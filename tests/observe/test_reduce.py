@@ -13,6 +13,7 @@ from repro.observe.reduce import (
     reduce_trace,
 )
 from repro.trace.tracer import SPAN, TraceEvent
+from repro.utils.fold import nearest_rank
 
 
 def span(name, cat, start, end, process="gpu:sim", track="queue:0"):
@@ -132,6 +133,20 @@ class TestQueuesAndKernels:
         assert agg.max_s == pytest.approx(5.0)
         assert agg.p95_s == pytest.approx(5.0)
         assert agg.mean_s == pytest.approx(15.0 / 11)
+
+    def test_kernel_p95_is_nearest_rank(self):
+        # 20 spans of 1..20 s: the p95 is the 19th (ceil(0.95 * 20)), not
+        # the maximum
+        events = [span("stencil", "kernel", 100.0 * d, 100.0 * d + d)
+                  for d in range(1, 21)]
+        assert reduce_trace(events).kernels["stencil"].p95_s == 19.0
+
+    @pytest.mark.parametrize("n,q,rank", [
+        (20, 0.95, 19), (2, 0.5, 1), (11, 0.95, 11), (3, 0.5, 2), (5, 0.0, 1),
+    ])
+    def test_nearest_rank(self, n, q, rank):
+        assert nearest_rank([float(i) for i in range(1, n + 1)], q) == rank
+        assert nearest_rank([], q) == 0.0
 
     def test_phase_spans_excluded_from_work(self):
         # the umbrella phase span must not dominate the critical chain

@@ -153,8 +153,10 @@ class TestCheckFailsClosed:
         assert line.startswith(f"report: --check: {path}:3: skipped")
 
     @pytest.mark.parametrize(
-        "value", [None, "abc", [1], {}, True],
-        ids=["null", "string", "list", "object", "true"],
+        "value",
+        [None, "abc", [1], {}, True, float("nan"), float("inf"), float("-inf")],
+        ids=["null", "string", "list", "object", "true", "NaN", "Infinity",
+             "-Infinity"],
     )
     def test_non_numeric_metric(self, tmp_path, capsys, value):
         from repro.__main__ import main

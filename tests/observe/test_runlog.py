@@ -1,29 +1,28 @@
 """Run-scoped structured logging: ambient scope, counters, caps."""
 
 from repro.observe import runlog
-from repro.observe.runlog import MAX_EVENTS, RunLog, current_runlog
+from repro.observe.ledger import MAX_EVENTS, RunLedger, observed_run
 
 
 class TestAmbientScope:
     def test_noop_outside_scope(self):
-        assert current_runlog() is None
+        assert runlog.ambient.get() is None
         runlog.emit("phase", phase="forward")  # must not raise
         runlog.count("pipeline.forward_steps")
 
     def test_activate_installs_and_restores(self):
-        log = RunLog(command="trace", case="iso2d", mode="rtm", ranks=2)
-        with log.activate():
-            assert current_runlog() is log
+        with observed_run(None, "trace", "iso2d", "rtm", 2) as log:
+            assert runlog.ambient.get() is log
             runlog.emit("phase", phase="forward")
             runlog.count("steps", 3)
-        assert current_runlog() is None
+        assert runlog.ambient.get() is None
+        assert log.group == ("trace", "iso2d", "rtm", 2)
         assert log.events == [{"kind": "phase", "phase": "forward"}]
         assert log.counters == {"steps": 3.0}
 
     def test_nested_scopes_restore_outer(self):
-        outer, inner = RunLog(command="a"), RunLog(command="b")
-        with outer.activate():
-            with inner.activate():
+        with observed_run(None, "a") as outer:
+            with observed_run(None, "b") as inner:
                 runlog.count("x")
             runlog.count("y")
         assert inner.counters == {"x": 1.0}
@@ -31,22 +30,14 @@ class TestAmbientScope:
 
 
 class TestAccumulation:
-    def test_event_cap_counts_overflow(self):
-        log = RunLog(command="trace")
-        for _ in range(MAX_EVENTS + 25):
-            log.log("tick")
-        assert len(log.events) == MAX_EVENTS
-        assert log.dropped_events == 25
-        assert log.to_json()["dropped_events"] == 25
-
-    def test_identity_and_json(self):
-        log = RunLog(command="scale", case="ac3d", mode="rtm", ranks=4, nt=16)
-        assert log.identity() == {
-            "command": "scale", "case": "ac3d", "mode": "rtm", "ranks": 4,
-        }
-        doc = log.to_json()
-        assert doc["context"] == {"nt": 16}
-        assert doc["events"] == []
+    def test_event_cap_counts_overflow(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
+        with observed_run(path, "trace"):
+            for i in range(MAX_EVENTS + 25):
+                runlog.emit("tick", i=i)
+        (rec,) = RunLedger(path).records()
+        assert [e["i"] for e in rec.events] == list(range(MAX_EVENTS))
+        assert rec.counters == {"ledger.dropped_events": 25.0}
 
 
 class TestPipelineThreading:
@@ -60,8 +51,7 @@ class TestPipelineThreading:
         cfg = ModelingConfig(physics="acoustic", model=model, nt=4,
                              peak_freq=12.0, space_order=8,
                              boundary_width=8, snap_period=2)
-        log = RunLog(command="trace", case="ac2d", mode="modeling")
-        with log.activate():
+        with observed_run(None, "trace", "ac2d", "modeling") as log:
             run_modeling(cfg, gpu_options=GPUOptions())
         phases = [e["phase"] for e in log.events if e["kind"] == "phase"]
         assert phases[0] == "forward"
@@ -72,8 +62,7 @@ class TestPipelineThreading:
         from repro.core import GPUOptions
         from repro.core.multigpu import MultiGpuPipeline
 
-        log = RunLog(command="scale", case="ac2d", ranks=2)
-        with log.activate():
+        with observed_run(None, "scale", "ac2d", ranks=2) as log:
             mgp = MultiGpuPipeline("acoustic", (96, 96), 2,
                                    options=GPUOptions(), boundary_width=8)
             mgp.run(4, 2)

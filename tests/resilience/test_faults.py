@@ -7,7 +7,7 @@ from repro.resilience.faults import (
     CATEGORY,
     DEVICE_KINDS,
     MPI_KINDS,
-    PROTOCOL_KINDS,
+    SHOT_POISON,
     FaultPlan,
     FaultSpec,
     is_permanent,
@@ -22,9 +22,10 @@ class TestSpecs:
         for kind in DEVICE_KINDS + MPI_KINDS:
             assert CATEGORY[kind] in ("transfer", "launch", "alloc", "message")
 
-    def test_protocol_kinds_have_no_category(self):
-        for kind in PROTOCOL_KINDS:
-            assert CATEGORY.get(kind) is None
+    def test_every_accepted_kind_but_shot_poison_is_injected(self):
+        # a kind with no category parses but never fires in the injector;
+        # shot-poison is injected by the survey service instead
+        assert set(ALL_KINDS) - set(CATEGORY) == {SHOT_POISON}
 
     def test_permanent(self):
         assert is_permanent("pcie-permanent")

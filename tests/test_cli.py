@@ -100,6 +100,7 @@ MALFORMED = [
     ("chaos iso2d --ranks -3", "--ranks"),
     ("chaos all --ranks 0", "--ranks"),
     ("chaos iso2d --faults garbage", "--faults"),
+    ("chaos iso2d --ranks 2 --faults halo-stale-device", "halo-stale-device"),
     ("chaos iso2d --nt 0", "--nt"),
     ("chaos nosuch", "nosuch"),
     ("serve iso2d,nosuch --workers 2", "nosuch"),

@@ -85,8 +85,6 @@ CORE_UPWARD = {
     ("shot.py", "build_pipeline", "repro.analyze.drivers"),
     ("shot.py", "build_pipeline", "repro.sanitize.drivers"),
     ("shot.py", "build_pipeline", "repro.analyze.validate_cli"),
-    ("multigpu.py", "ExchangeProtocol.from_faults", "repro.resilience.faults"),
-    ("multigpu.py", "ExchangeProtocol.fault_specs", "repro.resilience.faults"),
 }
 
 
