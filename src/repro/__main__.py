@@ -474,6 +474,15 @@ def _check_line(args: argparse.Namespace) -> None:
             "--fix needs --script FILE (recorded-schedule findings "
             "carry advisory fixes only)"
         )
+    if command == "chaos" and args.faults is not None:
+        from repro.resilience.faults import CATEGORY, parse_faults
+
+        for spec in parse_faults(args.faults):
+            if spec.kind not in CATEGORY:  # no device or MPI operation
+                raise ConfigurationError(
+                    f"--faults: chaos cannot inject '{spec.kind}' (only "
+                    "serve injects it)"
+                )
     if command == "figures" and args.name == "tuned" and args.plan is None:
         raise ConfigurationError("NAME 'tuned' needs --plan PATH")
     if command == "plan" and len(args.dims) not in (2, 3):

@@ -28,8 +28,9 @@ This package detects them *before* a run:
 * :mod:`~repro.analyze.cli` — ``python -m repro lint`` with text/JSON
   reporters and ``--fail-on`` gating;
 * :mod:`~repro.analyze.drivers` — record-and-lint helpers plus the
-  pipeline's opt-in strict mode (``GPUOptions.strict_lint``, which now
-  runs the dataflow engine's proofs before the real run starts).
+  strict gate :func:`~repro.analyze.drivers.check_schedule`, which a
+  caller runs before a real run: it lints a dry run of the same
+  configuration, the dataflow engine's proofs included.
 """
 
 from repro.analyze.async_race import AsyncRacePass

@@ -6,11 +6,10 @@ case's full directive sequence — data allocation, forward steps, the
 offload/upload swap, backward steps, finalize — becomes a lintable
 :class:`~repro.analyze.program.DirectiveProgram`.
 
-``check_schedule`` is the pipeline's opt-in strict mode
-(``GPUOptions.strict_lint``): it records a short dry run of the same
-configuration and raises :class:`~repro.utils.errors.AnalysisError` if the
-analyzer reports findings at or above the gate severity, *before* the real
-run starts.
+``check_schedule`` is the strict lint gate a caller runs before a real
+run: it records a short dry run of the same configuration and raises
+:class:`~repro.utils.errors.AnalysisError` if the analyzer reports
+findings at or above the gate severity.
 """
 
 from __future__ import annotations
@@ -19,12 +18,12 @@ from repro.analyze.framework import (
     LintResult,
     Severity,
     lint_program,
+    refuse,
 )
 from repro.analyze.program import DirectiveProgram
 from repro.analyze.recorder import ProgramRecorder
-from repro.utils.errors import AnalysisError
 
-#: step/snapshot caps of the strict-mode dry run — the directive pattern is
+#: step/snapshot caps of the strict gate's dry run — the directive pattern is
 #: periodic, so a short run exhibits every per-step bug class
 STRICT_NT = 16
 STRICT_SNAP = 4
@@ -48,28 +47,20 @@ def record_pipeline_program(
     """Run one case's offload schedule in estimate mode and return the
     recorded DirectiveProgram."""
     from repro.core.config import GPUOptions
-    from repro.core.modeling import _build_runtime
-    from repro.core.pipeline import OffloadPipeline, run_schedule
+    from repro.core.pipeline import run_schedule
     from repro.core.platform import CRAY_K40
     from repro.core.schedule import Schedule
+    from repro.core.shot import build_pipeline
 
-    options = options if options is not None else GPUOptions()
-    platform = platform if platform is not None else CRAY_K40
-    rt = _build_runtime(options, platform)
+    pipeline = build_pipeline(
+        options if options is not None else GPUOptions(),
+        platform if platform is not None else CRAY_K40,
+        physics, shape, nreceivers, space_order, boundary_width, pml_variant,
+    )
     recorder = ProgramRecorder(
         name=name or f"{physics}-{len(shape)}d-{mode}"
     )
-    rt.attach_recorder(recorder)
-    pipeline = OffloadPipeline(
-        rt,
-        physics,
-        shape,
-        nreceivers=nreceivers,
-        space_order=space_order,
-        boundary_width=boundary_width,
-        options=options,
-        pml_variant=pml_variant,
-    )
+    pipeline.rt.attach_recorder(recorder)
     run_schedule(pipeline, Schedule(mode, nt, snap_period, snapshot_decimate))
     return recorder.program
 
@@ -120,17 +111,10 @@ def check_schedule(
         pml_variant=pml_variant,
         name=f"{physics}-{len(shape)}d-{mode} (strict dry run)",
     )
-    if result.fails(fail_on):
-        worst = [d for d in result.diagnostics if d.severity >= fail_on]
-        head = "; ".join(
-            f"{d.rule}: {d.message}" for d in worst[:3]
-        )
-        more = f" (+{len(worst) - 3} more)" if len(worst) > 3 else ""
-        raise AnalysisError(
-            f"strict lint refused the {physics}-{len(shape)}d {mode} "
-            f"schedule: {len(worst)} finding(s) at or above "
-            f"{str(fail_on)} — {head}{more}"
-        )
+    refuse(
+        result.diagnostics, fail_on, "strict lint",
+        f"{physics}-{len(shape)}d {mode} schedule", "finding(s)",
+    )
     return result
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 from repro.analyze.program import DirectiveProgram
-from repro.utils.errors import ConfigurationError
+from repro.utils.errors import AnalysisError, ConfigurationError
 
 
 class Severity(IntEnum):
@@ -162,6 +162,22 @@ def lint_program(
     return LintResult(program, run_passes(program, passes))
 
 
+def refuse(
+    diagnostics, fail_on: Severity, who: str, what: str, noun: str
+) -> None:
+    """The strict gates' one refusal: raise :class:`AnalysisError` when any
+    of ``diagnostics`` is at or above ``fail_on``, naming the first three
+    (``"<who> refused the <what>: N <noun> at or above <fail_on> — ..."``)."""
+    worst = [d for d in diagnostics if d.severity >= fail_on]
+    if worst:
+        head = "; ".join(f"{d.rule}: {d.message}" for d in worst[:3])
+        more = f" (+{len(worst) - 3} more)" if len(worst) > 3 else ""
+        raise AnalysisError(
+            f"{who} refused the {what}: {len(worst)} {noun} at or above "
+            f"{str(fail_on)} — {head}{more}"
+        )
+
+
 __all__ = [
     "Severity",
     "parse_severity",
@@ -172,4 +188,5 @@ __all__ = [
     "deep_passes",
     "run_passes",
     "lint_program",
+    "refuse",
 ]

@@ -24,11 +24,10 @@ Exit status: 0 when every target is proven clean at the gate severity,
 1 on findings at/above ``--fail-on`` (default ``error``) or a
 compilation failure, 2 on a stale or malformed opportunities artifact.
 
-``check_validate`` is the pipeline's opt-in strict mode
-(``GPUOptions.strict_validate``): prove capacity for the exact
-configuration about to run and raise
-:class:`~repro.utils.errors.AnalysisError` on a proven OOM before the
-real run allocates anything.
+``check_validate`` is the strict capacity gate a caller runs before a
+real run: prove capacity for the exact configuration about to run and
+raise :class:`~repro.utils.errors.AnalysisError` on a proven OOM before
+the run allocates anything.
 """
 
 from __future__ import annotations
@@ -36,10 +35,28 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.analyze.framework import LintResult, Severity
-from repro.utils.errors import AnalysisError
+from repro.analyze.framework import LintResult, Severity, refuse
 
 __all__ = ["run_validate_command", "validate_request", "check_validate"]
+
+
+def _prove(program, mode, nt, snap_period, primary, usable_bytes, device,
+           phase_of=None):
+    """The capacity proof of one recorded run: the per-phase high-water
+    marks and, for RTM, the checkpoint-restore spike of ``primary``."""
+    from repro.analyze.capacity import checkpoint_spike, prove_capacity
+
+    proof = prove_capacity(
+        program, usable_bytes=usable_bytes, device=device, phase_of=phase_of
+    )
+    if mode == "rtm":
+        checkpoint_spike(
+            proof,
+            state_bytes=program.extents.get(primary, 0),
+            nt=nt,
+            snap_period=snap_period,
+        )
+    return proof
 
 
 def _phase_of(recording):
@@ -60,7 +77,6 @@ def validate_request(request, options=None, platform=None, artifact=None,
     compiled pipeline is None when compilation itself failed (its
     refusal message lands in ``error`` and counts as a finding).
     """
-    from repro.analyze.capacity import checkpoint_spike, prove_capacity
     from repro.compile.compiler import compile_case, record_segments
     from repro.core.config import GPUOptions
     from repro.core.platform import CRAY_K40
@@ -69,21 +85,11 @@ def validate_request(request, options=None, platform=None, artifact=None,
     platform = platform if platform is not None else CRAY_K40
     recording = record_segments(request, opts, platform)
     device = recording.pipeline.rt.device
-    proof = prove_capacity(
-        recording.program,
-        usable_bytes=device.memory.usable_bytes,
-        device=device.spec.name,
-        phase_of=_phase_of(recording),
+    proof = _prove(
+        recording.program, request.mode, request.nt, request.snap_period,
+        recording.pipeline.primary, device.memory.usable_bytes,
+        device.spec.name, _phase_of(recording),
     )
-    if request.mode == "rtm":
-        checkpoint_spike(
-            proof,
-            state_bytes=recording.program.extents.get(
-                recording.pipeline.primary, 0
-            ),
-            nt=request.nt,
-            snap_period=request.snap_period,
-        )
     diagnostics = list(proof.diagnostics)
     compiled = None
     error = None
@@ -240,13 +246,12 @@ def check_validate(
     pml_variant: str = "restructured",
     fail_on: Severity = Severity.ERROR,
 ):
-    """Strict-mode gate (``GPUOptions.strict_validate``): prove the
+    """Strict capacity gate, called before a run: prove the
     configuration's device capacity for the *full* run length and raise
     :class:`AnalysisError` on findings at/above ``fail_on`` — the
     would-OOM refusal happens here, before anything is allocated."""
     from dataclasses import replace
 
-    from repro.analyze.capacity import checkpoint_spike, prove_capacity
     from repro.analyze.drivers import record_pipeline_program
     from repro.core.inventory import primary_wavefield
     from repro.gpusim.memory import DeviceMemory
@@ -273,26 +278,12 @@ def check_validate(
         pml_variant=pml_variant,
         name=f"{physics}-{len(shape)}d-{mode} (validate dry run)",
     )
-    memory = DeviceMemory(platform.gpu.memory_bytes)
-    proof = prove_capacity(
-        program,
-        usable_bytes=memory.usable_bytes,
-        device=platform.gpu.name,
+    proof = _prove(
+        program, mode, nt, snap_period, primary_wavefield(physics),
+        DeviceMemory(platform.gpu.memory_bytes).usable_bytes, platform.gpu.name,
     )
-    if mode == "rtm":
-        checkpoint_spike(
-            proof,
-            state_bytes=program.extents.get(primary_wavefield(physics), 0),
-            nt=nt,
-            snap_period=snap_period,
-        )
-    worst = [d for d in proof.diagnostics if d.severity >= fail_on]
-    if worst:
-        head = "; ".join(f"{d.rule}: {d.message}" for d in worst[:3])
-        more = f" (+{len(worst) - 3} more)" if len(worst) > 3 else ""
-        raise AnalysisError(
-            f"strict validate refused the {physics}-{len(shape)}d {mode} "
-            f"run: {len(worst)} finding(s) at or above {str(fail_on)} — "
-            f"{head}{more}"
-        )
+    refuse(
+        proof.diagnostics, fail_on, "strict validate",
+        f"{physics}-{len(shape)}d {mode} run", "finding(s)",
+    )
     return proof

@@ -57,18 +57,12 @@ def _time_best(fns: tuple[Callable[[], None], ...], repeats: int) -> list[float]
 def _run_interpreted(
     request: "CompileRequest", options: "GPUOptions", platform: "Platform"
 ) -> None:
-    from repro.core.pipeline import OffloadPipeline, run_schedule
-    from repro.core.shot import _build_runtime
+    from repro.core.pipeline import run_schedule
+    from repro.core.shot import build_pipeline
 
-    pipe = OffloadPipeline(
-        _build_runtime(options, platform),
-        request.physics,
-        request.shape,
-        nreceivers=request.nreceivers,
-        space_order=request.space_order,
-        boundary_width=request.boundary_width,
-        options=options,
-        pml_variant=request.pml_variant,
+    pipe = build_pipeline(
+        options, platform, request.physics, request.shape, request.nreceivers,
+        request.space_order, request.boundary_width, request.pml_variant,
     )
     run_schedule(pipe, request.schedule)
 

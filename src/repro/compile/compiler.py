@@ -71,7 +71,7 @@ from repro.core.schedule import (
     RESIDENCY_STEPS,
     Schedule,
 )
-from repro.core.shot import _build_runtime
+from repro.core.shot import _build_runtime, build_pipeline
 from repro.optim.autotune import TuningPlan, options_with_plan
 from repro.optim.tuning import fused_launch_estimate
 from repro.utils.errors import (
@@ -202,25 +202,16 @@ def record_segments(
     here: a known-failure persona raises :class:`CompileError` and device
     OOM propagates.
     """
-    from repro.core.pipeline import OffloadPipeline
-
-    rt = _build_runtime(options, platform)
-    recorder = ProgramRecorder(name=name or request.name)
-    rt.attach_recorder(recorder)
-    pipe = OffloadPipeline(
-        rt,
-        request.physics,
-        request.shape,
-        nreceivers=request.nreceivers,
-        space_order=request.space_order,
-        boundary_width=request.boundary_width,
-        options=options,
-        pml_variant=request.pml_variant,
+    pipe = build_pipeline(
+        options, platform, request.physics, request.shape, request.nreceivers,
+        request.space_order, request.boundary_width, request.pml_variant,
     )
+    recorder = ProgramRecorder(name=name or request.name)
+    pipe.rt.attach_recorder(recorder)
     schedule = request.schedule
-    if schedule.known_failure(rt.compiler, pipe.physics, pipe.ndim):
+    if schedule.known_failure(pipe.rt.compiler, pipe.physics, pipe.ndim):
         raise CompileError(
-            f"persona {rt.compiler.name} cannot build "
+            f"persona {pipe.rt.compiler.name} cannot build "
             f"{pipe.physics}-{pipe.ndim}d-{request.mode} (known compiler failure)"
         )
     events = recorder.program.events

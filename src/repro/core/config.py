@@ -46,16 +46,6 @@ class GPUOptions:
     construct: str | None = None
     #: explicit loop schedule to pair with a forced construct
     schedule: Any = None
-    #: refuse to run when :mod:`repro.analyze` finds error-level problems in
-    #: a dry-run recording of this configuration's directive schedule
-    strict_lint: bool = False
-    #: refuse to run when :mod:`repro.sanitize` finds coherence/ghost/race
-    #: hazards in a sanitized dry run of this configuration's schedule
-    sanitize: bool = False
-    #: refuse to run when the capacity prover (:mod:`repro.analyze.capacity`)
-    #: finds DF2xx errors — e.g. a proven device OOM — before any
-    #: allocation happens
-    strict_validate: bool = False
     #: per-kernel schedule overrides from the closed-loop tuner (a
     #: :class:`~repro.optim.autotune.TuningPlan`, or any object exposing
     #: ``entry_for(kernel_name)``); kernels without an entry fall through to

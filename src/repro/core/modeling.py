@@ -45,7 +45,6 @@ def estimate_modeling(
     """Timing-only modeling run at arbitrary (paper-scale) grid sizes."""
     pipeline = build_pipeline(
         options if options is not None else GPUOptions(), platform, physics,
-        shape, "modeling", nt, snap_period, nreceivers, space_order,
-        boundary_width, pml_variant, tracer,
+        shape, nreceivers, space_order, boundary_width, pml_variant, tracer,
     )
     return run_pipeline_modeling(pipeline, nt, snap_period, snapshot_decimate)

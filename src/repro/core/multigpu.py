@@ -32,7 +32,7 @@ from repro.core.inventory import device_resident_bytes
 from repro.core.pipeline import OffloadPipeline
 from repro.core.platform import CRAY_K40, Platform
 from repro.core.schedule import Schedule
-from repro.core.shot import _build_runtime
+from repro.core.shot import build_pipeline
 from repro.gpusim.kernelmodel import estimate_kernel_time
 from repro.gpusim.memory import DeviceMemory
 from repro.grid.decomposition import CartesianDecomposition
@@ -41,6 +41,7 @@ from repro.mpisim.comm import SimMPI
 from repro.mpisim.halo import HaloExchanger
 from repro.observe import runlog
 from repro.propagators.workloads import workloads_for
+from repro.trace.tracer import Tracer
 from repro.utils.errors import ConfigurationError
 
 #: wavefields whose halos move per step, per formulation/dimension
@@ -278,7 +279,11 @@ class MultiGpuPipeline:
     of a ghost face, every ``note_host_write`` of a landed slab, every MPI
     message — so the analyzer and the sanitizer see the actual schedule.
     Pass a :class:`~repro.sanitize.session.SanitizeSession` as ``session``
-    to check it live.
+    to check it live. Pass a :class:`~repro.trace.tracer.Tracer` as
+    ``tracer`` to trace it: each rank records on a fresh tracer of its
+    own, the halo spans go on ``tracer`` on rank 0's clock, and
+    :meth:`run` absorbs every rank's tracer into ``tracer`` under
+    ``rank<r>:``-prefixed processes.
     """
 
     #: exchanged halo field key (the exchanger's name space, not the
@@ -298,16 +303,11 @@ class MultiGpuPipeline:
         halo_width: int | None = None,
         session: object | None = None,
         protocol: ExchangeProtocol | None = None,
-        tracers: list | None = None,
-        exchange_tracer: object | None = None,
+        tracer: Tracer | None = None,
         injector: object | None = None,
     ):
         if ngpus < 1:
             raise ConfigurationError("ngpus must be >= 1")
-        if tracers is not None and len(tracers) != ngpus:
-            raise ConfigurationError(
-                f"need one tracer per rank: got {len(tracers)} for {ngpus} GPUs"
-            )
         self.physics = physics.lower()
         self.shape = tuple(int(n) for n in shape)
         self.ndim = len(self.shape)
@@ -324,27 +324,20 @@ class MultiGpuPipeline:
         self.mpi = SimMPI(self.ngpus, observer=session)
         if injector is not None:
             injector.attach_mpi(self.mpi)
-        self._exchange_tracer = exchange_tracer
+        self.tracer = tracer
         self.ranks: list[_RankContext] = []
         for r in range(self.ngpus):
             sub = self.decomp.subdomain(r)
             local_shape = sub.local_grid.shape
-            rt = _build_runtime(
-                self.options, platform, tracers[r] if tracers is not None else None
+            pipe = build_pipeline(
+                self.options, platform, self.physics, local_shape, nreceivers,
+                space_order, boundary_width,
+                tracer=Tracer() if tracer is not None else None,
             )
             if session is not None:
-                rt.attach_recorder(session.recorder(r))
+                pipe.rt.attach_recorder(session.recorder(r))
             if injector is not None:
-                rt.attach_injector(injector, rank=r)
-            pipe = OffloadPipeline(
-                rt,
-                self.physics,
-                local_shape,
-                nreceivers=nreceivers,
-                space_order=space_order,
-                boundary_width=boundary_width,
-                options=self.options,
-            )
+                pipe.rt.attach_injector(injector, rank=r)
             self.ranks.append(_RankContext(
                 rank=r,
                 sub=sub,
@@ -359,12 +352,8 @@ class MultiGpuPipeline:
         self.exchanger = HaloExchanger(
             self.decomp,
             self.mpi,
-            tracer=exchange_tracer,
-            clock=(
-                self.ranks[0].pipe.rt.device.clock
-                if exchange_tracer is not None
-                else None
-            ),
+            tracer=tracer,
+            clock=self.ranks[0].pipe.rt.device.clock if tracer is not None else None,
             sanitizer=session,
         )
 
@@ -437,7 +426,8 @@ class MultiGpuPipeline:
         """The Figure-4 schedule on every card; returns per-rank modelled
         timings. Each rank runs a step's actions before its kernels, then
         the kernels, then one halo exchange of the stepped wavefield
-        across all ranks, then the actions after."""
+        across all ranks, then the actions after. A traced pipeline then
+        absorbs each rank's tracer into its own."""
         schedule = Schedule(mode, nt, snap_period, snapshot_decimate)
         runlog.emit("run", op=mode, nt=nt, ranks=len(self.ranks))
         for step in schedule:
@@ -455,4 +445,7 @@ class MultiGpuPipeline:
                 for action in step.post:
                     rc.pipe.perform(action, step)
         runlog.emit("run.done", op=mode)
+        if self.tracer is not None:
+            for rc in self.ranks:
+                self.tracer.absorb(rc.pipe.tracer, process_prefix=f"rank{rc.rank}:")
         return [rc.pipe.gpu_times() for rc in self.ranks]

@@ -47,7 +47,6 @@ def estimate_rtm(
     """Timing-only RTM run at arbitrary (paper-scale) grid sizes."""
     pipeline = build_pipeline(
         options if options is not None else GPUOptions(), platform, physics,
-        shape, "rtm", nt, snap_period, nreceivers, space_order,
-        boundary_width, pml_variant, tracer,
+        shape, nreceivers, space_order, boundary_width, pml_variant, tracer,
     )
     return run_pipeline_rtm(pipeline, nt, snap_period)

@@ -5,10 +5,16 @@ the propagators, the snap period, source and receivers, the seismogram,
 the snapshot store and — for RTM — the illumination, the backward
 propagator, the imaging condition and the final normalise-and-mute.
 With ``gpu_options`` it also builds the :class:`~repro.core.pipeline.
-OffloadPipeline` that times the run (after the opt-in strict gates).
+OffloadPipeline` that times the run (:func:`build_pipeline`, the one
+constructor of that pipeline).
 :func:`~repro.core.modeling.run_modeling` and :func:`~repro.core.rtm.
 run_rtm` are :meth:`Shot.run`; :class:`~repro.resilience.recovery.
 ResilientPipeline` interprets the same steps under its guard.
+
+A shot runs no static gate: a caller who wants one calls it before the
+shot (``repro.analyze.drivers.check_schedule``, ``repro.sanitize.drivers.
+check_sanitize`` or ``repro.analyze.validate_cli.check_validate``), so
+``core`` imports no layer above it.
 """
 
 from __future__ import annotations
@@ -89,43 +95,16 @@ def build_pipeline(
     platform: Platform,
     physics: str,
     shape: tuple[int, ...],
-    mode: str,
-    nt: int,
-    snap_period: int,
     nreceivers: int = 128,
     space_order: int = 8,
     boundary_width: int = 16,
     pml_variant: str = "branchy",
     tracer: Tracer | None = None,
 ) -> OffloadPipeline:
-    """A runtime and the offload pipeline on it, behind the opt-in strict
-    modes: lint, sanitize and/or statically validate a dry-run recording
-    of this configuration's schedule and refuse (raise AnalysisError) on
-    error-level findings before anything is allocated."""
-    shape = tuple(shape)
-    if options.strict_lint:
-        from repro.analyze.drivers import check_schedule
-
-        check_schedule(
-            physics, shape, mode, options, platform, nreceivers=nreceivers,
-            space_order=space_order, boundary_width=boundary_width,
-            pml_variant=pml_variant,
-        )
-    if options.sanitize:
-        from repro.sanitize.drivers import check_sanitize
-
-        check_sanitize(
-            physics, shape, mode, options, platform,
-            space_order=space_order, boundary_width=boundary_width,
-        )
-    if options.strict_validate:
-        from repro.analyze.validate_cli import check_validate
-
-        check_validate(
-            physics, shape, mode, options, platform, nt=nt,
-            snap_period=snap_period, space_order=space_order,
-            boundary_width=boundary_width, pml_variant=pml_variant,
-        )
+    """A fresh runtime on ``platform`` and the offload pipeline on it — the
+    one constructor of :class:`OffloadPipeline`. Building issues no
+    directive, so a caller attaches its recorder, sanitizer session or
+    fault injector to ``pipeline.rt`` afterwards."""
     return OffloadPipeline(
         _build_runtime(options, platform, tracer),
         physics,
@@ -188,8 +167,7 @@ class Shot:
         self.pipeline: OffloadPipeline | None = None
         if gpu_options is not None:
             self.pipeline = build_pipeline(
-                gpu_options, platform, self.physics, self.shape, mode,
-                config.nt, self.snap_period,
+                gpu_options, platform, self.physics, self.shape,
                 nreceivers=self.receivers.count,
                 space_order=config.space_order,
                 boundary_width=config.boundary_width,

@@ -194,19 +194,14 @@ def run_scale_point(
     shape = SCALE_SHAPES[ndim]
     space_order = space_order_of(ndim)
 
-    rank_tracers = [Tracer() for _ in range(ranks)]
     merged = Tracer()
-    pipeline = MultiGpuPipeline(
+    MultiGpuPipeline(
         physics, shape, ranks,
         options=GPUOptions(),
         space_order=space_order,
         boundary_width=8,
-        tracers=rank_tracers,
-        exchange_tracer=merged,
-    )
-    pipeline.run(nt, snap_period, mode)
-    for r, rt in enumerate(rank_tracers):
-        merged.absorb(rt, process_prefix=f"rank{r}:")
+        tracer=merged,
+    ).run(nt, snap_period, mode)
 
     reduction = reduce_trace(merged)
     summary = reduction.summary_metrics()

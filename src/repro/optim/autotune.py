@@ -688,19 +688,12 @@ def options_with_plan(base: GPUOptions, plan: TuningPlan) -> GPUOptions:
 def _case_workloads(request: TuneRequest) -> dict[str, Any]:
     """Name -> KernelWorkload map of every kernel the case's pipeline can
     launch (forward, backward, injection, imaging)."""
-    from repro.core.modeling import _build_runtime
-    from repro.core.pipeline import OffloadPipeline
+    from repro.core.shot import build_pipeline
 
-    rt = _build_runtime(request.base_options, request.platform)
-    p = OffloadPipeline(
-        rt,
-        request.physics,
-        request.shape,
-        nreceivers=request.nreceivers,
-        space_order=request.space_order,
-        boundary_width=request.boundary_width,
-        options=request.base_options,
-        pml_variant=request.pml_variant,
+    p = build_pipeline(
+        request.base_options, request.platform, request.physics, request.shape,
+        request.nreceivers, request.space_order, request.boundary_width,
+        request.pml_variant,
     )
     out: dict[str, Any] = {}
     for group in (

@@ -28,7 +28,6 @@ from repro.resilience.faults import (
     DEVICE_KINDS,
     MPI_KINDS,
     RANK_DEAD,
-    CATEGORY,
     FaultPlan,
     parse_faults,
 )
@@ -83,26 +82,54 @@ def _min_rank_envelope(injector: FaultInjector, ranks: int) -> dict[str, int]:
     return out
 
 
-def _outcome_from_stats(
-    case: str, mode: str, kind: str, spec_str: str, injector: FaultInjector,
-    stats, recovered: bool, equivalent: bool, notes: str,
-) -> FaultOutcome:
-    return FaultOutcome(
-        case=case,
-        mode=mode,
-        kind=kind,
-        spec=spec_str,
-        injected=len(injector.events),
-        detected=stats.detected > 0,
-        retries=stats.retries,
-        restarts=stats.restarts,
-        degraded=",".join(stats.degraded),
-        recovered=recovered,
-        equivalent=equivalent,
-        recovery_cost_s=stats.recovery_cost_s,
-        events=tuple(ev.label() for ev in injector.events),
-        notes=notes,
-    )
+def _chaos_loop(
+    case: str, mode: str, seed: int, ranks: int, faults: str | None,
+    kinds: tuple[str, ...], tracer, build, answers,
+) -> list[FaultOutcome]:
+    """The campaign of one case: the fault-free reference run (golden
+    answers and the per-category op envelope), then one outcome per
+    seeded or parsed spec. ``build(plan, tracer)`` makes a resilient run,
+    ``answers(run)`` runs it and returns the arrays compared against the
+    reference, in order, until the first mismatch."""
+    ref = build(None, None)
+    ref_answers = answers(ref)
+    envelope = _min_rank_envelope(ref.injector, ranks)
+    if faults:
+        specs = parse_faults(faults)
+    else:
+        specs = FaultPlan.seeded(seed, tuple(kinds), envelope, ranks=ranks).specs
+
+    outcomes = []
+    for spec in specs:
+        run = build(FaultPlan(seed=seed, specs=(spec,)), tracer)
+        recovered, equivalent, notes = False, False, ""
+        try:
+            got = answers(run)
+            recovered = True
+            for want, have in zip(ref_answers, got):
+                equivalent, notes = _equivalent(want, have)
+                if not equivalent:
+                    break
+        except ReproError as exc:
+            notes = f"{type(exc).__name__}: {exc}"
+        stats, injector = run.stats, run.injector
+        outcomes.append(FaultOutcome(
+            case=case,
+            mode=mode,
+            kind=spec.kind,
+            spec=spec.spec_string(),
+            injected=len(injector.events),
+            detected=stats.detected > 0,
+            retries=stats.retries,
+            restarts=stats.restarts,
+            degraded=",".join(stats.degraded),
+            recovered=recovered,
+            equivalent=equivalent,
+            recovery_cost_s=stats.recovery_cost_s,
+            events=tuple(ev.label() for ev in injector.events),
+            notes=notes,
+        ))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +153,7 @@ def run_chaos_case(
     _, _, kw = _chaos_config(case, nt)
     cfg_cls = RTMConfig if mode == "rtm" else ModelingConfig
 
-    def build(plan, inj_tracer=None):
+    def build(plan, inj_tracer):
         return ResilientPipeline(
             cfg_cls(**kw),
             gpu_options=GPUOptions(),
@@ -135,41 +162,16 @@ def run_chaos_case(
             backoff=BackoffPolicy(seed=seed),
         )
 
-    # fault-free reference: golden outputs + the op-count envelope
-    ref = build(None)
-    ref_result = ref.run_rtm() if mode == "rtm" else ref.run_modeling()
-    ref_answer = (
-        ref_result.image if mode == "rtm" else ref_result.final_wavefield
+    def answers(run):
+        if mode == "rtm":
+            return (run.run_rtm().image,)
+        result = run.run_modeling()
+        return result.final_wavefield, result.seismogram
+
+    return _chaos_loop(
+        case, mode, seed, 1, faults,
+        kinds if kinds is not None else SINGLE_RANK_KINDS, tracer, build, answers,
     )
-    envelope = ref.injector.op_counts()
-
-    if faults:
-        specs = parse_faults(faults)
-    else:
-        wanted = kinds if kinds is not None else SINGLE_RANK_KINDS
-        specs = FaultPlan.seeded(seed, tuple(wanted), envelope).specs
-
-    outcomes = []
-    for spec in specs:
-        plan = FaultPlan(seed=seed, specs=(spec,))
-        run = build(plan, inj_tracer=tracer)
-        recovered, equivalent, notes = False, False, ""
-        try:
-            result = run.run_rtm() if mode == "rtm" else run.run_modeling()
-            answer = result.image if mode == "rtm" else result.final_wavefield
-            recovered = True
-            equivalent, notes = _equivalent(ref_answer, answer)
-            if mode == "modeling" and equivalent:
-                equivalent, notes = _equivalent(
-                    ref_result.seismogram, result.seismogram
-                )
-        except ReproError as exc:
-            notes = f"{type(exc).__name__}: {exc}"
-        outcomes.append(_outcome_from_stats(
-            case, mode, spec.kind, spec.spec_string(), run.injector,
-            run.stats, recovered, equivalent, notes,
-        ))
-    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +194,10 @@ def run_chaos_case_multigpu(
     if ranks < 2:
         raise ConfigurationError("multi-GPU chaos needs ranks >= 2")
     physics, ndim, _ = _chaos_config(case, nt)
-    shape = CHAOS_SHAPES[ndim]
-    snap = 4
 
-    def build(plan, inj_tracer=None):
+    def build(plan, inj_tracer):
         return ResilientMultiGpu(
-            physics, shape, ranks,
+            physics, CHAOS_SHAPES[ndim], ranks,
             plan=plan,
             backoff=BackoffPolicy(seed=seed),
             boundary_width=8,
@@ -206,32 +206,11 @@ def run_chaos_case_multigpu(
             tracer=inj_tracer,
         )
 
-    ref = build(None)
-    ref_answer = ref.run(nt, snap, mode=mode)
-    envelope = _min_rank_envelope(ref.injector, ranks)
-
-    if faults:
-        specs = parse_faults(faults)
-    else:
-        wanted = kinds if kinds is not None else MULTI_RANK_KINDS
-        specs = FaultPlan.seeded(seed, tuple(wanted), envelope, ranks=ranks).specs
-
-    outcomes = []
-    for spec in specs:
-        plan = FaultPlan(seed=seed, specs=(spec,))
-        run = build(plan, inj_tracer=tracer)
-        recovered, equivalent, notes = False, False, ""
-        try:
-            answer = run.run(nt, snap, mode=mode)
-            recovered = True
-            equivalent, notes = _equivalent(ref_answer, answer)
-        except ReproError as exc:
-            notes = f"{type(exc).__name__}: {exc}"
-        outcomes.append(_outcome_from_stats(
-            case, mode, spec.kind, spec.spec_string(), run.injector,
-            run.stats, recovered, equivalent, notes,
-        ))
-    return outcomes
+    return _chaos_loop(
+        case, mode, seed, ranks, faults,
+        kinds if kinds is not None else MULTI_RANK_KINDS, tracer, build,
+        lambda run: (run.run(nt, 4, mode=mode),),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -413,9 +413,10 @@ class ResilientPipeline(_Recovering):
     operation sequence — the physics is bitwise identical and the device
     timeline matches to the last launch (checkpoint capture is pure host
     work). With faults armed, recovery guarantees the same final answer.
-    The shot itself — physics, strict gates and pipeline — is the plain
-    drivers' :class:`~repro.core.shot.Shot`; this class adds the guard,
-    the checkpoints and the restarts.
+    The shot itself — physics and pipeline — is the plain drivers'
+    :class:`~repro.core.shot.Shot`; this class adds the guard, the
+    checkpoints and the restarts. A static gate (lint, sanitize, capacity
+    proof) is a call made before the shot, as for the plain drivers.
 
     Parameters
     ----------

@@ -9,8 +9,9 @@ which async operations each rank's host thread has synchronized with
 (:mod:`repro.sanitize.session`) turns violations into the lint
 machinery's :class:`~repro.analyze.framework.Diagnostic` records — with
 machine-applicable :mod:`~repro.sanitize.fixit` edits for script-anchored
-findings. ``python -m repro sanitize`` is the CLI; ``GPUOptions.sanitize``
-gates real runs on a sanitized dry run.
+findings. ``python -m repro sanitize`` is the CLI; call
+:func:`~repro.sanitize.drivers.check_sanitize` before a real run to gate it
+on a sanitized dry run.
 """
 
 from repro.sanitize.drivers import (

@@ -74,28 +74,24 @@ def _trace_multigpu(
     tracer: Tracer, physics: str, shape, mode: str, nt: int, ranks: int,
     case: str, ndim: int,
 ) -> MultiGpuTraceResult:
-    """The decomposed path: one :class:`Tracer` per rank wired into that
-    rank's runtime, halo-exchange spans on the shared timeline, all merged
-    into ``tracer`` under ``rank<r>:``-prefixed processes."""
+    """The decomposed path: a traced :class:`~repro.core.multigpu.
+    MultiGpuPipeline` merges each rank's timeline into ``tracer`` under
+    ``rank<r>:``-prefixed processes, halo-exchange spans on the shared
+    timeline."""
     from repro.core import GPUOptions
     from repro.core.multigpu import MultiGpuPipeline
 
-    rank_tracers = [Tracer() for _ in range(ranks)]
     mgp = MultiGpuPipeline(
         physics, shape, ranks,
         options=GPUOptions(),
         space_order=space_order_of(ndim),
         boundary_width=8,
-        tracers=rank_tracers,
-        exchange_tracer=tracer,
+        tracer=tracer,
     )
     times = mgp.run(nt, 4, mode)
-    end = 0.0
-    for r, rt in enumerate(rank_tracers):
-        tracer.absorb(rt, process_prefix=f"rank{r}:")
-        end = max(end, rt.now())
-    tracer.emit(f"trace.{mode}", 0.0, end, track="run", cat="phase",
-                case=case, physics=physics, ndim=ndim, nt=nt, ranks=ranks)
+    tracer.emit(f"trace.{mode}", 0.0, mgp.makespan_s(), track="run",
+                cat="phase", case=case, physics=physics, ndim=ndim, nt=nt,
+                ranks=ranks)
     return MultiGpuTraceResult(times)
 
 

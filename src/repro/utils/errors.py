@@ -140,9 +140,11 @@ class CommunicationError(ReproError):
 class AnalysisError(ReproError):
     """The static analyzer refused a directive program.
 
-    Raised by strict-mode pipelines (``GPUOptions.strict_lint``) when
-    :mod:`repro.analyze` reports findings at or above the gate severity
-    for the schedule about to run.
+    Raised by the strict gates a caller runs before a shot
+    (``repro.analyze.drivers.check_schedule``, ``repro.sanitize.drivers.
+    check_sanitize``, ``repro.analyze.validate_cli.check_validate``) when
+    they find problems at or above the gate severity in the schedule
+    about to run.
     """
 
 

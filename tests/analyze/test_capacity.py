@@ -97,38 +97,20 @@ class TestWouldOom:
             K40, name="tiny-K40", memory_bytes=64 * 1024
         )
         platform = dataclasses.replace(CRAY_K40, gpu=tiny_gpu)
-        options = GPUOptions(strict_validate=True)
         with pytest.raises(AnalysisError, match="DF210"):
             check_validate(
-                "isotropic", (64, 64), "rtm", options, platform,
+                "isotropic", (64, 64), "rtm", GPUOptions(), platform,
                 nt=8, snap_period=4,
             )
 
     def test_strict_validate_gate_passes_the_real_card(self):
         from repro.analyze.validate_cli import check_validate
 
-        options = GPUOptions(strict_validate=True)
         proof = check_validate(
-            "isotropic", (64, 64), "rtm", options, CRAY_K40,
+            "isotropic", (64, 64), "rtm", GPUOptions(), CRAY_K40,
             nt=8, snap_period=4,
         )
         assert proof.fits
-
-    def test_strict_validate_refuses_through_run_rtm(self):
-        # the would-OOM persona never reaches allocate: AnalysisError,
-        # not DeviceOutOfMemoryError
-        from repro.core.rtm import estimate_rtm
-
-        tiny_gpu = dataclasses.replace(
-            K40, name="tiny-K40", memory_bytes=64 * 1024
-        )
-        platform = dataclasses.replace(CRAY_K40, gpu=tiny_gpu)
-        options = GPUOptions(strict_validate=True)
-        with pytest.raises(AnalysisError):
-            estimate_rtm(
-                "isotropic", (64, 64), 8, 4,
-                platform=platform, options=options,
-            )
 
 
 class TestCheckpointSpike:

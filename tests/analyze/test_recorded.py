@@ -156,7 +156,7 @@ class TestStrictMode:
     def test_clean_schedule_passes(self):
         result = check_schedule(
             "acoustic", (96, 96), "rtm",
-            GPUOptions(strict_lint=True), CRAY_K40, boundary_width=8,
+            GPUOptions(), CRAY_K40, boundary_width=8,
         )
         assert not result.fails(Severity.ERROR)
 
@@ -168,11 +168,21 @@ class TestStrictMode:
                 fail_on=Severity.INFO,  # seed cases do carry info findings
             )
 
-    def test_pipeline_wires_the_gate(self):
-        from repro.core.rtm import estimate_rtm
+    def test_refusal_names_three_findings_and_counts_the_rest(self):
+        from repro.analyze.framework import Diagnostic, refuse
 
-        times = estimate_rtm(
-            "acoustic", (96, 96), nt=8, snap_period=4,
-            options=GPUOptions(strict_lint=True), boundary_width=8,
+        found = [
+            Diagnostic("p", f"DF{i}", severity, f"m{i}")
+            for i, severity in enumerate(
+                (Severity.ERROR, Severity.INFO, Severity.ERROR,
+                 Severity.WARNING, Severity.ERROR)
+            )
+        ]
+        refuse(found[1:2], Severity.WARNING, "who", "what", "finding(s)")
+        with pytest.raises(AnalysisError) as refused:
+            refuse(found, Severity.WARNING, "strict lint",
+                   "acoustic-2d rtm schedule", "finding(s)")
+        assert str(refused.value) == (
+            "strict lint refused the acoustic-2d rtm schedule: 4 finding(s) "
+            "at or above warning — DF0: m0; DF2: m2; DF3: m3 (+1 more)"
         )
-        assert times.success

@@ -82,6 +82,22 @@ class TestPipelineBehavior:
         assert not events(session, 0, "host_write")
         assert session.result().clean()
 
+    def test_traced_run_merges_every_rank_under_its_prefix(self):
+        from repro.trace import Tracer
+
+        tracer = Tracer()
+        pipe = build(ngpus=2, tracer=tracer)
+        rank_tracers = [rc.pipe.tracer for rc in pipe.ranks]
+        assert len({id(t) for t in rank_tracers + [tracer]}) == 3
+        pipe.run(nt=4, snap_period=2)
+        merged = [e for e in tracer.events if e.process.startswith("rank")]
+        assert len(merged) == sum(len(t.events) for t in rank_tracers)
+        assert {e.process.split(":")[0] for e in merged} == {"rank0", "rank1"}
+        # halo spans stay unprefixed, on rank 0's simulated clock
+        halo = [e for e in tracer.events if e.cat == "halo"]
+        assert halo and all(e.process == "mpi" for e in halo)
+        assert max(e.end for e in halo) <= pipe.ranks[0].pipe.rt.device.clock.now
+
     def test_rejects_zero_gpus(self):
         with pytest.raises(ConfigurationError):
             build(ngpus=0)

@@ -31,7 +31,7 @@ def _run(case, tracer):
         compiler=persona, async_kernels=async_kernels, image_on_gpu=image_on_gpu,
     )
     pipe = build_pipeline(
-        options, CRAY_K40, physics, SHAPES[ndim], mode, nt, snap,
+        options, CRAY_K40, physics, SHAPES[ndim],
         nreceivers=6, space_order=4, boundary_width=4, tracer=tracer,
     )
     rt = pipe.rt

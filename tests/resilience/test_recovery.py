@@ -218,13 +218,13 @@ class TestCapacityOOM:
         gpu = dataclasses.replace(K40, name="tiny-K40", memory_bytes=64 * 1024)
         return dataclasses.replace(CRAY_K40, gpu=gpu)
 
-    def _rtm(self, **kw):
+    def _rtm(self):
         model = layered_model(
             (64, 64), spacing=10.0, interfaces=[320.0],
             velocities=[1500.0, 2600.0], vs_ratio=0.5,
         )
         cfg = _cfg(RTMConfig, physics="isotropic", model=model, nt=8)
-        return ResilientPipeline(cfg, platform=self._tiny(), **kw)
+        return ResilientPipeline(cfg, platform=self._tiny())
 
     def test_single_card_reraises(self):
         from repro.utils.errors import DeviceOutOfMemoryError
@@ -244,11 +244,3 @@ class TestCapacityOOM:
         with pytest.raises(DeviceOutOfMemoryError):
             r.run(8, 4)
         assert len(r.stats.degraded) == r.backoff.max_retries
-
-    def test_strict_validate_refuses_before_any_allocation(self):
-        from repro.utils.errors import AnalysisError
-
-        res = self._rtm(gpu_options=GPUOptions(strict_validate=True))
-        with pytest.raises(AnalysisError):
-            res.run_rtm()
-        assert res.injector.op_counts() == {}

@@ -209,6 +209,9 @@ MALFORMED_SHELL = [
     ("validate iso2d --nt 0", "--nt"),
     ("validate iso2d --fail-on bogus", "--fail-on"),
     ("sweep --nt 0", "--nt"),
+    # only serve injects a poisoned shot; chaos would report it recovered
+    ("chaos iso2d --faults shot-poison", "--faults"),
+    ("chaos iso2d --faults poison-shot", "--faults"),
 ]
 
 #: value-taking actions that name a file the command writes

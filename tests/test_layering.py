@@ -5,8 +5,9 @@ Importing a package loads its own layer and the layers below it, never
 one above (``docs/architecture.md``, "Key seams"). Each import check runs
 in a fresh interpreter and lists the ``repro`` modules that one import
 loaded. A function-local import is invisible to that check until the
-function runs, so ``core``'s imports of the layers above it are also
-listed from its source.
+function runs, so ``core``'s imports of the layers above it (none) are
+also listed from its source, as is every call that builds an
+``OffloadPipeline``.
 """
 
 from __future__ import annotations
@@ -79,32 +80,35 @@ LAYERS_ABOVE = [
 ]
 
 
-#: ``core``'s imports of a layer above it, each local to the function that
-#: needs it: (file, enclosing function, imported module)
-CORE_UPWARD = {
-    ("shot.py", "build_pipeline", "repro.analyze.drivers"),
-    ("shot.py", "build_pipeline", "repro.sanitize.drivers"),
-    ("shot.py", "build_pipeline", "repro.analyze.validate_cli"),
-}
+#: ``core``'s imports of a layer above it, at any scope: (file, enclosing
+#: function, imported module). A strict gate is a call made before a shot,
+#: so there are none.
+CORE_UPWARD: set[tuple[str, str, str]] = set()
 
 
-def _imports(tree: ast.AST, scope: tuple[str, ...] = ()):
-    """(enclosing function, module) for every import under ``tree``;
-    ``from M import N`` imports ``M.N`` when that is a module."""
+def _scoped(tree: ast.AST, scope: tuple[str, ...] = ()):
+    """(enclosing function, node) for every node under ``tree``."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _imports(node, (*scope, node.name))
-        elif isinstance(node, ast.Import):
+            yield from _scoped(node, (*scope, node.name))
+        else:
+            yield ".".join(scope), node
+            yield from _scoped(node, scope)
+
+
+def _imports(tree: ast.AST):
+    """(enclosing function, module) for every import under ``tree``;
+    ``from M import N`` imports ``M.N`` when that is a module."""
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Import):
             for alias in node.names:
-                yield ".".join(scope), alias.name
+                yield scope, alias.name
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 name = f"{node.module}.{alias.name}"
                 path = Path(_SRC, *name.split("."))
                 is_module = path.is_dir() or path.with_suffix(".py").exists()
-                yield ".".join(scope), name if is_module else node.module
-        else:
-            yield from _imports(node, scope)
+                yield scope, name if is_module else node.module
 
 
 class TestImportGraph:
@@ -127,6 +131,18 @@ class TestImportGraph:
             if module.startswith("repro.") and _layer(module) in above
         }
         assert found == CORE_UPWARD
+
+    def test_offload_pipeline_is_built_only_by_build_pipeline(self):
+        sites = {
+            (path.relative_to(_SRC).as_posix(), scope)
+            for path in Path(_SRC, "repro").rglob("*.py")
+            for scope, node in _scoped(ast.parse(path.read_text("utf-8")))
+            if isinstance(node, ast.Call)
+            and "OffloadPipeline" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            )
+        }
+        assert sites == {("repro/core/shot.py", "build_pipeline")}
 
     def test_core_loads_only_the_runlog_of_observe(self):
         observe = {m for m in _loaded_by("repro.core") if _layer(m) == "observe"}
