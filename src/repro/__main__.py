@@ -475,13 +475,18 @@ def _check_line(args: argparse.Namespace) -> None:
             "carry advisory fixes only)"
         )
     if command == "chaos" and args.faults is not None:
-        from repro.resilience.faults import CATEGORY, parse_faults
+        from repro.resilience.faults import CATEGORY, MPI_KINDS, parse_faults
 
         for spec in parse_faults(args.faults):
             if spec.kind not in CATEGORY:  # no device or MPI operation
                 raise ConfigurationError(
                     f"--faults: chaos cannot inject '{spec.kind}' (only "
                     "serve injects it)"
+                )
+            if spec.kind in MPI_KINDS and args.ranks == 1:
+                raise ConfigurationError(
+                    f"--faults: '{spec.kind}' needs --ranks 2 or more (a "
+                    "one-card run has no MPI world)"
                 )
     if command == "figures" and args.name == "tuned" and args.plan is None:
         raise ConfigurationError("NAME 'tuned' needs --plan PATH")

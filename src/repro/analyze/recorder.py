@@ -46,9 +46,10 @@ class ProgramRecorder:
         self._label = label
 
     # ------------------------------------------------------------------
-    def record(self, kind: str, sizes: dict[str, int] | None = None, **fields) -> None:
-        """The hook entry point: one directive executed by the runtime."""
-        self.program.add(
+    def record(self, kind: str, sizes: dict[str, int] | None = None, **fields) -> AccEvent:
+        """The hook entry point: one directive executed by the runtime,
+        added to the program (and returned)."""
+        return self.program.add(
             AccEvent(kind=kind, label=self._label, **fields), sizes=sizes
         )
 

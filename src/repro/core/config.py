@@ -20,9 +20,10 @@ from repro.utils.errors import ConfigurationError
 class GPUOptions:
     """Tunable GPU-path choices — the paper's optimization catalogue.
 
-    ``inline_receiver_injection=None`` defers to the compiler persona
-    (CRAY inlines, PGI cannot); ``async_kernels=None`` likewise defers to
-    the persona's auto-async default.
+    ``async_kernels=None`` defers to the persona's auto-async default.
+    Whether receiver injection is one inlined kernel is the persona's, not
+    an option: CRAY inlines the routine, PGI cannot
+    (``CompilerPersona.supports_inlining``).
     """
 
     compiler: CompilerPersona = PGI_14_6

@@ -124,7 +124,6 @@ class Profiler:
     and latest end cover every event. Each is folded left in event order.
     """
 
-    enabled: bool = True
     kernels: dict[str, list] = field(default_factory=dict)
     h2d_seconds: float = 0.0
     h2d_bytes: int = 0
@@ -135,8 +134,7 @@ class Profiler:
 
     def record(self, event: ProfileEvent) -> None:
         """Fold one event into the totals."""
-        if self.enabled:
-            self.fold(event.kind, event.name, event.start, event.end, event.nbytes)
+        self.fold(event.kind, event.name, event.start, event.end, event.nbytes)
 
     def fold(self, kind: str, name: str, start: float, end: float, nbytes: int) -> None:
         """Fold one timeline entry (what :meth:`record` does, without the

@@ -111,8 +111,7 @@ class StreamPool:
             kernel_s, h2d_s, d2h_s = times.kernel, times.h2d, times.d2h
             launches = device.kernel_launches
             categories = clock.categories
-            profiler = device.profiler
-            fold = profiler.fold if profiler.enabled else None
+            fold = device.profiler.fold
             sinks = device._sinks
         try:
             for kind, name, seconds, host, queue, nbytes, occupancy, spilled in ops:
@@ -166,8 +165,7 @@ class StreamPool:
                 categories[kind] = categories.get(kind, 0.0) + seconds
                 if kernel:
                     launches += 1
-                if fold is not None:
-                    fold(kind, name, start, end, nbytes)
+                fold(kind, name, start, end, nbytes)
                 if sinks:
                     event = ProfileEvent(
                         kind, name, start, end, nbytes, queue,

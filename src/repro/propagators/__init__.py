@@ -4,13 +4,13 @@
   with standard PML (25-point / width-8 Laplacian stencil).
 * :class:`AcousticPropagator` — Eq. 2, variable-density first-order
   staggered-grid system with C-PML.
-* :class:`ElasticPropagator2D` / :class:`ElasticPropagator3D` — Eq. 3,
-  velocity-stress staggered-grid system with C-PML.
+* :class:`ElasticPropagator` — Eq. 3, velocity-stress staggered-grid
+  system with C-PML.
 
-All are implemented dimension-explicitly in single precision, matching the
-paper's experimental setup, and validated by the test suite against
-analytic wavefront kinematics, energy decay in the absorbing layers, and
-convergence behaviour.
+One class per equation covers 2-D and 3-D (the model's grid decides), in
+single precision, matching the paper's experimental setup, and is
+validated by the test suite against analytic wavefront kinematics, energy
+decay in the absorbing layers, and convergence behaviour.
 """
 
 from repro.propagators.base import Propagator, PropagatorState
@@ -23,8 +23,7 @@ from repro.propagators.cfl import (
 )
 from repro.propagators.isotropic import IsotropicPropagator
 from repro.propagators.acoustic import AcousticPropagator
-from repro.propagators.elastic2d import ElasticPropagator2D
-from repro.propagators.elastic3d import ElasticPropagator3D
+from repro.propagators.elastic import ElasticPropagator
 from repro.propagators.vti import VTIPropagator
 from repro.propagators.factory import make_propagator, PHYSICS_NAMES, EXTENDED_PHYSICS_NAMES
 
@@ -38,8 +37,7 @@ __all__ = [
     "check_dispersion",
     "IsotropicPropagator",
     "AcousticPropagator",
-    "ElasticPropagator2D",
-    "ElasticPropagator3D",
+    "ElasticPropagator",
     "VTIPropagator",
     "make_propagator",
     "PHYSICS_NAMES",

@@ -13,7 +13,8 @@ Staggering (same-shape storage): pressure ``p`` on integer points, flow
    :math:`\\partial_t^{-1} f`);
 2. ``q_i += dt * (1/rho)_i * D+_i p`` for each axis.
 
-Every spatial derivative passes through the C-PML convolution.
+Every spatial derivative passes through the C-PML convolution
+(:meth:`~repro.propagators.base.StaggeredPropagator._damped_diff`).
 """
 
 from __future__ import annotations
@@ -22,21 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.boundary.cpml import CPML
 from repro.model.earth_model import EarthModel
-from repro.propagators.base import KernelWorkload, Propagator, staggered_average
-from repro.stencil.operators import staggered_diff_backward, staggered_diff_forward
+from repro.propagators.base import KernelWorkload, StaggeredPropagator, staggered_average
 from repro.utils.arrays import DTYPE
 
-_AXIS_TAGS = {2: ("z", "x"), 3: ("z", "x", "y")}
 
-
-class AcousticPropagator(Propagator):
+class AcousticPropagator(StaggeredPropagator):
     """Variable-density acoustic propagator (2-D or 3-D, from the model)."""
 
-    scheme = "staggered"
     physics = "acoustic"
-    stages = 2
     grid_arrays = ("p", "q", "kappa", "buoyancy", "_deriv", "_div")
 
     def __init__(
@@ -48,11 +43,12 @@ class AcousticPropagator(Propagator):
         cpml_alpha_max: float = 0.0,
         **kwargs,
     ):
-        super().__init__(model, dt, space_order, boundary_width, **kwargs)
+        super().__init__(
+            model, dt, space_order, boundary_width, cpml_alpha_max, **kwargs
+        )
         self.p = self._new_field("p")
         self.q: list[np.ndarray] = [
-            self._new_field(f"q{_AXIS_TAGS[self.grid.ndim][ax]}")
-            for ax in range(self.grid.ndim)
+            self._new_field(f"q{tag}") for tag in self.grid.axis_names
         ]
         rho = model.density().astype(np.float64)
         vp = model.vp.astype(np.float64)
@@ -63,13 +59,6 @@ class AcousticPropagator(Propagator):
             staggered_average((1.0 / rho).astype(DTYPE), ax)
             for ax in range(self.grid.ndim)
         ]
-        self.cpml = CPML(
-            self.grid,
-            boundary_width,
-            model.max_wave_speed(),
-            self.dt,
-            alpha_max=cpml_alpha_max,
-        )
         self._deriv = np.zeros(self.grid.shape, dtype=DTYPE)
         self._div = np.zeros(self.grid.shape, dtype=DTYPE)
 
@@ -93,19 +82,10 @@ class AcousticPropagator(Propagator):
         self._update_flow(self, None)
 
     def _update_pressure(self, v, rows, sources) -> None:
-        h = self.grid.spacing
         div = v._div
         div.fill(0.0)
         for ax in range(self.grid.ndim):
-            # the operator only writes the valid interior; clear the reused
-            # buffer so stale border values never leak into div or the C-PML
-            # memory variables
-            v._deriv.fill(0.0)
-            d = staggered_diff_backward(
-                v.q[ax], ax, h[ax], self.space_order, out=v._deriv
-            )
-            d = self.cpml.damp(f"dq{ax}", ax, d, half=False, rows=rows)
-            div += d
+            div += self._damped_diff(v._deriv, v.q[ax], ax, False, f"dq{ax}", rows)
         v.p += np.float32(self.dt) * v.kappa * div
         # source: Eq. 2 injects rho*vp^2 * time-integral of the wavelet; the
         # driver passes the integrated amplitude
@@ -113,13 +93,8 @@ class AcousticPropagator(Propagator):
             self.p[index] += np.float32(self.dt) * self.kappa[index] * np.float32(amp)
 
     def _update_flow(self, v, rows) -> None:
-        h = self.grid.spacing
         for ax in range(self.grid.ndim):
-            v._deriv.fill(0.0)
-            d = staggered_diff_forward(
-                v.p, ax, h[ax], self.space_order, out=v._deriv
-            )
-            d = self.cpml.damp(f"dp{ax}", ax, d, half=True, rows=rows)
+            d = self._damped_diff(v._deriv, v.p, ax, True, f"dp{ax}", rows)
             v.q[ax] += np.float32(self.dt) * v.buoyancy[ax] * d
 
     def _step_impl(self, v, rows, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:

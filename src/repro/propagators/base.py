@@ -16,10 +16,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.boundary.cpml import CPML
 from repro.grid.grid import Grid
 from repro.model.earth_model import EarthModel
 from repro.propagators.cfl import default_dt, max_stable_dt
 from repro.source.injection import PointSource
+from repro.stencil.operators import staggered_diff_backward, staggered_diff_forward
 from repro.utils.arrays import DTYPE
 from repro.utils.errors import ConfigurationError, StabilityError
 
@@ -276,7 +278,7 @@ class Propagator(ABC):
     def _add_pressure(self, indices, amplitudes, scale) -> None:
         """Write a pressure injection. The default adds into the observable
         field directly (valid when :meth:`snapshot_field` returns real
-        propagator state); the elastic propagators drive the diagonal
+        propagator state); the elastic propagator drives the diagonal
         stresses instead."""
         from repro.source.injection import inject
 
@@ -457,6 +459,55 @@ class Propagator(ABC):
 
     def total_bytes_per_step(self) -> float:
         return sum(w.bytes_moved for w in self.kernel_workloads())
+
+
+class StaggeredPropagator(Propagator):
+    """A first-order staggered-grid system (Eqs. 2 and 3) absorbed by
+    C-PML, whose every spatial derivative is one :meth:`_damped_diff`.
+
+    ``cpml_alpha_max`` is the peak of the C-PML frequency-shift profile.
+    """
+
+    scheme = "staggered"
+    stages = 2
+
+    def __init__(
+        self,
+        model: EarthModel,
+        dt: float | None = None,
+        space_order: int = 8,
+        boundary_width: int = 16,
+        cpml_alpha_max: float = 0.0,
+        **kwargs,
+    ):
+        super().__init__(model, dt, space_order, boundary_width, **kwargs)
+        self.cpml = CPML(
+            self.grid,
+            boundary_width,
+            model.max_wave_speed(),
+            self.dt,
+            alpha_max=cpml_alpha_max,
+        )
+
+    def _damped_diff(
+        self,
+        out: np.ndarray,
+        f: np.ndarray,
+        axis: int,
+        forward: bool,
+        name: str,
+        rows: slice | None,
+    ) -> np.ndarray:
+        """The derivative of ``f`` along ``axis`` into ``out``, taken forward
+        to half points (D+) or backward to integer points (D-), then damped
+        through the C-PML memory variable ``name`` over ``rows``."""
+        # the operator only writes the valid interior: clear the reused
+        # buffer so stale border values never leak into a sum or the
+        # memory variable
+        out.fill(0.0)
+        diff = staggered_diff_forward if forward else staggered_diff_backward
+        d = diff(f, axis, self.grid.spacing[axis], self.space_order, out=out)
+        return self.cpml.damp(name, axis, d, half=forward, rows=rows)
 
 
 def _live_rows(arrays: Iterable[np.ndarray], lo: int, hi: int) -> np.ndarray:

@@ -5,8 +5,7 @@ from __future__ import annotations
 from repro.model.earth_model import EarthModel
 from repro.propagators.acoustic import AcousticPropagator
 from repro.propagators.base import Propagator
-from repro.propagators.elastic2d import ElasticPropagator2D
-from repro.propagators.elastic3d import ElasticPropagator3D
+from repro.propagators.elastic import ElasticPropagator
 from repro.propagators.isotropic import IsotropicPropagator
 from repro.utils.errors import ConfigurationError
 
@@ -37,8 +36,7 @@ def make_propagator(
     if physics == "acoustic":
         return AcousticPropagator(model, dt, space_order, boundary_width, **kwargs)
     if physics == "elastic":
-        cls = ElasticPropagator2D if model.grid.ndim == 2 else ElasticPropagator3D
-        return cls(model, dt, space_order, boundary_width, **kwargs)
+        return ElasticPropagator(model, dt, space_order, boundary_width, **kwargs)
     if physics == "vti":
         from repro.propagators.vti import VTIPropagator
 

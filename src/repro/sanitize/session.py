@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.analyze.framework import Diagnostic, Severity
 from repro.analyze.program import AccEvent, DirectiveProgram, ProgramMeta
+from repro.analyze.recorder import ProgramRecorder
 from repro.analyze.rules import DYNAMIC_PASSES, rule
 from repro.sanitize.fixit import ScriptFix
 from repro.sanitize.rankrace import PendingOp, RankClocks
@@ -71,36 +72,25 @@ def _fmt(intervals) -> str:
     return "bytes " + describe(intervals)
 
 
-class _RankRecorder:
-    """Duck-types :class:`~repro.analyze.recorder.ProgramRecorder` so
-    ``Runtime.attach_recorder`` feeds one rank of the session."""
+class _RankRecorder(ProgramRecorder):
+    """A :class:`~repro.analyze.recorder.ProgramRecorder` into one rank's
+    program of the session, which also registers the runtime and observes
+    each recorded event."""
 
     def __init__(self, session: "SanitizeSession", rank: int):
+        super().__init__()
         self._session = session
         self._rank = rank
         self.program = session.programs[rank]
-        self._label: str | None = None
 
     def bind_runtime(self, rt) -> None:
-        spec = rt.device.spec
-        self.program.meta = ProgramMeta(
-            source="recorded", name=self.program.meta.name,
-            device=spec.name, warp_size=spec.warp_size,
-            max_regs_per_thread=spec.max_regs_per_thread,
-            max_threads_per_block=spec.max_threads_per_block,
-            compiler=rt.compiler.name, vendor=rt.compiler.vendor,
-            maxregcount=rt.flags.maxregcount, auto_async=rt._auto_async,
-        )
+        super().bind_runtime(rt)
         self._session.runtimes[self._rank] = rt
 
-    def set_label(self, label: str | None) -> None:
-        self._label = label
-
-    def record(self, kind: str, sizes=None, **fields) -> None:
-        event = self.program.add(
-            AccEvent(kind=kind, label=self._label, **fields), sizes=sizes
-        )
+    def record(self, kind: str, sizes=None, **fields) -> AccEvent:
+        event = super().record(kind, sizes, **fields)
         self._session.observe(self._rank, event)
+        return event
 
 
 @dataclass

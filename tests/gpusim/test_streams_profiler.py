@@ -148,8 +148,3 @@ class TestProfiler:
         self._fill(prof)
         prof.clear()
         assert prof.report().compute_seconds == 0.0
-
-    def test_disabled(self):
-        prof = Profiler(enabled=False)
-        self._fill(prof)
-        assert prof.report() == Profiler().report()

@@ -23,10 +23,14 @@ class TestFactory:
             make_propagator("anisotropic", small_model_2d)
 
     def test_elastic_dispatches_by_ndim(self, small_model_2d, small_model_3d):
-        from repro.propagators import ElasticPropagator2D, ElasticPropagator3D
+        """One class; the model's grid picks the 2-D or 3-D system."""
+        from repro.propagators import ElasticPropagator
 
-        assert isinstance(make_propagator("elastic", small_model_2d, boundary_width=8), ElasticPropagator2D)
-        assert isinstance(make_propagator("elastic", small_model_3d, boundary_width=8), ElasticPropagator3D)
+        p2 = make_propagator("elastic", small_model_2d, boundary_width=8)
+        p3 = make_propagator("elastic", small_model_3d, boundary_width=8)
+        assert type(p2) is type(p3) is ElasticPropagator
+        assert [n for n in p2.fields if n[0] == "v"] == ["vx", "vz"]
+        assert [n for n in p3.fields if n[0] == "v"] == ["vx", "vy", "vz"]
 
 
 class TestStabilityGuards:

@@ -212,6 +212,10 @@ MALFORMED_SHELL = [
     # only serve injects a poisoned shot; chaos would report it recovered
     ("chaos iso2d --faults shot-poison", "--faults"),
     ("chaos iso2d --faults poison-shot", "--faults"),
+    # a one-card run has no MPI world to drop, duplicate or delay in
+    ("chaos iso2d --faults mpi-drop", "--faults"),
+    ("chaos iso2d --faults mpi-dup", "--faults"),
+    ("chaos iso2d --faults mpi-delay", "--faults"),
 ]
 
 #: value-taking actions that name a file the command writes
