@@ -15,7 +15,9 @@ import importlib
 import os
 import sys
 
-from repro.cases import CASES, MODES, SURVEY_CASES, case_targets, parse_case, parse_survey_case
+from repro.cases import (
+    CASE_MODE, CASES, MODES, SURVEY_CASES, case_targets, parse_case, parse_survey_case,
+)
 from repro.utils.errors import ConfigurationError
 
 #: the figure studies ``figures NAME`` prints
@@ -199,7 +201,8 @@ def _add_target_args(p, verb: str, nt: int) -> None:
     p.add_argument("case", nargs="?", type=case_or_all, help=_CASE_HELP)
     p.add_argument("--script", metavar="FILE", type=script_file,
                    help=f"{verb} an !$acc directive script instead of a case")
-    p.add_argument("--mode", choices=MODES, default="rtm")
+    p.add_argument("--mode", choices=MODES,
+                   help=f"default {CASE_MODE} for a case, both for 'all'")
     p.add_argument("--nt", type=count, default=nt,
                    help="recorded time steps (pattern repeats; keep small)")
 

@@ -29,7 +29,7 @@ from repro.analyze.framework import (
 )
 from repro.analyze.frontend import program_from_file
 from repro.cases import INVENTORY as _INVENTORY  # noqa: F401 (the wall benchmark's name)
-from repro.cases import case_targets, record_args
+from repro.cases import CASE_MODE, case_targets, record_args
 
 
 def lint_case(
@@ -114,7 +114,7 @@ def run_lint_command(args) -> int:
     path = ledger_path_from_args(args)
     if args.deep and path is not None:
         with observed_run(path, "lint", args.case or args.script,
-                          args.mode) as record:
+                          args.mode or CASE_MODE) as record:
             record.metrics = lint_ledger_metrics(results)
     return verdict
 

@@ -25,6 +25,9 @@ SURVEY_CASES = tuple(c for c in CASES if c.endswith("2d"))
 
 #: what each ``--mode`` choice runs
 MODES = {"modeling": ("modeling",), "rtm": ("rtm",), "both": ("modeling", "rtm")}
+#: the mode of one case when the line names none (lint, deps, sanitize;
+#: ``all`` then runs both modes)
+CASE_MODE = "rtm"
 
 #: recording and instrumented-run grids: the directive sequence does not
 #: depend on the grid size, and at these sizes the NumPy kernels finish in
@@ -74,21 +77,23 @@ def record_args(ndim: int) -> dict:
                 space_order=space_order_of(ndim), boundary_width=8)
 
 
-def case_targets(case: str, mode: str) -> list[tuple[str, str, int, str]]:
+def case_targets(case: str, mode: str | None) -> list[tuple[str, str, int, str]]:
     """Expand a CASE (one case, or ``all`` in any letter case) and a
     ``--mode`` choice into ``(name, physics, ndim, mode)`` targets.
 
-    ``all`` is the 12 seed programs whatever ``mode`` says, named
-    ``isotropic2d`` and so on; one case keeps the name it was given.
+    ``all`` is the seed programs of ``mode`` (6 per mode), named
+    ``isotropic2d`` and so on; one case keeps the name it was given. With
+    no mode (``None``) ``all`` runs both modes, 12 programs, and one case
+    runs :data:`CASE_MODE`.
     """
     if case.lower() == "all":
         return [
             (f"{physics}{ndim}d", physics, ndim, m)
             for physics, ndim in INVENTORY
-            for m in MODES["both"]
+            for m in MODES[mode or "both"]
         ]
     physics, ndim = parse_case(case)
-    return [(case, physics, ndim, m) for m in MODES[mode]]
+    return [(case, physics, ndim, m) for m in MODES[mode or CASE_MODE]]
 
 
 def layered_config(physics: str, shape: tuple[int, ...], nt: int) -> dict:

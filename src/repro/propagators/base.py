@@ -500,11 +500,11 @@ class StaggeredPropagator(Propagator):
     ) -> np.ndarray:
         """The derivative of ``f`` along ``axis`` into ``out``, taken forward
         to half points (D+) or backward to integer points (D-), then damped
-        through the C-PML memory variable ``name`` over ``rows``."""
-        # the operator only writes the valid interior: clear the reused
-        # buffer so stale border values never leak into a sum or the
-        # memory variable
-        out.fill(0.0)
+        through the C-PML memory variable ``name`` over ``rows``.
+
+        The operator writes every point of ``out`` (+0.0 where the stencil
+        does not reach), so no stale value of the reused buffer leaks into
+        a sum or the memory variable."""
         diff = staggered_diff_forward if forward else staggered_diff_backward
         d = diff(f, axis, self.grid.spacing[axis], self.space_order, out=out)
         return self.cpml.damp(name, axis, d, half=forward, rows=rows)

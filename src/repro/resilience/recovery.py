@@ -611,6 +611,11 @@ class ResilientMultiGpu(_Recovering):
         #: not forget the work the lost configuration already did)
         self._retired_device_s = 0.0
         self._build(self.ngpus)
+        if tracer is not None:
+            # the ranks' runtimes run untraced, so none puts this tracer on
+            # a simulated clock: the guard spans and fault instants go on
+            # the node's timeline, which survives a re-decomposition
+            tracer.bind_default_clock(self.device_seconds)
 
     # ------------------------------------------------------------------
     def device_seconds(self) -> float:

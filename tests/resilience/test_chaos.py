@@ -131,3 +131,20 @@ class TestRecoverySpans:
         ]
         assert faults and faults[0].name == "fault:pcie-transient"
         assert any(e.name.startswith("retry:") for e in recovery)
+
+    def test_multi_rank_events_are_reproducible(self):
+        """The decomposed run's recovery spans and fault instants sit on the
+        node's simulated timeline, across a re-decomposition too: two
+        identical runs record equal event lists, timestamps included."""
+        def events():
+            tracer = Tracer()
+            run_chaos_case_multigpu(
+                "iso2d", mode="modeling", ranks=3, seed=5,
+                faults="mpi-rank-dead@16:0,pcie-transient@20:1", tracer=tracer,
+            )
+            return tracer.events
+
+        first = events()
+        names = {e.name for e in first}
+        assert {"redecompose", "retry:exchange", "fault:rank-dead"} <= names
+        assert first == events()

@@ -1,14 +1,18 @@
-"""Memoised stencil plans against the per-call construction they replace.
+"""Memoised flat-run stencil plans against per-axis slicing built per call.
 
-Each operator looks up one plan per (operator, ndim, axis, order, spacing
-and its type, scalar type): the slice tuples and coefficient scalars it
-applies. ``CPML`` builds its broadcast damping profiles once. The
-references below are the per-call bodies the plans replaced; every result
-must equal theirs bit for bit (compared as unsigned integers, so -0.0
-differs from +0.0 and NaNs compare by payload).
+Each operator looks up one plan per (operator, axis lengths after the
+first, axis, order, spacing and its type, scalar type): the flat slices,
+seams and coefficient scalars of its unit-stride run. ``CPML`` builds its
+broadcast damping profiles once. The references below are per-axis slice
+bodies built on every call; every result must equal theirs bit for bit
+(compared as unsigned integers, so -0.0 differs from +0.0 and NaNs compare
+by payload). The staggered operators write every point of ``out``: it
+must equal the reference's ``out=None`` result, border +0.0 included.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -179,19 +183,63 @@ def _assert_bitwise(got, want, msg="") -> None:
     np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=msg)
 
 
+#: how a field sits in memory: C-contiguous, a row band of a taller array
+#: (C-contiguous too), a column slice of a wider one, or every other point
+#: along the last axis (neither is C-contiguous, in 1-D the last one only)
+LAYOUTS = ("contiguous", "band", "columns", "strided")
+
+
 def _field(rng, shape, dtype, layout):
-    """Random values (signed zeros among them) of ``shape``: a contiguous
-    array, a row band of a taller array, or a column slice of a wider one."""
+    """Random values (signed zeros among them) of ``shape``, laid out as
+    ``layout`` (one of :data:`LAYOUTS`)."""
     pad = [0] * len(shape)
     if layout == "band":
         pad[0] = 5
     elif layout == "columns":
         pad[min(1, len(shape) - 1)] = 7
+    elif layout == "strided":
+        pad[-1] = shape[-1]
     full = rng.standard_normal([n + p for n, p in zip(shape, pad)]).astype(dtype)
     full[rng.random(full.shape) < 0.1] = dtype(-0.0)
     full[rng.random(full.shape) < 0.1] = dtype(0.0)
+    if layout == "strided":
+        return full[..., ::2]
     cut = tuple(slice(p // 2, p // 2 + n) for n, p in zip(shape, pad))
     return full[cut]
+
+
+#: orders whose coefficients each operator can represent: the 2nd-derivative
+#: weights lose their symmetry check past order 12
+ORDERS = {
+    op: tuple(order for order in range(2, 17, 2) if op != "second" or order <= 12)
+    for op in OPS
+}
+
+
+def _check_call(fn, ref, op, u, axis, h, order, out=None, accumulate=False):
+    """One call against its reference, bit for bit: ``out`` (if given) must
+    receive the result; a staggered operator writes all of it (the
+    reference's ``out=None`` result), ``second`` only its valid interior."""
+    extra = {"accumulate": True} if accumulate else {}
+    if out is None:
+        _assert_bitwise(fn(u, axis, h, order, **extra), ref(u, axis, h, order, **extra))
+        return
+    init = out.copy()
+    got = fn(u, axis, h, order, out=out, **extra)
+    assert got is out
+    if op == "second":
+        want = ref(u, axis, h, order, out=init.copy(), **extra)
+        lo, hi = OPS[op][3](order // 2, u.shape[axis])
+        border = np.ones(u.shape[axis], dtype=bool)
+        border[lo:hi] = False
+        _assert_bitwise(
+            np.compress(border, out, axis=axis),
+            np.compress(border, init, axis=axis),
+            "border written",
+        )
+    else:
+        want = ref(u, axis, h, order)
+    _assert_bitwise(out, want, f"spacing {type(h).__name__}")
 
 
 @st.composite
@@ -199,7 +247,7 @@ def _calls(draw):
     op = draw(st.sampled_from(sorted(OPS)))
     ndim = draw(st.integers(1, 3))
     axis = draw(st.integers(0, ndim - 1))
-    order = draw(st.sampled_from((2, 4, 6, 8)))
+    order = draw(st.sampled_from(ORDERS[op]))
     m = order // 2
     shape = [draw(st.integers(1, 6)) for _ in range(ndim)]
     # down to the shortest axis the operator takes (2m, or 2m + 1)
@@ -207,8 +255,8 @@ def _calls(draw):
     return dict(
         op=op, axis=axis, order=order, shape=tuple(shape),
         dtype=draw(st.sampled_from((np.float32, np.float64))),
-        layout=draw(st.sampled_from(("contiguous", "band", "columns"))),
-        out=draw(st.sampled_from(("none", "border"))),
+        layout=draw(st.sampled_from(LAYOUTS)),
+        out=draw(st.sampled_from(("none",) + LAYOUTS)),
         accumulate=op == "second" and draw(st.booleans()),
         # float32-representable, so the three spacing types compare equal
         spacing=draw(st.floats(0.25, 64.0, width=32)),
@@ -220,43 +268,84 @@ def _calls(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(call=_calls())
 def test_plans_bitwise_like_per_call_construction(call):
-    """Every operator, ndim 1-3, orders 2-8, every axis, axis lengths down
-    to the minimum, float32 and float64 fields in three layouts, ``out``
-    absent or holding a random border, ``accumulate``; the same spacing
-    value as a float, an np.float32 and an np.float64, in turn (equal keys
-    but for the type, whose arithmetic differs)."""
-    fn, ref, _, written = OPS[call["op"]]
+    """Every operator, ndim 1-3, orders 2-16, every axis, axis lengths down
+    to the minimum, float32 and float64 fields in four layouts, ``out``
+    absent or holding random values in any of the four layouts,
+    ``accumulate``; the same spacing value as a float, an np.float32 and
+    an np.float64, in turn (equal keys but for the type, whose arithmetic
+    differs)."""
+    op = call["op"]
+    fn, ref, _, _ = OPS[op]
     rng = np.random.default_rng(call["seed"])
     u = _field(rng, call["shape"], call["dtype"], call["layout"])
     u0 = u.copy()
-    axis, order = call["axis"], call["order"]
-    lo, hi = written(order // 2, u.shape[axis])
-    border = np.ones(u.shape[axis], dtype=bool)
-    border[lo:hi] = False
-    extra = {"accumulate": True} if call["accumulate"] else {}
     for cast in SPACING_TYPES:
-        h = cast(call["spacing"])
-        if call["out"] == "none":
-            got, want = fn(u, axis, h, order, **extra), ref(u, axis, h, order, **extra)
-        else:
-            init = _field(rng, call["shape"], call["dtype"], call["layout"])
-            out, ref_out = init.copy(), init.copy()
-            got = fn(u, axis, h, order, out=out, **extra)
-            want = ref(u, axis, h, order, out=ref_out, **extra)
-            assert got is out
-            _assert_bitwise(
-                np.compress(border, out, axis=axis),
-                np.compress(border, init, axis=axis),
-                "border written",
-            )
-        _assert_bitwise(got, want, f"spacing {cast.__name__}")
+        out = None
+        if call["out"] != "none":
+            out = _field(rng, call["shape"], call["dtype"], call["out"])
+        _check_call(fn, ref, op, u, call["axis"], cast(call["spacing"]),
+                    call["order"], out, call["accumulate"])
     _assert_bitwise(u, u0, "input written")
+
+
+@pytest.mark.parametrize("op, order", [
+    (op, order) for op in sorted(OPS) for order in ORDERS[op]
+])
+def test_shortest_axes_in_every_layout(op, order):
+    """Axis lengths 2m and 2m + 1 (the shortest ones, one of them the
+    minimum), every axis of 1-3 dimensions with two lines or more around
+    it, every layout of the field and of ``out``: each seam of the flat
+    run, down to a single point, reads +0.0 or keeps ``out``'s value."""
+    fn, ref, need, _ = OPS[op]
+    m = order // 2
+    rng = np.random.default_rng(order)
+    for ndim in (1, 2, 3):
+        for axis in range(ndim):
+            for n in {need(m), 2 * m + 1}:
+                shape = [3] * ndim
+                shape[axis] = n
+                for layout, out_layout in itertools.product(LAYOUTS, (None,) + LAYOUTS):
+                    u = _field(rng, tuple(shape), np.float32, layout)
+                    for accumulate in {False, op == "second"}:
+                        out = (None if out_layout is None
+                               else _field(rng, tuple(shape), np.float32, out_layout))
+                        _check_call(fn, ref, op, u, axis, 10.0, order, out, accumulate)
+
+
+def test_out_sharing_memory_with_the_field():
+    """A run reads the field after it has written ``out``, so an ``out``
+    that overlaps the field gets one copy of a fresh result: the same bits
+    as a separate ``out``."""
+    rng = np.random.default_rng(3)
+    for op in ("forward", "backward"):
+        fn, ref, _, _ = OPS[op]
+        for axis in (0, 1):
+            u = _field(rng, (12, 11), np.float32, "contiguous")
+            want = ref(u, axis, 10.0, 4)
+            assert fn(u, axis, 10.0, 4, out=u) is u
+            _assert_bitwise(u, want, op)
+    u = _field(rng, (12, 11), np.float32, "contiguous")
+    want = ref_laplacian(u, (10.0, 12.5), 4)
+    _assert_bitwise(laplacian(u, (10.0, 12.5), 4, out=u), want)
+
+
+def test_a_flat_run_is_never_a_silent_copy():
+    """The flat view of an array that is not C-contiguous raises rather
+    than copies; the operators route such arrays through one explicit
+    copy instead (the layouts above)."""
+    a = np.zeros((6, 8), np.float32)
+    flat = operators._flat(a)
+    flat[5] = 1.0
+    assert a[0, 5] == 1.0
+    for view in (a[:, 1:], a[:, ::2], a.T):
+        with pytest.raises(ValueError):
+            operators._flat(view)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     ndim=st.integers(1, 3),
-    order=st.sampled_from((2, 4, 8)),
+    order=st.sampled_from(ORDERS["second"]),
     dtype=st.sampled_from((np.float32, np.float64)),
     spacing=st.lists(
         st.tuples(st.sampled_from(SPACING_TYPES), st.floats(0.25, 64.0, width=32)),
@@ -265,19 +354,22 @@ def test_plans_bitwise_like_per_call_construction(call):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_laplacian_bitwise_like_per_call_construction(ndim, order, dtype, spacing, seed):
+    """Every axis's run added into ``out`` in one pass, seams +0.0, equals
+    the per-axis sum over each centre; fields and ``out`` in every layout,
+    axis lengths from the shortest (2m + 1) up."""
     rng = np.random.default_rng(seed)
     shape = tuple(int(n) for n in rng.integers(order + 1, order + 6, ndim))
-    u = _field(rng, shape, dtype, "contiguous")
+    u = _field(rng, shape, dtype, LAYOUTS[seed % len(LAYOUTS)])
     h = tuple(cast(v) for cast, v in spacing[:ndim])
     _assert_bitwise(laplacian(u, h, order), ref_laplacian(u, h, order))
-    out, ref_out = (np.full(shape, dtype(7.0)) for _ in range(2))
-    _assert_bitwise(laplacian(u, h, order, out=out), ref_laplacian(u, h, order, out=ref_out))
+    out = _field(rng, shape, dtype, LAYOUTS[seed // 7 % len(LAYOUTS)])
+    ref_out = out.copy()
+    assert laplacian(u, h, order, out=out) is out
+    _assert_bitwise(out, ref_laplacian(u, h, order, out=ref_out))
 
 
 @pytest.mark.parametrize("op, order", [
-    # the 2nd-derivative weights lose their symmetry check past order 12
-    (op, order) for op in sorted(OPS) for order in range(2, 17, 2)
-    if op != "second" or order <= 12
+    (op, order) for op in sorted(OPS) for order in ORDERS[op]
 ])
 def test_every_spacing_type_keeps_its_own_coefficients(op, order):
     """At orders 2-16, a float spacing and an equal np.float32 or np.float64
@@ -314,13 +406,14 @@ def test_short_axis_raises_after_its_plan_exists(op, ndim, order):
 
 
 def test_set_up_runs_only_while_building(monkeypatch):
-    """Once a plan and the profiles exist, a call builds no slice tuple and
-    no broadcast profile."""
+    """Once a plan and the profiles exist, a call builds no plan, slice
+    tuple or broadcast profile."""
     grid = Grid((24, 20), spacing=10.0)
     cpml = CPML(grid, 4, vmax=3000.0, dt=1e-3)
     u = np.ones(grid.shape, np.float32)
     calls = [
         lambda: laplacian(u, grid.spacing),
+        lambda: second_derivative(u, 1, 10.0),
         lambda: staggered_diff_forward(u, 1, 10.0),
         lambda: staggered_diff_backward(u, 0, 10.0),
         lambda: cpml.damp("d", 0, u[3:9].copy(), True, rows=slice(3, 9)),
@@ -332,6 +425,7 @@ def test_set_up_runs_only_while_building(monkeypatch):
     def refuse(*args):
         raise AssertionError("per-call set-up")
 
+    monkeypatch.setattr(operators, "_build_plan", refuse)
     monkeypatch.setattr(operators, "_axis_slice", refuse)
     monkeypatch.setattr(CPML, "_broadcast", refuse)
     for call in calls:
@@ -406,8 +500,8 @@ def test_damp_refuses_a_window_of_the_wrong_rows():
 # ----------------------------------------------------------------------
 def test_memo_holds_one_plan_per_key_across_band_sizes(monkeypatch):
     """A banded el2d RTM shot and an ac3d shot step bands of many row
-    counts; the memo still holds one plan per key used, since no key holds
-    a length."""
+    counts; the memo gains one plan per (operator, axis lengths after the
+    first, axis, order, spacing and its type, dtype), none per row count."""
     from repro.core import ModelingConfig, RTMConfig, run_modeling, run_rtm
     from repro.model import constant_model, layered_model
 
@@ -417,7 +511,7 @@ def test_memo_holds_one_plan_per_key_across_band_sizes(monkeypatch):
     plan = operators._plan
 
     def recording(op, u, axis, spacing, order):
-        keys.add((op, u.ndim, axis, order, spacing, type(spacing), u.dtype))
+        keys.add((op, u.shape[1:], axis, order, spacing, type(spacing), u.dtype))
         lengths.add(u.shape[0])
         return plan(op, u, axis, spacing, order)
 
@@ -431,8 +525,10 @@ def test_memo_holds_one_plan_per_key_across_band_sizes(monkeypatch):
                                 peak_freq=15.0, boundary_width=6))
     assert len(lengths) >= 10  # the bands went through many row counts
     assert len(plans) == len(keys)
-    # el2d and ac3d: forward and backward derivatives along each axis
-    assert {(op, ndim) for op, ndim, *_ in keys} == {
-        ("forward", 2), ("backward", 2), ("forward", 3), ("backward", 3),
+    # el2d and ac3d: forward and backward derivatives along each axis, each
+    # on one trailing shape
+    assert {(op, tail) for op, tail, *_ in keys} == {
+        ("forward", (64,)), ("backward", (64,)),
+        ("forward", (24, 24)), ("backward", (24, 24)),
     }
     assert len(plans) == 2 * 2 + 2 * 3

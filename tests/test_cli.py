@@ -379,3 +379,37 @@ class TestShellContract:
             "--no-ledger",
         ]) == 0
         assert "repro validate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, programs", [
+    ("lint all --mode rtm", 6),
+    ("lint all", 12),
+    ("validate all --mode modeling", 6),
+])
+def test_all_honours_an_explicit_mode(line, programs, capsys):
+    """``all`` runs the 6 programs of an explicit ``--mode``, and all 12
+    without one."""
+    assert main([*line.split(), "--format", "json", "--no-ledger"]) == 0
+    names = [r["name"] for r in json.loads(capsys.readouterr().out)]
+    assert len(names) == len(set(names)) == programs
+    mode = line.partition("--mode ")[2]
+    assert all(mode in name for name in names)
+
+
+@pytest.mark.parametrize("line, modes", [
+    ("lint iso2d", ["rtm"]),
+    ("deps all --mode rtm", ["rtm"] * 6),
+    ("deps iso2d --mode both", ["modeling", "rtm"]),
+    ("sanitize all", ["modeling", "rtm"] * 6),
+    ("compile all --mode modeling", ["modeling"] * 6),
+    ("validate all", ["modeling", "rtm"] * 6),
+])
+def test_targets_of_a_line(line, modes):
+    """A single case keeps its command's default mode (``rtm`` for lint,
+    deps and sanitize, ``both`` for compile and validate); ``all`` takes
+    an explicit ``--mode`` and runs both modes without one."""
+    from repro.__main__ import parse_line
+    from repro.cases import case_targets
+
+    args = parse_line(line.split())
+    assert [m for *_, m in case_targets(args.case, args.mode)] == modes
