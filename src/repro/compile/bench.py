@@ -23,6 +23,8 @@ import gc
 import time
 from typing import TYPE_CHECKING, Callable
 
+from repro.utils.fold import left_sum
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compile.compiler import CompiledPipeline, CompileRequest
     from repro.core.config import GPUOptions
@@ -92,7 +94,7 @@ def measure_case(
     nt = max(1, request.nt)
     interp_step = interp_total / nt
     compiled_step = compiled_total / nt
-    modelled_saved = sum(
+    modelled_saved = left_sum(
         rec.modelled.get("saved_seconds", 0.0) for rec in compiled.applied
     )
     return {

@@ -101,6 +101,19 @@ def field_inventory(
     return inv
 
 
+#: wavefields whose halos move per step, per formulation and dimension
+EXCHANGED_FIELDS = {
+    ("isotropic", 2): 1,
+    ("isotropic", 3): 1,
+    ("acoustic", 2): 3,
+    ("acoustic", 3): 4,
+    ("elastic", 2): 5,
+    ("elastic", 3): 9,
+    ("vti", 2): 2,
+    ("vti", 3): 2,
+}
+
+
 def device_resident_bytes(
     physics: str, shape: tuple[int, ...], boundary_width: int = 16
 ) -> int:

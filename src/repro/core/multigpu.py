@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import GpuTimes, GPUOptions
-from repro.core.inventory import device_resident_bytes
+from repro.core.inventory import EXCHANGED_FIELDS, device_resident_bytes
 from repro.core.pipeline import OffloadPipeline
 from repro.core.platform import CRAY_K40, Platform
 from repro.core.schedule import Schedule
@@ -43,18 +43,6 @@ from repro.observe import runlog
 from repro.propagators.workloads import workloads_for
 from repro.trace.tracer import Tracer
 from repro.utils.errors import ConfigurationError
-
-#: wavefields whose halos move per step, per formulation/dimension
-_EXCHANGED_FIELDS = {
-    ("isotropic", 2): 1,
-    ("isotropic", 3): 1,
-    ("acoustic", 2): 3,
-    ("acoustic", 3): 4,
-    ("elastic", 2): 5,
-    ("elastic", 3): 9,
-    ("vti", 2): 2,
-    ("vti", 3): 2,
-}
 
 
 @dataclass
@@ -169,7 +157,7 @@ def estimate_multi_gpu_modeling(
     # --- per-step ghost exchange ----------------------------------------
     radius = space_order // 2
     face_points = int(np.prod(shape[1:])) * radius
-    nfields = _EXCHANGED_FIELDS[(physics, ndim)]
+    nfields = EXCHANGED_FIELDS[(physics, ndim)]
     face_bytes = face_points * 4 * nfields
     if ngpus == 1:
         t_comm_step = 0.0

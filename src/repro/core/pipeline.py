@@ -399,17 +399,20 @@ class OffloadPipeline:
 
 
 def device_times(dev) -> GpuTimes:
-    """A device's accumulated modelled time as a :class:`GpuTimes`."""
+    """A device's accumulated modelled time as a :class:`GpuTimes`: the
+    flat per-category fields read the clock's ledger, the launch count
+    the profiler's."""
+    categories = dev.clock.categories
     return GpuTimes(
         total=dev.elapsed,
-        kernel=dev.times.kernel,
-        h2d=dev.times.h2d,
-        d2h=dev.times.d2h,
-        alloc=dev.times.alloc,
-        launches=dev.kernel_launches,
+        kernel=categories.get("kernel", 0.0),
+        h2d=categories.get("h2d", 0.0),
+        d2h=categories.get("d2h", 0.0),
+        alloc=categories.get("alloc", 0.0),
+        launches=dev.profiler.launches,
         success=True,
         profile=dev.profiler.report(),
-        categories=dict(dev.clock.categories),
+        categories=dict(categories),
     )
 
 

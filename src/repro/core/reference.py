@@ -12,21 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.inventory import EXCHANGED_FIELDS
 from repro.grid.decomposition import CartesianDecomposition
 from repro.grid.grid import Grid
 from repro.mpisim.cluster import ClusterCostModel, ClusterSpec
 from repro.propagators.workloads import workloads_for
 from repro.utils.errors import ConfigurationError
-
-#: wavefields exchanged per halo swap, per formulation and dimension
-_EXCHANGED_FIELDS = {
-    ("isotropic", 2): 1,
-    ("isotropic", 3): 1,
-    ("acoustic", 2): 3,
-    ("acoustic", 3): 4,
-    ("elastic", 2): 5,
-    ("elastic", 3): 9,
-}
 
 
 @dataclass(frozen=True)
@@ -69,7 +60,7 @@ def cpu_modeling_time(
     kw = {"variant": pml_variant} if physics == "isotropic" else {}
     workloads = workloads_for(physics, shape, space_order, **kw)
     step = model.step_time(workloads)
-    nfields = _EXCHANGED_FIELDS[(physics.lower(), len(shape))]
+    nfields = EXCHANGED_FIELDS[(physics.lower(), len(shape))]
     halo_bytes, messages = _halo_geometry(shape, cluster.mpi_cores, space_order // 2)
     halo = model.halo_time(halo_bytes * nfields, messages * nfields)
     inject = model.injection_time(1)
@@ -101,7 +92,7 @@ def cpu_rtm_time(
     kw = {"variant": pml_variant} if physics == "isotropic" else {}
     workloads = workloads_for(physics, shape, space_order, **kw)
     step = model.step_time(workloads)
-    nfields = _EXCHANGED_FIELDS[(physics.lower(), len(shape))]
+    nfields = EXCHANGED_FIELDS[(physics.lower(), len(shape))]
     halo_bytes, messages = _halo_geometry(shape, cluster.mpi_cores, space_order // 2)
     halo = model.halo_time(halo_bytes * nfields, messages * nfields)
     inject = model.injection_time(1)

@@ -16,7 +16,6 @@ work ran, so a repeated step can replay them without pricing again.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from repro.gpusim.kernelmodel import (
@@ -40,16 +39,6 @@ from repro.gpusim.streams import (
 from repro.propagators.base import KernelWorkload
 from repro.trace.tracer import Tracer
 from repro.utils.timer import SimClock
-
-
-@dataclass
-class DeviceTimes:
-    """Per-category simulated time accumulated by a device."""
-
-    kernel: float = 0.0
-    h2d: float = 0.0
-    d2h: float = 0.0
-    alloc: float = 0.0
 
 
 class Device:
@@ -92,8 +81,6 @@ class Device:
         self.memory = DeviceMemory(spec.memory_bytes)
         self.streams = StreamPool(self.clock, max_queues=spec.max_concurrent_kernels)
         self.profiler = Profiler()
-        self.times = DeviceTimes()
-        self.kernel_launches = 0
         # launch pricing is a pure function of (workload, launch, toolkit)
         # on this card, so each distinct launch is estimated once
         self._estimates: dict[tuple, KernelEstimate] = {}
@@ -153,10 +140,10 @@ class Device:
     # the timeline
     # ------------------------------------------------------------------
     def run_ops(self, ops: Sequence[PricedOp]) -> None:
-        """Run priced ops against the clock, the streams, the per-category
-        times, the profiler and every sink (:meth:`~repro.gpusim.streams.
-        StreamPool.run_ops` on the current pool). An open
-        :meth:`recording` keeps them."""
+        """Run priced ops against the clock and its per-category ledger,
+        the streams, the profiler and every sink
+        (:meth:`~repro.gpusim.streams.StreamPool.run_ops` on the current
+        pool). An open :meth:`recording` keeps them."""
         self.streams.run_ops(ops, self)
         if self._tape is not None:
             self._tape.extend(ops)
@@ -183,7 +170,6 @@ class Device:
             self.injector.on_allocate(name, int(nbytes), self.memory)
         self.memory.allocate(name, nbytes)
         self.clock.advance(self.ALLOC_COST_S, "alloc")
-        self.times.alloc += self.ALLOC_COST_S
         if self._tracer is not None:
             self._tracer.instant(
                 f"cudaMalloc:{name}", process=self._trace_process,
@@ -194,7 +180,6 @@ class Device:
     def release(self, name: str) -> None:
         self.memory.release(name)
         self.clock.advance(self.ALLOC_COST_S * 0.5, "alloc")
-        self.times.alloc += self.ALLOC_COST_S * 0.5
         if self._tracer is not None:
             self._tracer.instant(
                 f"cudaFree:{name}", process=self._trace_process,
@@ -282,5 +267,3 @@ class Device:
         self.memory.release_all()
         self.streams = StreamPool(self.clock, max_queues=self.spec.max_concurrent_kernels)
         self.profiler.clear()
-        self.times = DeviceTimes()
-        self.kernel_launches = 0

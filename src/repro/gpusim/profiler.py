@@ -158,6 +158,11 @@ class Profiler:
         if end > self.last_end:
             self.last_end = end
 
+    @property
+    def launches(self) -> int:
+        """Kernel launches folded so far, over every kernel name."""
+        return sum(count for count, _ in self.kernels.values())
+
     def clear(self) -> None:
         self.kernels = {}
         self.h2d_seconds = self.d2h_seconds = 0.0

@@ -16,9 +16,9 @@ enqueue time.
 That arithmetic lives once, in :meth:`StreamPool.run_ops`: it runs a
 sequence of :class:`PricedOp` records (a kernel, an h2d or d2h copy, or a
 wait) against the engines, the queues and the clock, and — for the device
-that owns the pool — its per-category times, its profiler and its event
-sinks. A single directive is a one-op sequence; a repeated schedule step
-replays the tape of priced ops its first run recorded.
+that owns the pool — the clock's per-category ledger, its profiler and its
+event sinks. A single directive is a one-op sequence; a repeated schedule
+step replays the tape of priced ops its first run recorded.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ class StreamPool:
     max_queues: int = 16
     compute_free: float = 0.0
     copy_free: float = 0.0
-    #: cumulative engine-busy seconds (observability: the utilization the
-    #: paper reads off the profiler timelines — ~70 % in 2-D, ~90 % in 3-D)
-    compute_busy: float = 0.0
-    copy_busy: float = 0.0
     _queue_end: dict[int, float] = field(default_factory=dict)
 
     def _check_queue(self, queue: int) -> None:
@@ -93,23 +89,21 @@ class StreamPool:
         completion of one queue, or of all work.
 
         With ``device`` (the :class:`~repro.gpusim.device.Device` owning
-        this pool) each op is also charged to the device's per-category
-        times and clock categories, counted, folded into its profiler and
-        sent to its sinks. State is held in locals and written back when
-        the sequence ends, also when an op raises, so a failure leaves the
-        state that running the ops one at a time would have left.
+        this pool) each op is also charged to its category in the clock's
+        ledger (the device's only per-category times), folded into the
+        device's profiler (its only per-kernel launch counts and seconds)
+        and sent to its sinks. The engines, the queues and the clock's time
+        are held in locals and written back when the sequence ends, also
+        when an op raises, so a failure leaves the state that running the
+        ops one at a time would have left.
         """
         clock = self.clock
         queue_end = self._queue_end
         check = self._check_queue
         now = clock.now
         compute_free, copy_free = self.compute_free, self.copy_free
-        compute_busy, copy_busy = self.compute_busy, self.copy_busy
         start = end = now
         if device is not None:
-            times = device.times
-            kernel_s, h2d_s, d2h_s = times.kernel, times.h2d, times.d2h
-            launches = device.kernel_launches
             categories = clock.categories
             fold = device.profiler.fold
             sinks = device._sinks
@@ -148,23 +142,13 @@ class StreamPool:
                     queue_end[queue] = end
                 if kernel:
                     compute_free = end
-                    compute_busy += seconds
                 else:
                     copy_free = end
-                    copy_busy += seconds
                 if device is None:
                     continue
-                if kernel:
-                    kernel_s += seconds
-                elif kind == H2D:
-                    h2d_s += seconds
-                else:
-                    d2h_s += seconds
                 if seconds < 0:
                     clock.charge(seconds, kind)  # the clock's own ValueError
                 categories[kind] = categories.get(kind, 0.0) + seconds
-                if kernel:
-                    launches += 1
                 fold(kind, name, start, end, nbytes)
                 if sinks:
                     event = ProfileEvent(
@@ -176,10 +160,6 @@ class StreamPool:
         finally:
             clock.now = now
             self.compute_free, self.copy_free = compute_free, copy_free
-            self.compute_busy, self.copy_busy = compute_busy, copy_busy
-            if device is not None:
-                times.kernel, times.h2d, times.d2h = kernel_s, h2d_s, d2h_s
-                device.kernel_launches = launches
         return start, end
 
     def run_kernel_sync(self, duration: float, launch_overhead: float) -> tuple[float, float]:
@@ -210,16 +190,6 @@ class StreamPool:
         None) completes."""
         self.run_ops((PricedOp(WAIT, queue=queue),))
         return self.clock.now
-
-    def utilization(self) -> dict[str, float]:
-        """Busy fraction of each engine over the elapsed timeline (0..1)."""
-        span = max(self.clock.now, self.compute_free, self.copy_free)
-        if span <= 0:
-            return {"compute": 0.0, "copy": 0.0}
-        return {
-            "compute": min(1.0, self.compute_busy / span),
-            "copy": min(1.0, self.copy_busy / span),
-        }
 
     def pending_queues(self) -> tuple[int, ...]:
         """Queues with enqueued work that has not retired relative to the

@@ -13,7 +13,12 @@ stream (single-rank, or a multi-rank merge built by
   (what share of transfer and comm time ran concurrently with compute);
 * per-queue utilization (busy seconds vs. the run makespan) for every
   device stream track;
-* per-kernel aggregates — count, total, mean, p95 and max span seconds;
+* per-kernel aggregates — count, total, mean, p95 and max span seconds,
+  the duration-weighted occupancy, the worst register spill and the
+  launches per async queue (what the closed-loop tuner reads off a
+  probe); totals add left to right in event order, the device profiler's
+  fold, so a single-device trace's totals equal its profiler's bit for
+  bit;
 * a critical-path estimate: the maximum-duration chain of
   non-overlapping work spans through the span DAG (a span can only
   depend on spans that finished before it started, so the heaviest such
@@ -22,7 +27,9 @@ stream (single-rank, or a multi-rank merge built by
   transfer / other / idle segments.
 
 Everything is a pure function of the event list; all times are in the
-trace's own clock domain (simulated seconds for device traces).
+trace's own clock domain (simulated seconds for device traces). Every
+float sum folds left (:func:`~repro.utils.fold.left_sum`), so a
+reduction is the same bits on every Python version.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.trace.tracer import SPAN, Tracer, TraceEvent
-from repro.utils.fold import nearest_rank
+from repro.utils.fold import left_sum, nearest_rank
 
 #: span categories counted as device compute
 COMPUTE_CATS = frozenset({"kernel"})
@@ -46,6 +53,7 @@ WORK_CATS = COMPUTE_CATS | TRANSFER_CATS | COMM_CATS
 
 _RANK_PROCESS = re.compile(r"^rank(\d+):")
 _RANK_TRACK = re.compile(r"^rank:(\d+)$")
+_QUEUE_TRACK = re.compile(r"^queue:(\d+)$")
 
 
 # ----------------------------------------------------------------------
@@ -68,7 +76,7 @@ def merge_intervals(
 
 def interval_measure(intervals: Iterable[tuple[float, float]]) -> float:
     """Total length of a *disjoint* interval list."""
-    return sum(end - start for start, end in intervals)
+    return left_sum(end - start for start, end in intervals)
 
 
 def intersect_intervals(
@@ -137,7 +145,15 @@ class RankReduction:
 
 @dataclass
 class KernelAggregate:
-    """Per-kernel span statistics across the whole (merged) trace."""
+    """Per-kernel span statistics across the whole (merged) trace.
+
+    ``total_s`` adds the span seconds left to right in event order.
+    ``occupancy`` is the duration-weighted mean of the spans' achieved
+    occupancy (0..1), ``None`` when any span lacks the annotation;
+    ``spilled_regs`` is the worst hard register spill (``None`` when no
+    span carries one); ``queues`` counts launches per async queue (queue
+    ``None`` is the default stream), in first-seen order.
+    """
 
     name: str
     count: int
@@ -145,6 +161,16 @@ class KernelAggregate:
     mean_s: float
     p95_s: float
     max_s: float
+    occupancy: float | None = None
+    spilled_regs: int | None = None
+    queues: dict[int | None, int] = field(default_factory=dict)
+
+    def preferred_queue(self) -> int | None:
+        """The async queue this kernel most often landed on (the first seen
+        on a tie; None when it mostly ran on the default stream)."""
+        if not self.queues:
+            return None
+        return max(self.queues.items(), key=lambda kv: kv[1])[0]
 
     def to_json(self) -> dict:
         return {
@@ -231,14 +257,14 @@ class TraceReduction:
     @property
     def comm_overlap_fraction(self) -> float:
         """Comm-hidden-under-compute share, weighted across ranks."""
-        comm = sum(r.comm_s for r in self.ranks.values())
-        hidden = sum(r.comm_overlap_s for r in self.ranks.values())
+        comm = left_sum(r.comm_s for r in self.ranks.values())
+        hidden = left_sum(r.comm_overlap_s for r in self.ranks.values())
         return hidden / comm if comm else 0.0
 
     @property
     def transfer_overlap_fraction(self) -> float:
-        transfer = sum(r.transfer_s for r in self.ranks.values())
-        hidden = sum(r.transfer_overlap_s for r in self.ranks.values())
+        transfer = left_sum(r.transfer_s for r in self.ranks.values())
+        hidden = left_sum(r.transfer_overlap_s for r in self.ranks.values())
         return hidden / transfer if transfer else 0.0
 
     @property
@@ -256,7 +282,7 @@ class TraceReduction:
             "comm_overlap_fraction": self.comm_overlap_fraction,
             "transfer_overlap_fraction": self.transfer_overlap_fraction,
             "critical_chain_s": self.critical_path.chain_s,
-            "kernel_total_s": sum(k.total_s for k in self.kernels.values()),
+            "kernel_total_s": left_sum(k.total_s for k in self.kernels.values()),
             "kernel_launches": sum(k.count for k in self.kernels.values()),
         }
 
@@ -324,6 +350,50 @@ def rank_of_event(event: TraceEvent) -> int | None:
     if m:
         return int(m.group(1))
     return None
+
+
+def _queue_of(track: str) -> int | None:
+    """The async queue of a device track (None for the default stream)."""
+    m = _QUEUE_TRACK.match(track)
+    return int(m.group(1)) if m else None
+
+
+def _kernel_aggregate(name: str, spans: list[TraceEvent]) -> KernelAggregate:
+    """One kernel's spans, in event order, as its aggregate."""
+    durations = [ev.duration for ev in spans]
+    total = left_sum(durations)
+    occupancy: float | None = None
+    weight = 0.0
+    annotated = True
+    spilled: int | None = None
+    queues: dict[int | None, int] = {}
+    for ev, duration in zip(spans, durations):
+        queue = _queue_of(ev.track)
+        queues[queue] = queues.get(queue, 0) + 1
+        occ = ev.args.get("occupancy")
+        if occ is None:
+            annotated = False
+        else:
+            # a running mean, re-weighted span by span
+            w = max(duration, 1e-12)
+            prev = (occupancy or 0.0) * weight
+            weight += w
+            occupancy = (prev + occ * w) / weight
+        spill = ev.args.get("spilled_regs")
+        if spill is not None:
+            spilled = max(spilled or 0, int(spill))
+    durations.sort()
+    return KernelAggregate(
+        name=name,
+        count=len(durations),
+        total_s=total,
+        mean_s=total / len(durations),
+        p95_s=nearest_rank(durations, 0.95),
+        max_s=durations[-1],
+        occupancy=occupancy if annotated else None,
+        spilled_regs=spilled,
+        queues=queues,
+    )
 
 
 def _class_of(cat: str) -> str | None:
@@ -443,21 +513,14 @@ def reduce_trace(
         )
 
     # -- per-kernel aggregates ------------------------------------------
-    kernels: dict[str, KernelAggregate] = {}
-    durations: dict[str, list[float]] = {}
+    by_kernel: dict[str, list[TraceEvent]] = {}
     for ev in spans:
         if ev.cat in COMPUTE_CATS:
-            durations.setdefault(ev.name, []).append(ev.duration)
-    for name, durs in durations.items():
-        durs.sort()
-        kernels[name] = KernelAggregate(
-            name=name,
-            count=len(durs),
-            total_s=sum(durs),
-            mean_s=sum(durs) / len(durs),
-            p95_s=nearest_rank(durs, 0.95),
-            max_s=durs[-1],
-        )
+            by_kernel.setdefault(ev.name, []).append(ev)
+    kernels = {
+        name: _kernel_aggregate(name, kspans)
+        for name, kspans in by_kernel.items()
+    }
 
     # -- global makespan + queue utilization ----------------------------
     if work:

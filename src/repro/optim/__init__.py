@@ -5,9 +5,10 @@ Two tuning regimes live here:
 * **static** (:mod:`repro.optim.tuning`) — sweeps and predictions over the
   analytic cost model alone (the paper's hand-tuning workflow);
 * **closed-loop** (:mod:`repro.optim.autotune`) — probe runs under a
-  tracer, schedule search over observed timelines, and the
-  :class:`~repro.optim.autotune.TuningPlan` artifact the pipeline applies
-  per kernel (``python -m repro tune``).
+  tracer, read through the one trace reduction
+  (:func:`repro.observe.reduce.reduce_trace`), schedule search over the
+  observed timelines, and the :class:`~repro.optim.autotune.TuningPlan`
+  artifact the pipeline applies per kernel (``python -m repro tune``).
 
 All reported times are simulated seconds on the device clock.
 
@@ -41,18 +42,14 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "AsyncComparison",
     ),
     "autotune": (  # closed-loop tuner
-        "KernelObservation",
         "KernelPlan",
-        "ProbeDegradedWarning",
         "ProbeResult",
         "ScheduleCandidate",
         "TuneRequest",
         "TuningPlan",
-        "extract_observations",
         "load_plan",
         "options_with_plan",
         "run_probe",
-        "transfer_overlap_seconds",
         "tune_case",
     ),
 })

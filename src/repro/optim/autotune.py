@@ -10,12 +10,15 @@ The loop has four stages (``probe -> search -> plan -> apply``):
 
 1. **Probe** — run a short window of the case in estimate mode under a
    :class:`~repro.trace.tracer.Tracer`, and read per-kernel observed
-   seconds, occupancy, register spills and kernel/transfer overlap off the
-   trace events (:func:`extract_observations`,
-   :func:`transfer_overlap_seconds`) instead of calling the static
-   :func:`~repro.gpusim.kernelmodel.estimate_kernel_time` directly. A trace
-   without per-event occupancy degrades to the static model with a
-   :class:`ProbeDegradedWarning`, never a crash.
+   seconds, occupancy, register spills, queue census and kernel/transfer
+   overlap off the trace through the one trace reduction,
+   :func:`~repro.observe.reduce.reduce_trace` (its
+   :class:`~repro.observe.reduce.KernelAggregate` per kernel, and the
+   card's (rank 0's) ``transfer_overlap_s``/``transfer_s``), instead of
+   calling the static
+   :func:`~repro.gpusim.kernelmodel.estimate_kernel_time` directly.
+   A kernel whose spans lack occupancy annotations reports
+   ``occupancy=None``; nothing in the loop crashes on it.
 2. **Search** — enumerate schedule candidates (compute construct, vector
    length, ``maxregcount``, async queueing), warm-started by the static
    :func:`~repro.optim.tuning.predict_best_launch` prediction, pruned by
@@ -43,9 +46,8 @@ CLI: ``python -m repro tune CASE [--budget N] [--out plan.json]``, then
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.acc.clauses import CompileFlags, LoopSchedule
 from repro.acc.compiler import PGI_14_6, CompilerPersona
@@ -54,8 +56,12 @@ from repro.core.config import GPUOptions
 from repro.core.platform import CRAY_K40, Platform
 from repro.gpusim.kernelmodel import estimate_kernel_time
 from repro.gpusim.specs import GPUSpec
-from repro.trace.tracer import SPAN, TraceEvent, Tracer
+from repro.trace.tracer import SPAN, Tracer
 from repro.utils.errors import ConfigurationError
+from repro.utils.fold import left_sum
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.observe.reduce import KernelAggregate
 
 PLAN_VERSION = 1
 
@@ -69,154 +75,9 @@ PROBE_NT = 6
 PROBE_SNAP = 3
 
 
-class ProbeDegradedWarning(UserWarning):
-    """A probe trace was missing per-kernel observability (e.g. occupancy
-    annotations), so the tuner fell back to the static model for that
-    quantity."""
-
-
 # ----------------------------------------------------------------------
-# probe extraction: trace events -> per-kernel observed stats
+# probe step time: the pipeline's per-step phase spans
 # ----------------------------------------------------------------------
-@dataclass
-class KernelObservation:
-    """Observed behaviour of one kernel over a probe window.
-
-    ``total_seconds``/``mean_seconds`` are simulated seconds summed/averaged
-    over the window's launches; ``occupancy`` is the duration-weighted mean
-    achieved occupancy (0..1, ``None`` when the trace carried no occupancy
-    annotations); ``spilled_regs`` is the worst observed hard register
-    spill (``None`` when unannotated); ``queues`` counts launches per async
-    queue (queue ``None`` is the default stream).
-    """
-
-    name: str
-    launches: int = 0
-    total_seconds: float = 0.0
-    occupancy: float | None = None
-    spilled_regs: int | None = None
-    queues: dict[int | None, int] = field(default_factory=dict)
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.launches if self.launches else 0.0
-
-    def preferred_queue(self) -> int | None:
-        """The async queue this kernel most often landed on (None when it
-        mostly ran on the default stream)."""
-        if not self.queues:
-            return None
-        return max(self.queues.items(), key=lambda kv: kv[1])[0]
-
-    def occupancy_or_static(self, static_occupancy: float) -> float:
-        """Observed occupancy, degrading to the static model's value (with
-        a :class:`ProbeDegradedWarning`) when the trace carried none."""
-        if self.occupancy is None:
-            warnings.warn(
-                f"kernel '{self.name}': trace carried no occupancy "
-                "annotations; falling back to the static occupancy model",
-                ProbeDegradedWarning,
-                stacklevel=2,
-            )
-            return static_occupancy
-        return self.occupancy
-
-
-def _queue_of(event: TraceEvent) -> int | None:
-    track = event.track
-    if track.startswith("queue:"):
-        try:
-            return int(track.split(":", 1)[1])
-        except ValueError:  # pragma: no cover - malformed synthetic trace
-            return None
-    return None
-
-
-def extract_observations(
-    tracer: Tracer, warn_missing: bool = True
-) -> dict[str, KernelObservation]:
-    """Group a tracer's device kernel spans into per-kernel observations.
-
-    Handles overlapping spans from different async queues (each span's
-    duration is charged to its kernel independently). When ``warn_missing``
-    and at least one kernel span lacks an ``occupancy`` annotation, a
-    single :class:`ProbeDegradedWarning` is emitted and the affected
-    kernels report ``occupancy=None`` so callers can degrade to the static
-    model.
-    """
-    out: dict[str, KernelObservation] = {}
-    occ_weight: dict[str, float] = {}
-    missing_occ: set[str] = set()
-    for ev in tracer.events:
-        if ev.kind != SPAN or ev.cat != "kernel":
-            continue
-        obs = out.setdefault(ev.name, KernelObservation(ev.name))
-        obs.launches += 1
-        obs.total_seconds += ev.duration
-        q = _queue_of(ev)
-        obs.queues[q] = obs.queues.get(q, 0) + 1
-        occ = ev.args.get("occupancy")
-        if occ is None:
-            missing_occ.add(ev.name)
-        else:
-            w = max(ev.duration, 1e-12)
-            prev = (obs.occupancy or 0.0) * occ_weight.get(ev.name, 0.0)
-            occ_weight[ev.name] = occ_weight.get(ev.name, 0.0) + w
-            obs.occupancy = (prev + occ * w) / occ_weight[ev.name]
-        spill = ev.args.get("spilled_regs")
-        if spill is not None:
-            obs.spilled_regs = max(obs.spilled_regs or 0, int(spill))
-    for name in missing_occ:
-        out[name].occupancy = None
-    if missing_occ and warn_missing:
-        warnings.warn(
-            "trace kernels without occupancy annotations: "
-            + ", ".join(sorted(missing_occ))
-            + " — occupancy degrades to the static model",
-            ProbeDegradedWarning,
-            stacklevel=2,
-        )
-    return out
-
-
-def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def transfer_overlap_seconds(tracer: Tracer) -> tuple[float, float]:
-    """``(overlap_seconds, transfer_seconds)`` between device kernel spans
-    and PCIe copy spans (categories ``h2d``/``d2h``) — the comm/compute
-    overlap the paper reads off the profiler timeline. Both values are
-    simulated seconds; divide to get the overlapped fraction."""
-    kernels: list[tuple[float, float]] = []
-    copies: list[tuple[float, float]] = []
-    for ev in tracer.events:
-        if ev.kind != SPAN:
-            continue
-        if ev.cat == "kernel":
-            kernels.append((ev.start, ev.end))
-        elif ev.cat in ("h2d", "d2h"):
-            copies.append((ev.start, ev.end))
-    busy = _merge_intervals(kernels)
-    overlap = 0.0
-    transfer = 0.0
-    for c0, c1 in copies:
-        transfer += c1 - c0
-        for k0, k1 in busy:
-            if k0 >= c1:
-                break
-            lo, hi = max(c0, k0), min(c1, k1)
-            if hi > lo:
-                overlap += hi - lo
-    return overlap, transfer
-
-
 def observed_step_seconds(tracer: Tracer) -> tuple[float, int]:
     """``(mean_step_seconds, steps)`` from the pipeline's per-step phase
     spans (``forward_step`` + ``backward_step``), in simulated seconds per
@@ -226,7 +87,7 @@ def observed_step_seconds(tracer: Tracer) -> tuple[float, int]:
     steps = max(len(fwd), len(bwd))
     if steps == 0:
         return 0.0, 0
-    total = sum(e.duration for e in fwd) + sum(e.duration for e in bwd)
+    total = left_sum(e.duration for e in fwd) + left_sum(e.duration for e in bwd)
     return total / steps, steps
 
 
@@ -347,17 +208,23 @@ def generate_candidates(
 # ----------------------------------------------------------------------
 @dataclass
 class ProbeResult:
-    """Measured outcome of one probe window."""
+    """Measured outcome of one probe window.
 
-    candidate: ScheduleCandidate
+    ``kernels`` are the trace reduction's per-kernel aggregates;
+    ``candidate`` is the schedule probed (:func:`run_probe` measures
+    options and leaves the baseline here; :func:`tune_case` sets the
+    candidate it probed).
+    """
+
     success: bool
     step_seconds: float = 0.0
     steps: int = 0
-    kernels: dict[str, KernelObservation] = field(default_factory=dict)
+    kernels: dict[str, KernelAggregate] = field(default_factory=dict)
     overlap_seconds: float = 0.0
     transfer_seconds: float = 0.0
     total_seconds: float = 0.0
     failure: str | None = None
+    candidate: ScheduleCandidate = BASELINE
 
     @property
     def overlap_fraction(self) -> float:
@@ -398,6 +265,7 @@ def run_probe(request: TuneRequest, options: GPUOptions) -> ProbeResult:
     probe of a paper-scale grid costs milliseconds of host time."""
     from repro.core.modeling import estimate_modeling
     from repro.core.rtm import estimate_rtm
+    from repro.observe.reduce import reduce_trace
 
     tracer = Tracer()
     kwargs = dict(
@@ -419,19 +287,19 @@ def run_probe(request: TuneRequest, options: GPUOptions) -> ProbeResult:
             request.physics, request.shape, request.nt, request.snap_period,
             **kwargs,
         )
-    cand = getattr(options, "_candidate", BASELINE)
     if not gpu.success:
-        return ProbeResult(cand, success=False, failure=gpu.failure)
+        return ProbeResult(success=False, failure=gpu.failure)
     step_seconds, steps = observed_step_seconds(tracer)
-    overlap, transfer = transfer_overlap_seconds(tracer)
+    reduction = reduce_trace(tracer)
+    # one card: every span is rank 0's
+    card = reduction.ranks.get(0)
     return ProbeResult(
-        candidate=cand,
         success=True,
         step_seconds=step_seconds,
         steps=steps,
-        kernels=extract_observations(tracer, warn_missing=False),
-        overlap_seconds=overlap,
-        transfer_seconds=transfer,
+        kernels=reduction.kernels,
+        overlap_seconds=card.transfer_overlap_s if card else 0.0,
+        transfer_seconds=card.transfer_s if card else 0.0,
         total_seconds=gpu.total,
     )
 
@@ -566,7 +434,7 @@ class TuningPlan:
             for k in self.kernels.values()
             if k.model_error is not None
         ]
-        return sum(errs) / len(errs) if errs else None
+        return left_sum(errs) / len(errs) if errs else None
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
@@ -729,7 +597,7 @@ def _predicted_seconds(
 
 def _plan_entries(
     winner: ScheduleCandidate,
-    per_kernel: dict[str, tuple[ScheduleCandidate, KernelObservation]],
+    per_kernel: dict[str, tuple[ScheduleCandidate, KernelAggregate]],
     persona: CompilerPersona,
 ) -> dict[str, KernelPlan]:
     """Compose per-kernel entries: each kernel keeps the candidate that
@@ -745,7 +613,7 @@ def _plan_entries(
             construct=construct,
             vector_length=vector,
             queue=queue,
-            observed_seconds=obs.mean_seconds,
+            observed_seconds=obs.mean_s,
             occupancy=obs.occupancy,
             spilled_regs=obs.spilled_regs,
         )
@@ -782,7 +650,6 @@ def tune_case(
         if len(probes) >= budget:
             break
         options = cand.options(request.base_options)
-        options._candidate = cand  # annotate for run_probe's result
         if cand != BASELINE:
             ok, errors = lint_gate(request, options)
             if not ok:
@@ -790,6 +657,7 @@ def tune_case(
                 log(f"  pruned {cand.label} ({', '.join(errors)})")
                 continue
         result = run_probe(request, options)
+        result.candidate = cand
         if not result.success:
             pruned.append(f"{cand.label}: {result.failure}")
             log(f"  failed {cand.label} ({result.failure})")
@@ -806,11 +674,11 @@ def tune_case(
     best = min(probes, key=lambda p: p.step_seconds)
 
     # compose: per kernel, the candidate that measured fastest for it
-    per_kernel: dict[str, tuple[ScheduleCandidate, KernelObservation]] = {}
+    per_kernel: dict[str, tuple[ScheduleCandidate, KernelAggregate]] = {}
     for p in probes:
         for name, obs in p.kernels.items():
             cur = per_kernel.get(name)
-            if cur is None or obs.mean_seconds < cur[1].mean_seconds:
+            if cur is None or obs.mean_s < cur[1].mean_s:
                 per_kernel[name] = (p.candidate, obs)
     composed_entries = _plan_entries(best.candidate, per_kernel, persona)
 
@@ -845,7 +713,7 @@ def tune_case(
         for name, obs in verify.kernels.items():
             entry = plan.kernels.get(name)
             if entry is not None:
-                entry.observed_seconds = obs.mean_seconds
+                entry.observed_seconds = obs.mean_s
                 entry.occupancy = obs.occupancy
                 entry.spilled_regs = obs.spilled_regs
     else:
@@ -956,10 +824,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "PROBE_NT",
     "PROBE_SNAP",
-    "ProbeDegradedWarning",
-    "KernelObservation",
-    "extract_observations",
-    "transfer_overlap_seconds",
     "observed_step_seconds",
     "ScheduleCandidate",
     "BASELINE",

@@ -38,6 +38,7 @@ from repro.resilience.recovery import (
     ResilientPipeline,
 )
 from repro.resilience.report import FaultOutcome, ResilienceReport
+from repro.trace.tracer import Tracer
 from repro.utils.errors import ConfigurationError, ReproError
 
 #: chaos-run grid sizes — smaller than the trace CLI's: each case runs
@@ -84,13 +85,18 @@ def _min_rank_envelope(injector: FaultInjector, ranks: int) -> dict[str, int]:
 
 def _chaos_loop(
     case: str, mode: str, seed: int, ranks: int, faults: str | None,
-    kinds: tuple[str, ...], tracer, build, answers,
+    kinds: tuple[str, ...], tracer, build, answers, first_row: int = 0,
 ) -> list[FaultOutcome]:
     """The campaign of one case: the fault-free reference run (golden
     answers and the per-category op envelope), then one outcome per
     seeded or parsed spec. ``build(plan, tracer)`` makes a resilient run,
     ``answers(run)`` runs it and returns the arrays compared against the
-    reference, in order, until the first mismatch."""
+    reference, in order, until the first mismatch.
+
+    With ``tracer``, each fault run records on a fresh tracer of its own,
+    so its spans read its own clock, and is absorbed into ``tracer`` under
+    the process prefix ``run<k>:``, ``k`` its row in the report (this
+    case's first run is row ``first_row``)."""
     ref = build(None, None)
     ref_answers = answers(ref)
     envelope = _min_rank_envelope(ref.injector, ranks)
@@ -100,8 +106,9 @@ def _chaos_loop(
         specs = FaultPlan.seeded(seed, tuple(kinds), envelope, ranks=ranks).specs
 
     outcomes = []
-    for spec in specs:
-        run = build(FaultPlan(seed=seed, specs=(spec,)), tracer)
+    for row, spec in enumerate(specs, first_row):
+        run_tracer = Tracer() if tracer is not None else None
+        run = build(FaultPlan(seed=seed, specs=(spec,)), run_tracer)
         recovered, equivalent, notes = False, False, ""
         try:
             got = answers(run)
@@ -112,6 +119,8 @@ def _chaos_loop(
                     break
         except ReproError as exc:
             notes = f"{type(exc).__name__}: {exc}"
+        if tracer is not None:
+            tracer.absorb(run_tracer, f"run{row}:")
         stats, injector = run.stats, run.injector
         outcomes.append(FaultOutcome(
             case=case,
@@ -144,8 +153,10 @@ def run_chaos_case(
     faults: str | None = None,
     kinds: tuple[str, ...] | None = None,
     tracer=None,
+    first_row: int = 0,
 ) -> list[FaultOutcome]:
-    """Chaos one executed single-card case; one outcome per fault spec."""
+    """Chaos one executed single-card case; one outcome per fault spec
+    (``first_row``: the report row of the first, for the trace)."""
     from repro.core.config import GPUOptions, ModelingConfig, RTMConfig
 
     if mode not in ("modeling", "rtm"):
@@ -171,6 +182,7 @@ def run_chaos_case(
     return _chaos_loop(
         case, mode, seed, 1, faults,
         kinds if kinds is not None else SINGLE_RANK_KINDS, tracer, build, answers,
+        first_row,
     )
 
 
@@ -187,8 +199,10 @@ def run_chaos_case_multigpu(
     faults: str | None = None,
     kinds: tuple[str, ...] | None = None,
     tracer=None,
+    first_row: int = 0,
 ) -> list[FaultOutcome]:
-    """Chaos one decomposed case over ``ranks`` simulated cards."""
+    """Chaos one decomposed case over ``ranks`` simulated cards
+    (``first_row``: the report row of its first run, for the trace)."""
     if mode not in ("modeling", "rtm"):
         raise ConfigurationError(f"mode must be 'modeling' or 'rtm', not '{mode}'")
     if ranks < 2:
@@ -209,7 +223,7 @@ def run_chaos_case_multigpu(
     return _chaos_loop(
         case, mode, seed, ranks, faults,
         kinds if kinds is not None else MULTI_RANK_KINDS, tracer, build,
-        lambda run: (run.run(nt, 4, mode=mode),),
+        lambda run: (run.run(nt, 4, mode=mode),), first_row,
     )
 
 
@@ -236,12 +250,14 @@ def run_chaos_campaign(
                     case, mode=mode, seed=seed, ranks=ranks,
                     nt=nt if nt is not None else 12,
                     faults=faults, tracer=tracer,
+                    first_row=len(report.outcomes),
                 )
             else:
                 rows = run_chaos_case(
                     case, mode=mode, seed=seed,
                     nt=nt if nt is not None else 16,
                     faults=faults, tracer=tracer,
+                    first_row=len(report.outcomes),
                 )
             for row in rows:
                 report.add(row)

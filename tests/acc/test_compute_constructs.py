@@ -39,7 +39,7 @@ class TestExecution:
         r = Runtime(Device(K40), compiler=PGI_14_6)
         est = r.kernels(wl())
         assert est.seconds > 0
-        assert r.device.times.kernel == pytest.approx(est.seconds)
+        assert r.device.clock.categories["kernel"] == pytest.approx(est.seconds)
 
     def test_present_check_enforced(self):
         r = Runtime(Device(K40), compiler=PGI_14_6)

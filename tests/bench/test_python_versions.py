@@ -8,7 +8,9 @@ running interpreter (CI runs 3.10, 3.11 and 3.12) and, on any
 interpreter, with ``sum`` replaced by an emulation of 3.12's. One small
 case of each other wall-clock workload (a served survey, an executed RTM
 shot, a compiled case and its bound run) must also digest the same under
-the emulation.
+the emulation, and so must one row of each committed modelled BENCH
+document (a scaling point, a tuning plan, a step-bench case's modelled
+fields).
 """
 
 import builtins
@@ -163,3 +165,49 @@ def test_wall_workload_digest_under_compensated_sum(workload, monkeypatch):
     builtin = workload()
     monkeypatch.setattr(builtins, "sum", sum_312)
     assert workload() == builtin
+
+
+def _scale_point() -> str:
+    """One BENCH_scaling.json point: iso2d RTM on one rank, nt 16."""
+    from repro.observe.scaling import run_scale_point
+
+    point, reduction = run_scale_point("iso2d", 1, mode="rtm", nt=16)
+    return _sha(point.metrics(), point.per_rank, reduction.to_json())
+
+
+def _tuning_plan() -> str:
+    """One BENCH_autotune.json row's plan: acoustic-2d RTM, two probes."""
+    from repro.optim.autotune import request_for_case, tune_case
+
+    plan = tune_case(request_for_case("acoustic-2d", mode="rtm"), budget=2)
+    return _sha(plan.to_json())
+
+
+#: BENCH_step.json fields that time the host rather than model the device
+HOST_TIMINGS = (
+    "interpreted_s", "compiled_s", "interpreted_step_s", "compiled_step_s",
+    "speedup",
+)
+
+
+def _step_bench_case() -> str:
+    """The modelled fields of one BENCH_step.json case: iso2d RTM, nt 24."""
+    from repro.compile import CompileRequest, compile_case, measure_case
+    from repro.core import GPUOptions
+    from repro.core.platform import CRAY_K40
+
+    request = CompileRequest.from_case("iso2d", "rtm", nt=24)
+    options = GPUOptions()
+    compiled = compile_case(request, options=options)
+    row = measure_case(request, compiled, options, CRAY_K40, repeats=1)
+    return _sha({k: v for k, v in row.items() if k not in HOST_TIMINGS})
+
+
+@pytest.mark.parametrize(
+    "document", [_scale_point, _tuning_plan, _step_bench_case],
+    ids=["BENCH_scaling", "BENCH_autotune", "BENCH_step"],
+)
+def test_bench_document_under_compensated_sum(document, monkeypatch):
+    builtin = document()
+    monkeypatch.setattr(builtins, "sum", sum_312)
+    assert document() == builtin

@@ -78,7 +78,6 @@ def _run(compiled, persona, fault, traced):
         "times": device_times(rt.device),
         "timeline": (
             rt.device.clock.now, streams.compute_free, streams.copy_free,
-            streams.compute_busy, streams.copy_busy,
             sorted(streams._queue_end.items()), rt._next_queue,
         ),
         "events": injector.events,

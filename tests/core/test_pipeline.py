@@ -59,7 +59,7 @@ class TestDataMovement:
     def test_allocate_forward_copies_inventory(self):
         p = make_pipeline()
         p.allocate_forward()
-        assert p.rt.device.times.h2d > 0
+        assert p.gpu_times().h2d > 0
         assert p.rt.present_bytes() == sum(p.inventory.values())
 
     def test_swap_drops_forward_wavefields_keeps_primary(self):
@@ -82,11 +82,11 @@ class TestDataMovement:
         p1 = make_pipeline(shape=(512, 512))
         p1.allocate_forward()
         p1.snapshot_to_host(decimate=1)
-        full = p1.rt.device.times.d2h
+        full = p1.gpu_times().d2h
         p2 = make_pipeline(shape=(512, 512))
         p2.allocate_forward()
         p2.snapshot_to_host(decimate=4)
-        dec = p2.rt.device.times.d2h
+        dec = p2.gpu_times().d2h
         assert dec < full / 4
 
     def test_isotropic_backward_host_updates(self):
@@ -95,18 +95,19 @@ class TestDataMovement:
         p = make_pipeline(physics="isotropic")
         p.allocate_forward()
         p.swap_to_backward()
-        d2h0, h2d0 = p.rt.device.times.d2h, p.rt.device.times.h2d
+        before = p.gpu_times()
         p.backward_step()
-        assert p.rt.device.times.d2h > d2h0
-        assert p.rt.device.times.h2d > h2d0
+        after = p.gpu_times()
+        assert after.d2h > before.d2h
+        assert after.h2d > before.h2d
 
     def test_acoustic_backward_no_per_step_updates(self):
         p = make_pipeline(physics="acoustic")
         p.allocate_forward()
         p.swap_to_backward()
-        d2h0 = p.rt.device.times.d2h
+        d2h0 = p.gpu_times().d2h
         p.backward_step()
-        assert p.rt.device.times.d2h == d2h0
+        assert p.gpu_times().d2h == d2h0
 
 
 class TestBackwardOriginalKernels:

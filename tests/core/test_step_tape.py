@@ -59,7 +59,6 @@ def _timeline(pipe):
     streams = rt.device.streams
     return (
         rt.device.clock.now, streams.compute_free, streams.copy_free,
-        streams.compute_busy, streams.copy_busy,
         sorted(streams._queue_end.items()), rt._next_queue,
     )
 

@@ -55,7 +55,7 @@ class TestTransfers:
         d = Device(K40, pcie=PCIE_GEN3_X16, pinned_host=True)
         t = d.h2d(110 * MB)
         assert t == pytest.approx(110 * MB / PCIE_GEN3_X16.pinned_bandwidth, rel=0.1)
-        assert d.times.h2d == pytest.approx(t)
+        assert d.clock.categories["h2d"] == pytest.approx(t)
 
     def test_pinned_vs_pageable(self):
         slow = Device(K40, pinned_host=False).h2d(100 * MB)
@@ -76,7 +76,7 @@ class TestKernelLaunch:
         d = Device(K40)
         est = d.launch(wl())
         assert d.elapsed >= est.seconds
-        assert d.kernel_launches == 1
+        assert d.profiler.launches == 1
 
     def test_sync_launch_includes_host_admin(self):
         """The present-table lookup cost scales with kernel arguments."""
@@ -161,13 +161,13 @@ class TestLaunchPricingMemo:
         FaultInjector(FaultPlan(specs=parse_faults("kernel-launch@3"))).attach_device(d)
         d.launch(wl())
         d.launch(wl())
-        before = (d.elapsed, d.kernel_launches, len(events))
+        before = (d.elapsed, d.profiler.launches, len(events))
         with pytest.raises(KernelLaunchError):
             d.launch(wl())
         # the fault fires before anything is charged
-        assert (d.elapsed, d.kernel_launches, len(events)) == before
+        assert (d.elapsed, d.profiler.launches, len(events)) == before
         d.launch(wl())
-        assert d.kernel_launches == 6
+        assert d.profiler.launches == 6
 
 
 class TestReset:
@@ -177,6 +177,6 @@ class TestReset:
         d.launch(wl())
         d.reset()
         assert d.elapsed == 0.0
-        assert d.kernel_launches == 0
+        assert d.profiler.launches == 0
         assert not d.memory.holds("a")
         assert d.profiler.report() == Profiler().report()

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.gpusim import Profiler, ProfileEvent, StreamPool
+from repro.gpusim import K40, Device, Profiler, ProfileEvent, StreamPool
 from repro.gpusim.streams import KERNEL, PricedOp
 from repro.utils.errors import ConfigurationError
 from repro.utils.timer import SimClock
@@ -87,13 +87,18 @@ class TestStreamPool:
             pool.run_kernel_async(9, 1e-3)
 
     def test_failing_op_keeps_the_ops_before_it(self):
-        clock = SimClock()
-        pool = StreamPool(clock, max_queues=4)
-        ops = [PricedOp(KERNEL, "a", 1e-3, 1e-5), PricedOp(KERNEL, "b", 1e-3, 0.0, 9)]
+        device = Device(K40)
+        pool = device.streams
+        bad_queue = pool.max_queues
+        ops = [
+            PricedOp(KERNEL, "a", 1e-3, 1e-5),
+            PricedOp(KERNEL, "b", 1e-3, 0.0, bad_queue),
+        ]
         with pytest.raises(ConfigurationError):
-            pool.run_ops(ops)
-        assert clock.now == pool.compute_free == 1e-5 + 1e-3
-        assert pool.compute_busy == 1e-3
+            pool.run_ops(ops, device)
+        assert device.clock.now == pool.compute_free == 1e-5 + 1e-3
+        assert device.clock.categories["kernel"] == 1e-3
+        assert device.profiler.kernels == {"a": [1, 1e-3]}
 
 
 class TestProfiler:

@@ -1,10 +1,16 @@
-"""Reduction engine: synthetic span sets plus a golden 2-rank trace."""
+"""Reduction engine: synthetic span sets, a golden 2-rank trace, and the
+device profiler as the oracle of the per-kernel fold."""
 
 import json
 import os
 
 import pytest
 
+from repro.bench.workloads import modeling_case
+from repro.cases import parse_case
+from repro.core.config import GPUOptions
+from repro.core.modeling import estimate_modeling
+from repro.core.rtm import estimate_rtm
 from repro.observe.reduce import (
     interval_measure,
     intersect_intervals,
@@ -12,12 +18,12 @@ from repro.observe.reduce import (
     rank_of_event,
     reduce_trace,
 )
-from repro.trace.tracer import SPAN, TraceEvent
-from repro.utils.fold import nearest_rank
+from repro.trace.tracer import SPAN, TraceEvent, Tracer
+from repro.utils.fold import left_sum, nearest_rank
 
 
-def span(name, cat, start, end, process="gpu:sim", track="queue:0"):
-    return TraceEvent(name, cat, process, track, start, end, SPAN)
+def span(name, cat, start, end, process="gpu:sim", track="queue:0", **args):
+    return TraceEvent(name, cat, process, track, start, end, SPAN, args)
 
 
 class TestIntervalAlgebra:
@@ -157,6 +163,78 @@ class TestQueuesAndKernels:
         red = reduce_trace(events)
         assert red.makespan_s == pytest.approx(3.0)
         assert red.critical_path.chain_s == pytest.approx(3.0)
+
+
+class TestKernelFold:
+    def test_total_adds_in_event_order(self):
+        # 1.0 + 1e-16 + 1e-16 is 1.0 left to right, one ULP more sorted
+        events = [
+            span("k", "kernel", 0.0, 1.0),
+            span("k", "kernel", 0.0, 1e-16),
+            span("k", "kernel", 0.0, 1e-16),
+        ]
+        agg = reduce_trace(events).kernels["k"]
+        assert agg.total_s == 1.0
+        assert agg.mean_s == 1.0 / 3
+        assert left_sum(sorted(e.duration for e in events)) != 1.0
+
+    def test_occupancy_is_a_running_duration_weighted_mean(self):
+        spans = [(0.0, 0.3, 0.25), (0.3, 0.4, 0.5), (0.4, 0.4, 0.75), (1.0, 2.7, 0.3)]
+        events = [
+            span("k", "kernel", a, b, occupancy=occ, spilled_regs=i)
+            for i, (a, b, occ) in enumerate(spans)
+        ]
+        mean, weight = 0.0, 0.0
+        for a, b, occ in spans:
+            w = max(b - a, 1e-12)  # a zero-length launch still counts
+            prev = mean * weight
+            weight += w
+            mean = (prev + occ * w) / weight
+        agg = reduce_trace(events).kernels["k"]
+        assert agg.occupancy == mean
+        assert agg.spilled_regs == 3
+
+    def test_unannotated_default_stream_kernel(self):
+        events = [span("k", "kernel", 0.0, 1.0, track="stream:0")] * 2
+        agg = reduce_trace(events).kernels["k"]
+        assert (agg.occupancy, agg.spilled_regs) == (None, None)
+        assert agg.queues == {None: 2}
+        assert agg.preferred_queue() is None
+
+
+class TestProfilerOracle:
+    """The trace reduction and the device profiler are the two folds of a
+    traced run's kernels; on one card they agree bit for bit."""
+
+    @pytest.mark.parametrize("async_kernels", [False, True], ids=["sync", "async"])
+    @pytest.mark.parametrize("mode", ["modeling", "rtm"])
+    @pytest.mark.parametrize(
+        "case", ["iso2d", "iso3d", "ac2d", "ac3d", "el2d", "el3d"]
+    )
+    def test_kernel_totals_equal_the_profiler(self, case, mode, async_kernels):
+        physics, ndim = parse_case(case)
+        spec = modeling_case(physics, ndim)
+        tracer = Tracer()
+        kwargs = dict(
+            options=GPUOptions(async_kernels=async_kernels),
+            nreceivers=min(16, spec.nreceivers),
+            pml_variant=spec.pml_variant,
+            tracer=tracer,
+        )
+        if mode == "modeling":
+            times = estimate_modeling(
+                physics, spec.shape, 6, 3, snapshot_decimate=4, **kwargs
+            )
+        else:
+            times = estimate_rtm(physics, spec.shape, 6, 3, **kwargs)
+        assert times.success
+        kernels = reduce_trace(tracer).kernels
+        assert sorted(kernels) == sorted(k.name for k in times.profile.kernels)
+        for line in times.profile.kernels:
+            agg = kernels[line.name]
+            assert (agg.count, agg.total_s) == (line.count, line.total_seconds)
+        spans = [e for e in tracer.events if e.kind == SPAN and e.cat == "kernel"]
+        assert times.launches == len(spans)
 
 
 class TestCriticalPath:

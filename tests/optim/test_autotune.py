@@ -8,21 +8,19 @@ import pytest
 from repro.acc.clauses import LoopSchedule
 from repro.core.config import GPUOptions
 from repro.core.rtm import estimate_rtm
+from repro.observe.reduce import reduce_trace
 from repro.optim.autotune import (
     BASELINE,
     KernelPlan,
-    ProbeDegradedWarning,
     ScheduleCandidate,
     TuneRequest,
     TuningPlan,
-    extract_observations,
     lint_gate,
     load_plan,
     observed_step_seconds,
     options_with_plan,
     request_for_case,
     run_probe,
-    transfer_overlap_seconds,
     tune_case,
 )
 from repro.trace.tracer import Tracer
@@ -43,22 +41,25 @@ def _kernel(tracer, name, start, end, queue=None, occupancy=0.5, spill=0):
 
 
 class TestExtractObservations:
+    """A probe's per-kernel observations are the trace reduction's kernel
+    aggregates (what :func:`run_probe` reads)."""
+
     def test_golden_trace(self):
         """A hand-built trace reduces to the expected per-kernel stats."""
         tr = Tracer()
         _kernel(tr, "update_p", 0.0, 2.0, occupancy=0.4, spill=0)
         _kernel(tr, "update_p", 2.0, 4.0, occupancy=0.8, spill=4)
         _kernel(tr, "inject", 4.0, 4.5, occupancy=1.0, spill=0)
-        obs = extract_observations(tr)
+        obs = reduce_trace(tr).kernels
         assert set(obs) == {"update_p", "inject"}
         p = obs["update_p"]
-        assert p.launches == 2
-        assert p.total_seconds == pytest.approx(4.0)
-        assert p.mean_seconds == pytest.approx(2.0)
+        assert p.count == 2
+        assert p.total_s == pytest.approx(4.0)
+        assert p.mean_s == pytest.approx(2.0)
         # duration-weighted mean of equal-length launches
         assert p.occupancy == pytest.approx(0.6)
         assert p.spilled_regs == 4
-        assert obs["inject"].mean_seconds == pytest.approx(0.5)
+        assert obs["inject"].mean_s == pytest.approx(0.5)
 
     def test_overlapping_async_spans(self):
         """Concurrent spans on different queues are charged independently
@@ -67,53 +68,46 @@ class TestExtractObservations:
         _kernel(tr, "k", 0.0, 1.0, queue=1)
         _kernel(tr, "k", 0.2, 1.2, queue=2)   # overlaps the queue-1 launch
         _kernel(tr, "k", 1.2, 2.0, queue=2)
-        obs = extract_observations(tr)["k"]
-        assert obs.launches == 3
-        assert obs.total_seconds == pytest.approx(2.8)
+        obs = reduce_trace(tr).kernels["k"]
+        assert obs.count == 3
+        assert obs.total_s == pytest.approx(2.8)
         assert obs.queues == {1: 1, 2: 2}
         assert obs.preferred_queue() == 2
 
-    def test_missing_occupancy_degrades_with_warning(self):
-        """A trace without occupancy annotations must not crash: the kernel
-        reports occupancy=None and falls back to the static model."""
-        tr = Tracer()
-        _kernel(tr, "legacy", 0.0, 1.0, occupancy=None, spill=None)
-        with pytest.warns(ProbeDegradedWarning):
-            obs = extract_observations(tr)
-        assert obs["legacy"].occupancy is None
-        with pytest.warns(ProbeDegradedWarning):
-            assert obs["legacy"].occupancy_or_static(0.75) == 0.75
-
     def test_partial_occupancy_is_conservative(self):
-        """If even one launch lacks the annotation, the kernel degrades."""
+        """If even one launch lacks the annotation, the kernel reports no
+        occupancy rather than a mean over the annotated launches."""
         tr = Tracer()
         _kernel(tr, "k", 0.0, 1.0, occupancy=0.5)
         _kernel(tr, "k", 1.0, 2.0, occupancy=None, spill=None)
-        with pytest.warns(ProbeDegradedWarning):
-            obs = extract_observations(tr)
+        obs = reduce_trace(tr).kernels
         assert obs["k"].occupancy is None
+        assert obs["k"].spilled_regs == 0
 
     def test_ignores_non_kernel_events(self):
         tr = Tracer()
         tr.emit("copyin:model", 0.0, 1.0, process=GPU, track="stream:0",
                 cat="h2d", bytes=100)
-        assert extract_observations(tr) == {}
+        assert reduce_trace(tr).kernels == {}
 
 
 class TestTransferOverlap:
+    """A probe's transfer overlap is its card's (rank 0's) reduction."""
+
     def test_interval_intersection(self):
         tr = Tracer()
         _kernel(tr, "k", 0.0, 2.0, queue=1)
         tr.emit("up", 1.0, 3.0, process=GPU, track="stream:0", cat="h2d")
         tr.emit("down", 5.0, 6.0, process=GPU, track="stream:0", cat="d2h")
-        overlap, transfer = transfer_overlap_seconds(tr)
-        assert transfer == pytest.approx(3.0)
-        assert overlap == pytest.approx(1.0)  # only 1.0..2.0 overlaps
+        card = reduce_trace(tr).ranks[0]
+        assert card.transfer_s == pytest.approx(3.0)
+        assert card.transfer_overlap_s == pytest.approx(1.0)  # 1.0..2.0
 
     def test_no_transfers(self):
         tr = Tracer()
         _kernel(tr, "k", 0.0, 1.0)
-        assert transfer_overlap_seconds(tr) == (0.0, 0.0)
+        card = reduce_trace(tr).ranks[0]
+        assert (card.transfer_overlap_s, card.transfer_s) == (0.0, 0.0)
 
 
 class TestObservedStepSeconds:

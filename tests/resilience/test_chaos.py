@@ -121,13 +121,15 @@ class TestRecoverySpans:
             "ac2d", mode="modeling", nt=8, faults="pcie-transient@3",
             tracer=tracer,
         )
+        # the campaign's one fault run is row 0 of its report
+        process = f"run0:{TRACE_PROCESS}"
         faults = [
             e for e in tracer.events
-            if e.process == TRACE_PROCESS and e.track == FAULT_TRACK
+            if e.process == process and e.track == FAULT_TRACK
         ]
         recovery = [
             e for e in tracer.events
-            if e.process == TRACE_PROCESS and e.track == RECOVERY_TRACK
+            if e.process == process and e.track == RECOVERY_TRACK
         ]
         assert faults and faults[0].name == "fault:pcie-transient"
         assert any(e.name.startswith("retry:") for e in recovery)
@@ -148,3 +150,35 @@ class TestRecoverySpans:
         names = {e.name for e in first}
         assert {"redecompose", "retry:exchange", "fault:rank-dead"} <= names
         assert first == events()
+
+
+class TestRunTimelines:
+    def test_each_fault_run_keeps_its_own_clock(self):
+        """Each fault run records on a tracer of its own, absorbed under
+        ``run<k>:`` with ``k`` its report row, so its forward steps advance
+        in time. (One tracer shared by every run binds only the first
+        run's clock: every later run's steps sat at the time it stopped.)"""
+        tracer = Tracer()
+        report = run_chaos_campaign(
+            cases=("iso2d",), modes=("modeling", "rtm"), seed=5, nt=8,
+            tracer=tracer,
+        )
+        starts: dict[str, list[float]] = {}
+        for e in tracer.events:
+            if e.name == "forward_step":
+                starts.setdefault(e.process, []).append(e.start)
+        rows = len(report.outcomes)
+        assert rows > 2
+        assert sorted(starts) == sorted(f"run{k}:host" for k in range(rows))
+        for process, ts in starts.items():
+            assert len(ts) > 1 and all(a < b for a, b in zip(ts, ts[1:])), process
+
+    @pytest.mark.parametrize("ranks", [1, 2])
+    def test_identical_runs_write_identical_files(self, tmp_path, capsys, ranks):
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        for path in paths:
+            run_chaos_command(_args(
+                tmp_path, case="iso2d", seed=5, ranks=ranks, trace=str(path),
+                no_ledger=True,
+            ))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
