@@ -21,13 +21,18 @@ As in the paper we keep :math:`\\kappa_i = 1`, so the per-dimension state is
 exactly *four one-dimensional arrays*: ``(b, a)`` evaluated at integer and at
 half-shifted positions (staggered fields sample the profiles at
 ``i + 1/2``). Each is also kept as a view shaped to broadcast along its
-axis, built at construction, so :meth:`CPML.damp` builds nothing per call:
-it only cuts the axis-0 profiles to a live band's rows. Memory variables
-:math:`\\psi` are lazily allocated per named derivative, so propagators
-simply write::
+axis, built at construction. Memory variables :math:`\\psi` are lazily
+allocated per named derivative. :meth:`CPML.damp` damps a derivative in
+one call; a :class:`DampingBinding` binds the damping to its derivative
+buffer once (the shape checked, the memory variable allocated, psi and,
+along axis 0, the profiles cut to the buffer's rows) and damps the
+buffer's current values on every :meth:`~DampingBinding.run`, so a time
+step that reuses its buffers writes::
 
-    dpdx = staggered_diff_forward(p, axis=1, h)
-    dpdx = cpml.damp("dpdx", axis=1, deriv=dpdx, half=True)
+    diff = StaggeredBinding("forward", p, 1, h, out=buf)  # once
+    damp = DampingBinding(cpml, "dpdx", 1, buf, half=True)  # once
+    diff.run()  # every step: buf holds D+ p along axis 1
+    damp.run()  # buf holds the damped derivative
 """
 
 from __future__ import annotations
@@ -183,7 +188,8 @@ class CPML:
         half: bool,
         rows: slice | None = None,
     ) -> np.ndarray:
-        """Apply the C-PML convolution to a spatial derivative.
+        """Apply the C-PML convolution to a spatial derivative: bind, then
+        run once (:class:`DampingBinding`).
 
         Parameters
         ----------
@@ -203,26 +209,70 @@ class CPML:
             None for every row: the memory variable and, along axis 0, the
             profile are cut to this window.
         """
-        shape = self.grid.shape
+        return DampingBinding(self, name, axis, deriv, half, rows).run()
+
+
+class DampingBinding:
+    """:meth:`CPML.damp` bound to one derivative buffer ``deriv`` over
+    ``rows``: the shape is checked, the memory variable ``name`` allocated
+    if it is not yet, and psi and (along axis 0) the profiles cut to
+    ``rows``, once. :meth:`run` damps ``deriv``'s current values in place.
+
+    The binding holds the memory variable it cut: :meth:`holds` tells
+    whether it still fits a call, since a :meth:`CPML.restore` can replace
+    or delete the memory variable under the same name.
+    """
+
+    def __init__(
+        self,
+        cpml: CPML,
+        name: str,
+        axis: int,
+        deriv: np.ndarray,
+        half: bool,
+        rows: slice | None = None,
+    ):
+        shape = cpml.grid.shape
         if rows is not None:
             shape = (len(range(shape[0])[rows]),) + shape[1:]
         if deriv.shape != shape:
             raise ConfigurationError(
                 f"derivative shape {deriv.shape} does not match grid rows {shape}"
             )
-        if self.width == 0:
-            return deriv  # no-op layer: keep identical code path
-        psi = self._psi.get(name)
+        self._cpml, self._name = cpml, name
+        self.deriv, self.rows = deriv, rows
+        #: the memory variable (every row), None while the layer is off
+        self.psi: np.ndarray | None = None
+        self._views = None
+        if cpml.width == 0:
+            return  # no-op layer: keep identical code path
+        psi = cpml._psi.get(name)
         if psi is None:
-            psi = np.zeros(self.grid.shape, dtype=DTYPE)
-            self._psi[name] = psi
-        b, a = self._profiles[axis][half]
+            psi = cpml._psi[name] = np.zeros(cpml.grid.shape, dtype=DTYPE)
+        self.psi = psi
+        b, a = cpml._profiles[axis][half]
         if rows is not None:
             psi = psi[rows]
             if axis == 0:
                 b, a = b[rows], a[rows]
-        # psi <- b*psi + a*deriv ; deriv <- deriv + psi  (kappa = 1)
-        psi *= b
-        psi += a * deriv
-        deriv += psi
+        self._views = psi, b, a
+
+    def holds(self, deriv: np.ndarray, rows: slice | None) -> bool:
+        """Whether this binding is the one for ``deriv`` over ``rows``: the
+        same buffer, the same rows, and the memory variable it cut still the
+        live one."""
+        return (
+            deriv is self.deriv
+            and rows == self.rows
+            and self._cpml._psi.get(self._name) is self.psi
+        )
+
+    def run(self) -> np.ndarray:
+        deriv = self.deriv
+        if self._views is not None:
+            psi, b, a = self._views
+            # psi <- b*psi + a*deriv ; deriv <- deriv + psi  (kappa = 1)
+            psi *= b
+            psi += a * deriv
+            deriv += psi
         return deriv

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from operator import is_
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.boundary.cpml import CPML
+from repro.boundary.cpml import CPML, DampingBinding
 from repro.grid.grid import Grid
 from repro.model.earth_model import EarthModel
 from repro.propagators.cfl import default_dt, max_stable_dt
 from repro.source.injection import PointSource
-from repro.stencil.operators import staggered_diff_backward, staggered_diff_forward
+from repro.stencil.operators import StaggeredBinding
 from repro.utils.arrays import DTYPE
 from repro.utils.errors import ConfigurationError, StabilityError
 
@@ -130,6 +131,14 @@ class Propagator(ABC):
     Sub-stage methods called directly (``step_pressure``/``step_flow``)
     step every row and make the next :meth:`step` measure the band again.
 
+    **Kept views and bindings.** The band's views are kept while the band
+    and every array of :attr:`grid_arrays` are the same objects, and each
+    stencil or C-PML call site keeps the binding of its last call while
+    the field, buffer, rows and memory variable it holds are (the same
+    objects, checked every step), so a step that changes none of them
+    only runs. An array replaced from outside, under a name of
+    :attr:`grid_arrays`, is seen at the next step.
+
     Parameters
     ----------
     model:
@@ -200,6 +209,9 @@ class Propagator(ABC):
         self._band: tuple[int, int] | None = None
         #: the band at the last :meth:`_observed_rows` call
         self._observed_band: tuple[int, int] | None = None
+        #: the last band's rows, the arrays they were cut from and the
+        #: views: see :meth:`_band_views`
+        self._kept_views: tuple | None = None
 
     # ------------------------------------------------------------------
     # field management
@@ -431,11 +443,33 @@ class Propagator(ABC):
 
     def _band_views(self, rows: slice) -> SimpleNamespace:
         """:attr:`grid_arrays` cut to ``rows`` under their own names (a list
-        or dict of arrays item by item; ``owner.name`` nests one level)."""
-        views = SimpleNamespace()
+        or dict of arrays item by item; ``owner.name`` nests one level).
+
+        The views are kept while the rows and every array they were cut
+        from are the same (the same objects, compared every step), so the
+        bindings made on them are kept too. An array replaced from outside
+        is cut afresh at the next step."""
+        named, arrays = [], []
         for name in self.grid_arrays:
             owner, _, leaf = name.rpartition(".")
             value = getattr(getattr(self, owner) if owner else self, leaf)
+            named.append((owner, leaf, value))
+            if isinstance(value, dict):
+                arrays.extend(value.values())
+            elif isinstance(value, list):
+                arrays.extend(value)
+            else:
+                arrays.append(value)
+        kept = self._kept_views
+        if (
+            kept is not None
+            and kept[0] == rows
+            and len(kept[1]) == len(arrays)
+            and all(map(is_, kept[1], arrays))
+        ):
+            return kept[2]
+        views = SimpleNamespace()
+        for owner, leaf, value in named:
             if isinstance(value, list):
                 value = [a[rows] for a in value]
             elif isinstance(value, dict):
@@ -444,6 +478,7 @@ class Propagator(ABC):
                 value = value[rows]
             dst = views.__dict__.setdefault(owner, SimpleNamespace()) if owner else views
             setattr(dst, leaf, value)
+        self._kept_views = (rows, arrays, views)
         return views
 
     # ------------------------------------------------------------------
@@ -488,6 +523,9 @@ class StaggeredPropagator(Propagator):
             self.dt,
             alpha_max=cpml_alpha_max,
         )
+        #: per C-PML memory name, the stencil and damping bindings of its
+        #: derivative: see :meth:`_damped_diff`
+        self._bindings: dict[str, tuple[StaggeredBinding, DampingBinding]] = {}
 
     def _damped_diff(
         self,
@@ -502,12 +540,22 @@ class StaggeredPropagator(Propagator):
         to half points (D+) or backward to integer points (D-), then damped
         through the C-PML memory variable ``name`` over ``rows``.
 
-        The operator writes every point of ``out`` (+0.0 where the stencil
-        does not reach), so no stale value of the reused buffer leaks into
-        a sum or the memory variable."""
-        diff = staggered_diff_forward if forward else staggered_diff_backward
-        d = diff(f, axis, self.grid.spacing[axis], self.space_order, out=out)
-        return self.cpml.damp(name, axis, d, half=forward, rows=rows)
+        Each memory name keeps one stencil binding and one damping binding
+        and runs them: they are rebuilt when ``f``, ``out``, ``rows`` or the
+        memory variable is not the one they hold (a new band, an array
+        replaced from outside, or a :meth:`restore_state` that replaced or
+        deleted the memory variable). The operator writes every point of
+        ``out`` (+0.0 where the stencil does not reach), so no stale value
+        of the reused buffer leaks into a sum or the memory variable."""
+        bound = self._bindings.get(name)
+        if bound is None or bound[0].u is not f or not bound[1].holds(out, rows):
+            op = "forward" if forward else "backward"
+            bound = self._bindings[name] = (
+                StaggeredBinding(op, f, axis, self.grid.spacing[axis], self.space_order, out),
+                DampingBinding(self.cpml, name, axis, out, forward, rows),
+            )
+        bound[0].run()
+        return bound[1].run()
 
 
 def _live_rows(arrays: Iterable[np.ndarray], lo: int, hi: int) -> np.ndarray:

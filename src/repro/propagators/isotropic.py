@@ -27,6 +27,7 @@ metadata the GPU model sees. The test suite asserts the numerical identity.
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ from repro.boundary.pml import StandardPML
 from repro.model.earth_model import EarthModel
 from repro.propagators.base import KernelWorkload, Propagator
 from repro.stencil.operators import (
-    laplacian,
+    LaplacianBinding,
     laplacian_flops_per_point,
     laplacian_reads_per_point,
 )
@@ -76,6 +77,35 @@ def _band_slabs(slabs: list[tuple[slice, ...]], rows: slice) -> list[tuple[slice
         if lo < hi:
             cut.append((slice(lo, hi),) + sl[1:])
     return cut
+
+
+class _StepBinding:
+    """One isotropic step bound to its arrays (:func:`_step_arrays`) over
+    ``rows``: the Laplacian of ``u`` into the scratch buffer, and, when the
+    damped update runs in the PML slabs, each slab with its view of every
+    array."""
+
+    def __init__(self, prop: "IsotropicPropagator", arrays: tuple, rows: slice | None,
+                 slabbed: bool):
+        self.arrays, self.rows = arrays, rows
+        u, _, lap = arrays[:3]
+        self.laplacian = LaplacianBinding(u, prop.grid.spacing, prop.space_order, out=lap)
+        slabs = prop._slabs if rows is None else _band_slabs(prop._slabs, rows)
+        #: per slab: the slab and its view of each of :attr:`arrays`
+        self.slabs = [[sl] + [a[sl] for a in self.arrays] for sl in slabs] if slabbed else []
+
+    def holds(self, arrays: tuple, rows: slice | None) -> bool:
+        """Whether this binding was cut from ``arrays`` (the same objects,
+        in :func:`_step_arrays` order) over ``rows``."""
+        return rows == self.rows and all(map(is_, self.arrays, arrays))
+
+
+def _step_arrays(v) -> tuple:
+    """The arrays of ``v`` (the propagator or its band views) an isotropic
+    step reads or writes."""
+    pml = v.pml
+    return (v.u, v.u_prev, v._lap, v.vp2dt2,
+            pml.sigma2, pml.coeff_curr, pml.coeff_prev, pml.coeff_rhs)
 
 
 class IsotropicPropagator(Propagator):
@@ -123,33 +153,33 @@ class IsotropicPropagator(Propagator):
         self.vp2dt2 = (self.model.vp.astype(np.float64) ** 2 * self.dt**2).astype(DTYPE)
         self._slabs = boundary_slabs(self.grid.shape, self.pml.width)
         self._interior = self.pml.interior_slices()
+        #: the last two step bindings: ``u`` and ``u_prev`` swap every step
+        self._bound: list[_StepBinding] = []
 
     def snapshot_field(self) -> np.ndarray:
         return self.u
 
     # ------------------------------------------------------------------
     def _step_impl(self, v, rows, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
-        lap = laplacian(v.u, self.grid.spacing, self.space_order, out=v._lap)
-        u, up, pml = v.u, v.u_prev, v.pml
         # absorbing or not is a property of the whole grid, not of the band
-        if self.pml_variant == "everywhere" or not self.pml.is_absorbing():
+        slabbed = self.pml_variant != "everywhere" and self.pml.is_absorbing()
+        arrays = _step_arrays(v)
+        bound = next((b for b in self._bound if b.holds(arrays, rows)), None)
+        if bound is None:
+            bound = _StepBinding(self, arrays, rows, slabbed)
+            self._bound = self._bound[-1:] + [bound]
+        lap = bound.laplacian.run()
+        u, up, pml = v.u, v.u_prev, v.pml
+        if not slabbed:
             rhs = v.vp2dt2 * lap - (self.dt**2 * pml.sigma2) * u
             u_next = pml.coeff_curr * u - pml.coeff_prev * up + pml.coeff_rhs * rhs
             up[...] = u_next
         else:
             # plain leapfrog everywhere, then damped overwrite in the slabs
             u_next = 2.0 * u - up + v.vp2dt2 * lap
-            slabs = self._slabs if v is self else _band_slabs(self._slabs, rows)
-            for sl in slabs:
-                rhs = (
-                    v.vp2dt2[sl] * lap[sl]
-                    - (self.dt**2 * pml.sigma2[sl]) * u[sl]
-                )
-                u_next[sl] = (
-                    pml.coeff_curr[sl] * u[sl]
-                    - pml.coeff_prev[sl] * up[sl]
-                    + pml.coeff_rhs[sl] * rhs
-                )
+            for sl, u_s, up_s, lap_s, vp2dt2, sigma2, curr, prev, coeff_rhs in bound.slabs:
+                rhs = vp2dt2 * lap_s - (self.dt**2 * sigma2) * u_s
+                u_next[sl] = curr * u_s - prev * up_s + coeff_rhs * rhs
             up[...] = u_next
         # source injection: + dt^2 vp^2 f^n at the source point (Eq. 1)
         for index, amp in sources:

@@ -39,17 +39,30 @@ What each operator writes:
 A field that is not C-contiguous goes through one explicit contiguous copy;
 a flat view is never a silent copy (:func:`_flat`).
 
-The set-up of a call is built once, as devito builds a stencil operator
-once and applies it every time step: each call looks up the memoised
-*plan* of its (operator, axis lengths after the first, axis, order, spacing
-and its type, scalar type) — the flat slices, the seam geometry and the
-coefficient scalars it applies (:func:`_plan`). Slice stops count from the
-end of the run, so the key holds no row count: one plan serves every
-length of the first axis, and a live band growing through many row counts
-adds no entry. The axis length is still checked on every call. A planned
-call runs the same ufunc sequence on the same scalars, point by point, as
-per-axis slicing built per call, so its results are bitwise those of the
-per-call form (``tests/stencil/test_plans.py``).
+The set-up of a call is built in two layers, as devito builds a stencil
+operator once and applies it every time step:
+
+* a *plan* (:func:`_plan`) is memoised per (operator, axis lengths after
+  the first, axis, order, spacing and its type, scalar type): the flat
+  slices, the seam geometry and the coefficient scalars. Slice stops count
+  from the end of the run, so the key holds no row count: one plan serves
+  every length of the first axis, and a live band growing through many
+  row counts adds no entry.
+* a *binding* (:class:`StaggeredBinding`, :class:`SecondBinding`,
+  :class:`LaplacianBinding`) applies a plan to one field and one
+  destination: it checks the axis lengths and cuts every view a run reads
+  or writes (the terms' flat operands, the destination's run, head, tail
+  and seams) once, and its ``run`` method applies them to the field as it
+  is then. A field that is not C-contiguous, or an ``out`` the run cannot
+  be written straight into, takes its copies on every run. Temporaries
+  (the term buffer, a second-derivative run) are allocated per run. A
+  binding holds its field and ``out``; whoever keeps one rebuilds it when
+  either is another object.
+
+Each public operator binds, then runs once, so every ufunc sequence has
+one definition. A run applies the same ufunc sequence to the same scalars,
+point by point, as per-axis slicing built per call, so its results are
+bitwise those of the per-call form (``tests/stencil/test_plans.py``).
 """
 
 from __future__ import annotations
@@ -193,25 +206,73 @@ def _plan(op: str, u: np.ndarray, axis: int, spacing, order: int) -> tuple:
     return plan
 
 
-def _zero_seams(a: np.ndarray, seams) -> None:
-    """Set the seam points of the run-aligned flat array ``a`` to +0.0."""
-    if seams is not None:
-        region, line, width = seams
-        a[region].reshape(-1, line)[:, :width] = 0
+def _seam_view(a: np.ndarray, seams) -> tuple[np.ndarray, ...]:
+    """The seam points of the run-aligned flat array ``a`` as one view, or
+    none along the first axis."""
+    if seams is None:
+        return ()
+    region, line, width = seams
+    return (a[region].reshape(-1, line)[:, :width],)
 
 
-def _second_run(src: np.ndarray, run: slice, c0, terms) -> np.ndarray:
-    """A flat array aligned with ``src`` whose ``run`` holds the centred
-    second-derivative sum (the rest is not written)."""
-    buf = np.empty_like(src)
-    acc = buf[run]
-    np.multiply(src[run], c0, out=acc)
+def _operands(src: np.ndarray, terms) -> list:
+    """Each term ``(coefficient, a, b)`` of a plan with its flat slices
+    ``a`` and ``b`` cut from the flat run ``src``."""
+    return [(ck, src[a], src[b]) for ck, a, b in terms]
+
+
+def _second_sum(acc: np.ndarray, mid: np.ndarray, c0, terms) -> None:
+    """The centred second-derivative sum into ``acc``: the centre ``mid``
+    times ``c0``, plus each term's coefficient times its two operands."""
+    np.multiply(mid, c0, out=acc)
     term = np.empty_like(acc)
     for ck, up, dn in terms:
-        np.add(src[up], src[dn], out=term)
+        np.add(up, dn, out=term)
         np.multiply(ck, term, out=term)
         np.add(acc, term, out=acc)
-    return buf
+
+
+class SecondBinding:
+    """:func:`second_derivative` bound to the field ``u`` and to ``out``.
+
+    :meth:`run` writes (or, with ``accumulate``, adds) the derivative of
+    ``u`` as it is then into the valid interior of ``out``, through its
+    centre slice cut once, or into a fresh zeroed array when ``out`` is
+    None."""
+
+    def __init__(
+        self,
+        u: np.ndarray,
+        axis: int,
+        spacing: float,
+        order: int = DEFAULT_SPACE_ORDER,
+        out: np.ndarray | None = None,
+        accumulate: bool = False,
+    ):
+        _, self._run, self._c0, self._terms, _, self._centre = _plan(
+            "second", u, axis, spacing, order
+        )
+        self.u, self.out = u, out
+        self._accumulate = accumulate and out is not None
+        self._src = self._cut(_flat(u)) if u.flags.c_contiguous else None
+        self._part = None if out is None else out[self._centre]
+
+    def _cut(self, src: np.ndarray) -> tuple:
+        return src[self._run], _operands(src, self._terms)
+
+    def run(self) -> np.ndarray:
+        u, out, part = self.u, self.out, self._part
+        mid, terms = self._src or self._cut(_flat(np.ascontiguousarray(u)))
+        buf = np.empty(u.shape, u.dtype)
+        _second_sum(buf.reshape(-1)[self._run], mid, self._c0, terms)
+        if out is None:
+            out = np.zeros_like(u)
+            part = out[self._centre]
+        if self._accumulate:
+            part += buf[self._centre]
+        else:
+            part[...] = buf[self._centre]
+        return out
 
 
 def second_derivative(
@@ -228,17 +289,59 @@ def second_derivative(
     positions of ``out`` are untouched. With ``accumulate=True`` the result
     is added to ``out`` instead of overwriting.
     """
-    _, run, c0, terms, _, centre = _plan("second", u, axis, spacing, order)
-    buf = _second_run(_flat(np.ascontiguousarray(u)), run, c0, terms)
-    part = buf.reshape(u.shape)[centre]
-    if out is None:
-        out = np.zeros_like(u)
-        accumulate = False
-    if accumulate:
-        out[centre] += part
-    else:
-        out[centre] = part
-    return out
+    return SecondBinding(u, axis, spacing, order, out, accumulate).run()
+
+
+class LaplacianBinding:
+    """:func:`laplacian` bound to the field ``u`` and to ``out``.
+
+    :meth:`run` zero-fills ``out`` (a fresh array when ``out`` is None) and
+    adds each axis's run of the derivative of ``u`` as it is then into it,
+    seams +0.0."""
+
+    def __init__(
+        self,
+        u: np.ndarray,
+        spacing: tuple[float, ...],
+        order: int = DEFAULT_SPACE_ORDER,
+        out: np.ndarray | None = None,
+    ):
+        if len(spacing) != u.ndim:
+            raise ConfigurationError(
+                f"spacing needs {u.ndim} entries, got {len(spacing)}"
+            )
+        self.u, self.out = u, out
+        self._plans = [_plan("second", u, axis, h, order) for axis, h in enumerate(spacing)]
+        self._views = (
+            self._cut(_flat(u), out)
+            if u.flags.c_contiguous and _writes_into(out, u) else None
+        )
+
+    def _cut(self, src: np.ndarray, dest: np.ndarray) -> tuple:
+        """Per axis: the centre and terms read from ``src``, the run and its
+        seams, and the run of ``dest``."""
+        flat = _flat(dest)
+        return [
+            (src[run], c0, _operands(src, terms), run, seams, flat[run])
+            for _, run, c0, terms, seams, _ in self._plans
+        ]
+
+    def run(self) -> np.ndarray:
+        u, views, dest = self.u, self._views, self.out
+        if views is None:
+            if not _writes_into(dest, u):
+                dest = np.zeros(u.shape, u.dtype if dest is None else dest.dtype)
+            views = self._cut(_flat(np.ascontiguousarray(u)), dest)
+        if dest is self.out:
+            dest.fill(0.0)
+        for mid, c0, terms, run, seams, part in views:
+            buf = np.empty(u.size, u.dtype)
+            acc = buf[run]
+            _second_sum(acc, mid, c0, terms)
+            for seam in _seam_view(buf, seams):
+                seam.fill(0)
+            np.add(part, acc, out=part)
+        return _delivered(dest, self.out)
 
 
 def laplacian(
@@ -253,47 +356,61 @@ def laplacian(
     the *common* interior (radius border on every axis) holds the complete
     Laplacian; that is the region the propagators update.
     """
-    if len(spacing) != u.ndim:
-        raise ConfigurationError(
-            f"spacing needs {u.ndim} entries, got {len(spacing)}"
+    return LaplacianBinding(u, spacing, order, out).run()
+
+
+class StaggeredBinding:
+    """A staggered derivative, ``op`` ``"forward"``
+    (:func:`staggered_diff_forward`) or ``"backward"``, bound to the field
+    ``u`` and to ``out``.
+
+    :meth:`run` writes the derivative of ``u`` as it is then into every
+    point of ``out`` (the sum of ``coefficient * (a - b)`` terms over the
+    run, +0.0 everywhere else), or of a fresh array when ``out`` is None,
+    and returns it."""
+
+    def __init__(
+        self,
+        op: str,
+        u: np.ndarray,
+        axis: int,
+        spacing: float,
+        order: int = DEFAULT_SPACE_ORDER,
+        out: np.ndarray | None = None,
+    ):
+        self.u, self.out = u, out
+        _, self._run, self._terms, *self._edges = _plan(op, u, axis, spacing, order)
+        self._views = (
+            self._cut(_flat(u), out)
+            if u.flags.c_contiguous and _writes_into(out, u) else None
         )
-    plans = [_plan("second", u, axis, h, order) for axis, h in enumerate(spacing)]
-    src = _flat(np.ascontiguousarray(u))
-    if _writes_into(out, u):
-        dest = out
-        dest.fill(0.0)
-    else:
-        dest = np.zeros(u.shape, u.dtype if out is None else out.dtype)
-    flat = _flat(dest)
-    for _, run, c0, terms, seams, _ in plans:
-        buf = _second_run(src, run, c0, terms)
-        _zero_seams(buf, seams)
-        part = flat[run]
-        np.add(part, buf[run], out=part)
-    return _delivered(dest, out)
 
+    def _cut(self, src: np.ndarray, dest: np.ndarray) -> tuple:
+        """The terms' operands in ``src``, the run of ``dest`` and the views
+        of ``dest`` a run sets to +0.0 (head, tail and seams)."""
+        flat = _flat(dest)
+        head, tail, seams = self._edges
+        zeros = (flat[head], flat[tail]) + _seam_view(flat, seams)
+        return _operands(src, self._terms), flat[self._run], zeros
 
-def _staggered(u: np.ndarray, out: np.ndarray | None, plan: tuple) -> np.ndarray:
-    """Apply a staggered plan: the sum of ``coefficient * (a - b)`` terms
-    over the run, +0.0 everywhere else, into every point of ``out``."""
-    _, run, terms, head, tail, seams = plan
-    src = _flat(np.ascontiguousarray(u))
-    dest = out if _writes_into(out, u) else np.empty(u.shape, u.dtype)
-    flat = _flat(dest)
-    (ck, hi, lo), *rest = terms
-    acc = flat[run]
-    np.subtract(src[hi], src[lo], out=acc)
-    np.multiply(ck, acc, out=acc)
-    if rest:
-        term = np.empty_like(acc)
-        for ck, hi, lo in rest:
-            np.subtract(src[hi], src[lo], out=term)
-            np.multiply(ck, term, out=term)
-            np.add(acc, term, out=acc)
-    flat[head] = 0
-    flat[tail] = 0
-    _zero_seams(flat, seams)
-    return _delivered(dest, out)
+    def run(self) -> np.ndarray:
+        views, dest = self._views, self.out
+        if views is None:
+            if not _writes_into(dest, self.u):
+                dest = np.empty(self.u.shape, self.u.dtype)
+            views = self._cut(_flat(np.ascontiguousarray(self.u)), dest)
+        ((ck, hi, lo), *rest), acc, zeros = views
+        np.subtract(hi, lo, out=acc)
+        np.multiply(ck, acc, out=acc)
+        if rest:
+            term = np.empty_like(acc)
+            for ck, hi, lo in rest:
+                np.subtract(hi, lo, out=term)
+                np.multiply(ck, term, out=term)
+                np.add(acc, term, out=acc)
+        for zero in zeros:
+            zero.fill(0)
+        return _delivered(dest, self.out)
 
 
 def staggered_diff_forward(
@@ -311,7 +428,7 @@ def staggered_diff_forward(
     the valid interior with the derivative, the rest with +0.0 (as a fresh
     result from ``out=None``).
     """
-    return _staggered(u, out, _plan("forward", u, axis, spacing, order))
+    return StaggeredBinding("forward", u, axis, spacing, order, out).run()
 
 
 def staggered_diff_backward(
@@ -331,7 +448,7 @@ def staggered_diff_backward(
     valid interior with the derivative, the rest with +0.0 (as a fresh
     result from ``out=None``).
     """
-    return _staggered(u, out, _plan("backward", u, axis, spacing, order))
+    return StaggeredBinding("backward", u, axis, spacing, order, out).run()
 
 
 # ----------------------------------------------------------------------

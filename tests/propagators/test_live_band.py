@@ -1,12 +1,15 @@
 """The live band of :meth:`Propagator.step` against full-grid stepping.
 
 A band spanning every row runs the full-grid step with no check, so a
-propagator whose band is pinned to the whole grid before each step is the
-reference. After every operation, every field and C-PML memory variable
-of the banded propagator must equal the reference's bit for bit (compared
-as ``uint32``, so -0.0 differs from +0.0), and every row outside the band
-must be +0.0. After every step the observable (``snapshot_field``, which
-the elastic propagators derive over the band only) must match too.
+propagator whose band is pinned to the whole grid before each step, and
+that keeps no binding or band view from one step to the next (so each
+call binds afresh, as the public operators do), is the reference. After
+every operation, every field and C-PML memory variable of the banded
+propagator, which keeps its views and bindings, must equal the
+reference's bit for bit (compared as ``uint32``, so -0.0 differs from
++0.0), and every row outside the band must be +0.0. After every step the
+observable (``snapshot_field``, which the elastic propagators derive over
+the band only) must match too.
 """
 
 from __future__ import annotations
@@ -80,7 +83,13 @@ def _assert_zero_outside_band(p) -> None:
 
 
 def _full_step(p, sources=()) -> None:
-    """The reference: a band spanning the grid is the full-grid step."""
+    """The reference: a band spanning the grid is the full-grid step, and
+    with no binding or band view kept from the last step every call binds
+    afresh."""
+    for kept in ("_bindings", "_bound"):
+        if hasattr(p, kept):
+            getattr(p, kept).clear()
+    p._kept_views = None
     p._band = (0, p.grid.shape[0])
     p.step(sources)
 
@@ -271,9 +280,38 @@ def test_restore_measures_the_band_again(case):
             _assert_same_observable(banded, full)
 
 
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_kept_bindings_follow_restores_resets_and_band_changes(case):
+    """Kept views and bindings against the reference, which binds afresh
+    every step: live rows near both grid edges make every band the whole
+    grid, so a restore to the capture taken before the first step (before
+    any C-PML memory variable existed; each one born since is deleted)
+    keeps the views and must still bind every damping again; after a
+    reset, a source inside the grid grows the band step by step, so views
+    and bindings are cut again at each new band."""
+    banded, full = _small_pair(case)
+    edges = (np.array([_at(6, banded), _at(57, banded)]), [1.0, -1.0])
+    ops = (
+        [("inject", edges), ("capture", None)] + [("step", [])] * 4
+        + [("restore", 0)] + [("step", [])] * 4
+        + [("reset", None)] + [("step", [(_at(30, banded), 1.0)])] * 6
+    )
+    caps_b, caps_f, bands = [], [], set()
+    for kind, arg in ops:
+        _apply(banded, kind, arg, caps_b, lambda p, s: p.step(s))
+        _apply(full, kind, arg, caps_f, _full_step)
+        _assert_same_state(banded, full)
+        _assert_zero_outside_band(banded)
+        if kind == "step":
+            _assert_same_observable(banded, full)
+            bands.add(banded._band)
+    assert (0, 64) in bands and len(bands) >= 3
+
+
 def test_rebinding_u_from_outside_leaves_no_stale_view():
     """Swapping ``u``/``u_prev`` from outside, as the time-reversibility
-    test does, is seen by the next step: views are cut per step."""
+    test does, is seen by the next step: kept views and bindings are
+    checked against the arrays' identities every step."""
     model = constant_model((48, 48), spacing=10.0, with_density=False)
     banded, full = _pair("isotropic", 2, {}, model, boundary_width=0)
     blob = np.random.default_rng(5).standard_normal((8, 8)).astype(np.float32)

@@ -1,24 +1,30 @@
-"""Memoised flat-run stencil plans against per-axis slicing built per call.
+"""Memoised flat-run stencil plans and bindings against per-axis slicing
+built per call.
 
 Each operator looks up one plan per (operator, axis lengths after the
 first, axis, order, spacing and its type, scalar type): the flat slices,
-seams and coefficient scalars of its unit-stride run. ``CPML`` builds its
-broadcast damping profiles once. The references below are per-axis slice
-bodies built on every call; every result must equal theirs bit for bit
-(compared as unsigned integers, so -0.0 differs from +0.0 and NaNs compare
-by payload). The staggered operators write every point of ``out``: it
-must equal the reference's ``out=None`` result, border +0.0 included.
+seams and coefficient scalars of its unit-stride run. A binding applies a
+plan to one field and one ``out``, cutting their views once, and runs as
+often as the field changes; each public operator binds, then runs once.
+``CPML`` builds its broadcast damping profiles once, and a damping binding
+cuts them and the memory variable to one derivative buffer's rows. The
+references below are per-axis slice bodies built on every call; every
+result must equal theirs bit for bit (compared as unsigned integers, so
+-0.0 differs from +0.0 and NaNs compare by payload). The staggered
+operators write every point of ``out``: it must equal the reference's
+``out=None`` result, border +0.0 included.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.boundary.cpml import CPML
+from repro.boundary.cpml import CPML, DampingBinding
 from repro.grid import Grid
 from repro.stencil import operators
 from repro.stencil.coefficients import (
@@ -26,6 +32,9 @@ from repro.stencil.coefficients import (
     staggered_coefficients,
 )
 from repro.stencil.operators import (
+    LaplacianBinding,
+    SecondBinding,
+    StaggeredBinding,
     laplacian,
     second_derivative,
     staggered_diff_backward,
@@ -368,6 +377,100 @@ def test_laplacian_bitwise_like_per_call_construction(ndim, order, dtype, spacin
     _assert_bitwise(out, ref_laplacian(u, h, order, out=ref_out))
 
 
+# ----------------------------------------------------------------------
+# bindings: built once, run as often as the field changes
+# ----------------------------------------------------------------------
+#: where a binding's ``out`` is: absent, the field itself, or its own
+#: array in one of the :data:`LAYOUTS`
+OUTS = ("none", "field") + LAYOUTS
+
+
+def _outs(rng, u, twin, where, dtype):
+    """The ``out`` a binding on ``u`` gets, placed as ``where`` (one of
+    :data:`OUTS`), and the public call's on ``twin``, a copy of ``u``."""
+    if where == "field":
+        return u, twin
+    if where == "none":
+        return None, None
+    out = _field(rng, u.shape, dtype, where)
+    return out, out.copy()
+
+
+@st.composite
+def _bound_calls(draw):
+    call = draw(_calls())
+    call["out"] = draw(st.sampled_from(OUTS))
+    call["out_dtype"] = draw(st.sampled_from((np.float32, np.float64)))
+    call["runs"] = draw(st.integers(3, 5))
+    return call
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(call=_bound_calls())
+def test_binding_reruns_bitwise_like_the_public_call(call):
+    """A binding built once and run three to five times, the field
+    rewritten in place before each run: every run gives the public call's
+    bits on a twin, for every operator, field layout and ``out`` (absent,
+    the field itself, or in any layout, of the field's dtype or another).
+    An ``out`` the run cannot be written straight into (not C-contiguous,
+    another dtype, or the field) takes the documented copy: the run still
+    returns ``out``, holding every bit the public call writes."""
+    op, axis, order = call["op"], call["axis"], call["order"]
+    fn = OPS[op][0]
+    h = call["spacing"]
+    rng = np.random.default_rng(call["seed"])
+    u = _field(rng, call["shape"], call["dtype"], call["layout"])
+    twin = u.copy()
+    out, twin_out = _outs(rng, u, twin, call["out"], call["out_dtype"])
+    if op == "second":
+        bound = SecondBinding(u, axis, h, order, out, call["accumulate"])
+    else:
+        bound = StaggeredBinding(op, u, axis, h, order, out)
+    extra = {"accumulate": True} if call["accumulate"] else {}
+    for _ in range(call["runs"]):
+        values = _field(rng, call["shape"], call["dtype"], "contiguous")
+        u[...] = values
+        twin[...] = values
+        got = bound.run()
+        want = fn(twin, axis, h, order, out=twin_out, **extra)
+        if out is not None:
+            assert got is out
+        _assert_bitwise(got, want, f"out {call['out']}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ndim=st.integers(1, 3),
+    order=st.sampled_from(ORDERS["second"]),
+    dtype=st.sampled_from((np.float32, np.float64)),
+    out_dtype=st.sampled_from((np.float32, np.float64)),
+    where=st.sampled_from(OUTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_laplacian_binding_reruns_bitwise_like_the_public_call(
+    ndim, order, dtype, out_dtype, where, seed
+):
+    """A Laplacian binding run three times, the field rewritten in place
+    before each run, gives the public call's bits on a twin, for a field
+    in every layout and every ``out`` of :data:`OUTS`."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(order + 1, order + 6, ndim))
+    u = _field(rng, shape, dtype, LAYOUTS[seed % len(LAYOUTS)])
+    twin = u.copy()
+    h = tuple(float(x) for x in rng.uniform(5.0, 20.0, ndim))
+    out, twin_out = _outs(rng, u, twin, where, out_dtype)
+    bound = LaplacianBinding(u, h, order, out)
+    for _ in range(3):
+        values = _field(rng, shape, dtype, "contiguous")
+        u[...] = values
+        twin[...] = values
+        got = bound.run()
+        if out is not None:
+            assert got is out
+        _assert_bitwise(got, laplacian(twin, h, order, out=twin_out), where)
+
+
 @pytest.mark.parametrize("op, order", [
     (op, order) for op in sorted(OPS) for order in ORDERS[op]
 ])
@@ -407,7 +510,10 @@ def test_short_axis_raises_after_its_plan_exists(op, ndim, order):
 
 def test_set_up_runs_only_while_building(monkeypatch):
     """Once a plan and the profiles exist, a call builds no plan, slice
-    tuple or broadcast profile."""
+    tuple or broadcast profile. Once a binding exists (on a C-contiguous
+    field, with an ``out`` its run is written straight into), running it
+    looks up no plan, takes no flat view, checks no ``out``, tests no
+    overlap and cuts no profile."""
     grid = Grid((24, 20), spacing=10.0)
     cpml = CPML(grid, 4, vmax=3000.0, dt=1e-3)
     u = np.ones(grid.shape, np.float32)
@@ -421,8 +527,17 @@ def test_set_up_runs_only_while_building(monkeypatch):
     ]
     for call in calls:
         call()
+    bindings = [
+        LaplacianBinding(u, grid.spacing, out=np.empty_like(u)),
+        SecondBinding(u, 1, 10.0, out=np.empty_like(u)),
+        SecondBinding(u, 0, 10.0, out=np.zeros_like(u), accumulate=True),
+        StaggeredBinding("forward", u, 1, 10.0, out=np.empty_like(u)),
+        StaggeredBinding("backward", u, 0, 10.0, out=np.empty_like(u)),
+        DampingBinding(cpml, "d", 0, u[3:9].copy(), True, rows=slice(3, 9)),
+        DampingBinding(cpml, "e", 1, u.copy(), False),
+    ]
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("per-call set-up")
 
     monkeypatch.setattr(operators, "_build_plan", refuse)
@@ -430,6 +545,11 @@ def test_set_up_runs_only_while_building(monkeypatch):
     monkeypatch.setattr(CPML, "_broadcast", refuse)
     for call in calls:
         call()
+    for name in ("_plan", "_flat", "_writes_into"):
+        monkeypatch.setattr(operators, name, refuse)
+    monkeypatch.setattr(np, "may_share_memory", refuse)
+    for bound in bindings * 2:
+        bound.run()
 
 
 def test_invalid_order_is_refused_on_every_call():
@@ -489,6 +609,51 @@ def test_damp_bitwise_like_per_call_profiles(run):
             _assert_bitwise(p, q, name)
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=_damp_runs())
+def test_damping_binding_reruns_bitwise_like_damp(run):
+    """Each call of a random damping run (widths 0 and above, rows absent
+    or a window) bound once and run three times, the derivative buffer
+    rewritten in place before each run: the damped buffer and every
+    memory variable equal ``CPML.damp``'s on a twin, bit for bit."""
+    shape, width, calls, seed = run
+    grid = Grid(shape, spacing=10.0)
+    cpml, twin = (CPML(grid, width, vmax=3000.0, dt=1e-3, alpha_max=20.0)
+                  for _ in range(2))
+    rng = np.random.default_rng(seed)
+    for name, axis, half, rows in calls:
+        n = shape[0] if rows is None else rows.stop - rows.start
+        deriv = np.empty((n,) + shape[1:], DTYPE)
+        bound = DampingBinding(cpml, name, axis, deriv, half, rows)
+        assert bound.holds(deriv, rows)
+        for _ in range(3):
+            deriv[...] = rng.standard_normal(deriv.shape)
+            want = twin.damp(name, axis, deriv.copy(), half, rows=rows)
+            assert bound.run() is deriv
+            _assert_bitwise(deriv, want, "damped derivative")
+            assert cpml.memory_names() == twin.memory_names()
+            for p, q in zip(cpml.memory_arrays(), twin.memory_arrays()):
+                _assert_bitwise(p, q, name)
+
+
+def test_damping_binding_holds_only_its_own_call():
+    """A damping binding holds for its own buffer, rows and live memory
+    variable only: another buffer or window, or a restore that deleted the
+    memory variable (born after the capture), makes it stale."""
+    cpml = CPML(Grid((20, 12), spacing=10.0), 4, vmax=3000.0, dt=1e-3)
+    before = cpml.capture()
+    deriv = np.ones((6, 12), DTYPE)
+    bound = DampingBinding(cpml, "d", 0, deriv, True, rows=slice(2, 8))
+    assert bound.holds(deriv, slice(2, 8))
+    assert not bound.holds(deriv.copy(), slice(2, 8))
+    assert not bound.holds(deriv, slice(3, 9))
+    bound.run()
+    cpml.restore(before)
+    assert cpml.memory_names() == ()
+    assert not bound.holds(deriv, slice(2, 8))
+
+
 def test_damp_refuses_a_window_of_the_wrong_rows():
     cpml = CPML(Grid((20, 12), spacing=10.0), 4, vmax=3000.0, dt=1e-3)
     with pytest.raises(ConfigurationError):
@@ -532,3 +697,84 @@ def test_memo_holds_one_plan_per_key_across_band_sizes(monkeypatch):
         ("forward", (24, 24)), ("backward", (24, 24)),
     }
     assert len(plans) == 2 * 2 + 2 * 3
+
+
+#: a propagator's attributes that hold its kept bindings and band views
+KEPT = ("_bindings", "_bound", "_kept_views")
+
+
+def _arrays_in(x, into: list) -> list:
+    """Every ndarray reachable from ``x`` through containers, namespaces and
+    bindings (not through other objects, such as the C-PML a damping
+    binding refers to)."""
+    if isinstance(x, np.ndarray):
+        into.append(x)
+    elif isinstance(x, dict):
+        for v in x.values():
+            _arrays_in(v, into)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            _arrays_in(v, into)
+    elif isinstance(x, SimpleNamespace) or type(x).__name__.endswith("Binding"):
+        _arrays_in(vars(x), into)
+    return into
+
+
+def _own_arrays(p) -> list:
+    """The propagator's own arrays: fields, coefficients, scratch and, in
+    its boundary, psi and the profiles."""
+    own = [v for k, v in vars(p).items() if k not in KEPT]
+    for member in ("cpml", "pml"):
+        if hasattr(p, member):
+            own.append(vars(getattr(p, member)))
+    return _arrays_in(own, [])
+
+
+def test_bindings_stay_bounded_and_hold_views_not_buffers(monkeypatch):
+    """2-D RTM shots whose bands change tens of times, then a full-grid
+    shot: afterwards each propagator keeps one stencil and one damping
+    binding per derivative call site, at most two isotropic step bindings
+    (``u`` and ``u_prev`` alternate) and one set of band views, and every
+    array they reference shares memory with one of the propagator's own
+    arrays: a binding holds views, never a buffer of its own."""
+    from repro.core import RTMConfig, run_rtm
+    from repro.model import constant_model, layered_model
+    from repro.propagators.base import Propagator
+
+    seen: dict = {}
+    step = Propagator.step
+
+    def recording(self, sources=()):
+        step(self, sources)
+        seen.setdefault(id(self), (self, set()))[1].add(self._band)
+
+    monkeypatch.setattr(Propagator, "step", recording)
+    #: derivative call sites per step, by physics, in 2-D
+    sites = {"acoustic": 4, "elastic": 8}
+
+    def check(physics):
+        assert seen
+        for p, bands in seen.values():
+            if physics == "isotropic":
+                assert 1 <= len(p._bound) <= 2
+            else:
+                assert len(p._bindings) == sites[physics]
+                assert all(len(b) == 2 for b in p._bindings.values())
+            own = _own_arrays(p)
+            for a in _arrays_in([getattr(p, k, None) for k in KEPT], []):
+                assert any(np.may_share_memory(a, o) for o in own), (physics, a.shape)
+        return max(len(bands) for _, bands in seen.values())
+
+    for physics in ("isotropic", "acoustic", "elastic"):
+        seen.clear()
+        model = layered_model((128, 40), spacing=10.0, interfaces=[640.0],
+                              velocities=[1500.0, 2400.0],
+                              vs_ratio=0.5 if physics == "elastic" else None)
+        run_rtm(RTMConfig(physics=physics, model=model, nt=60, peak_freq=15.0,
+                          snap_period=4))
+        assert check(physics) >= 10  # the band changed tens of times
+    seen.clear()
+    model = constant_model((40, 40), spacing=10.0, vs_ratio=0.5)
+    run_rtm(RTMConfig(physics="elastic", model=model, nt=12, peak_freq=15.0,
+                      snap_period=4, boundary_width=6))
+    assert check("elastic") <= 2  # measured once, then every row
