@@ -30,7 +30,9 @@ detach drops the tapes, so a tape is only replayed against the present
 table it was priced under. A fault injector on the device gates the
 replay: it counts the tape's launches and transfers in one step, or
 refuses when an armed fault could fire on one of them, and the step then
-runs per-op.
+runs per-op. Inside a device's deferral scope (the physics-free schedule
+loop, :func:`~repro.core.pipeline.run_actions`) a replay hands its ops to
+the device as pending, to be folded in bulk with the replays around it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.gpusim.kernelmodel import (
     LaunchConfig,
     estimate_register_demand,
 )
-from repro.gpusim.streams import D2H, H2D, KERNEL, PricedOp
+from repro.gpusim.streams import D2H, H2D, KERNEL, FoldPlan, PricedOp
 from repro.propagators.base import KernelWorkload
 from repro.trace.tracer import NULL_TRACER, Tracer
 from repro.utils.errors import PresentTableError
@@ -78,7 +80,7 @@ class StepTape:
     those are all its injector ops.
     """
 
-    __slots__ = ("ops", "rotated", "launches", "transfers", "_at")
+    __slots__ = ("ops", "rotated", "launches", "transfers", "_at", "_plan")
 
     def __init__(self, ops: Sequence[PricedOp], rotated: Sequence[int]):
         self.ops = tuple(ops)
@@ -87,6 +89,7 @@ class StepTape:
         self.launches = kinds.count(KERNEL)
         self.transfers = kinds.count(H2D) + kinds.count(D2H)
         self._at: dict[int, tuple[PricedOp, ...]] = {}
+        self._plan: FoldPlan | None = None
 
     def at(self, cursor: int, period: int) -> tuple[PricedOp, ...]:
         """The ops with rotated queues counted on from ``cursor`` through
@@ -98,6 +101,14 @@ class StepTape:
                 concrete[i] = concrete[i]._replace(queue=(cursor - 1 + k) % period + 1)
             ops = self._at[cursor] = tuple(concrete)
         return ops
+
+    def fold_plan(self, device: Device) -> FoldPlan:
+        """The device's fold plan of these ops, built on the first
+        deferred replay (a rotation moves queued ops only, which no plan
+        folds, so one plan serves every cursor)."""
+        if self._plan is None:
+            self._plan = device.fold_plan(self.ops)
+        return self._plan
 
 
 class Runtime:
@@ -214,22 +225,27 @@ class Runtime:
 
     def replay(self, tape: StepTape) -> bool:
         """Run a tape's ops again, advancing the auto-async rotation by as
-        many queues as the recorded run took. Returns False, running
-        nothing, when the device's fault injector refuses to count the
-        tape's ops in one step (an armed fault could fire on one): the
-        caller then runs the step per-op."""
-        injector = self.device.injector
+        many queues as the recorded run took; while the device defers,
+        they wait there as pending. Returns False, running nothing, when
+        the device's fault injector refuses to count the tape's ops in
+        one step (an armed fault could fire on one): the caller then runs
+        the step per-op."""
+        device = self.device
+        injector = device.injector
         if injector is not None and not injector.count_clear(
             tape.launches, tape.transfers
         ):
             return False
         ops = tape.ops
         if tape.rotated:
-            period = self.device.spec.max_concurrent_kernels - 1
+            period = device.spec.max_concurrent_kernels - 1
             cursor = self._next_queue
             ops = tape.at(cursor, period)
             self._next_queue = (cursor - 1 + len(tape.rotated)) % period + 1
-        self.device.run_ops(ops)
+        if device.defers:
+            device.defer(ops, tape.fold_plan(device))
+        else:
+            device.run_ops(ops)
         return True
 
     # ------------------------------------------------------------------

@@ -61,24 +61,19 @@ from repro.compile.lower import (
     lower_events,
 )
 from repro.core.config import GpuTimes, GPUOptions
-from repro.core.pipeline import device_times, failed_times
+from repro.core.pipeline import run_actions
 from repro.core.platform import CRAY_K40, Platform
 from repro.core.schedule import (
     PHASE_ORDER,
     PROLOGUE_GATE,
     PROLOGUE_OF,
     REPEATED_PHASES,
-    RESIDENCY_STEPS,
     Schedule,
 )
 from repro.core.shot import _build_runtime, build_pipeline
 from repro.optim.autotune import TuningPlan, options_with_plan
 from repro.optim.tuning import fused_launch_estimate
-from repro.utils.errors import (
-    CompileError,
-    DeviceOutOfMemoryError,
-    StaleArtifactError,
-)
+from repro.utils.errors import CompileError, StaleArtifactError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.acc.runtime import Runtime
@@ -688,8 +683,9 @@ class BoundPipeline:
         }
 
     def run(self) -> GpuTimes:
-        """Execute the full compiled schedule; same failure semantics as
-        the interpreted drivers (OOM → ``failed_times('oom')``).
+        """Execute the full compiled schedule through the interpreter's
+        loop (:func:`~repro.core.pipeline.run_actions`), with its failure
+        semantics (OOM → ``failed_times('oom')``).
 
         Tracks the previous action so a cross-phase fusion's partner
         variant (the phase step minus the launches that moved into the
@@ -702,22 +698,18 @@ class BoundPipeline:
         variants = self.compiled.cross_variants
         after_gate = {gate: p for p, gate in PROLOGUE_GATE.items() if p in steps}
         prev: str | None = None
-        for step in self.compiled.request.schedule:
-            for action in step.actions:
-                name = variants.get((prev, action), action)
-                try:
-                    steps[name if name in steps else action]()
-                except DeviceOutOfMemoryError:
-                    if step.kind not in RESIDENCY_STEPS:
-                        raise
-                    return failed_times("oom")
-                prev = action
-                if action in after_gate:
-                    steps[after_gate[action]]()
-        return self.gpu_times()
 
-    def gpu_times(self) -> GpuTimes:
-        return device_times(self.rt.device)
+        def perform(action: str, step) -> None:
+            nonlocal prev
+            name = variants.get((prev, action), action)
+            steps[name if name in steps else action]()
+            prev = action
+            if action in after_gate:
+                steps[after_gate[action]]()
+
+        return run_actions(
+            self.rt.device, self.compiled.request.schedule, perform
+        )
 
 
 # ----------------------------------------------------------------------

@@ -26,11 +26,15 @@ A repeated action runs its phase method once per distinct situation and is
 replayed from that run's priced-op tape afterwards (the runtime's tape
 policy, :meth:`~repro.acc.runtime.Runtime.run_step`): the schedule repeats
 the same directives step after step, and only the stream timeline moves.
+The physics-free drivers (:func:`run_schedule` and the compiled run) walk
+the schedule through :func:`run_actions`, whose device folds the replays
+in bulk.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -401,7 +405,8 @@ class OffloadPipeline:
 def device_times(dev) -> GpuTimes:
     """A device's accumulated modelled time as a :class:`GpuTimes`: the
     flat per-category fields read the clock's ledger, the launch count
-    the profiler's."""
+    the profiler's (after folding anything pending)."""
+    dev.fold()
     categories = dev.clock.categories
     return GpuTimes(
         total=dev.elapsed,
@@ -422,24 +427,35 @@ def failed_times(reason: str) -> GpuTimes:
     return GpuTimes(success=False, failure=reason)
 
 
-def run_schedule(pipeline: OffloadPipeline, schedule: Schedule) -> GpuTimes:
-    """Estimate mode (no physics): interpret ``schedule`` on the pipeline.
+def run_actions(
+    device, steps: Iterable[Step], perform: Callable[[str, Step], None]
+) -> GpuTimes:
+    """The physics-free schedule loop: ``perform(action, step)`` for every
+    action of every step, inside the device's deferral scope, so replayed
+    step tapes are folded in bulk (:meth:`~repro.gpusim.device.Device.
+    deferral`); returns the device's times. A device OOM while building
+    residency yields the failed record."""
+    with device.deferral():
+        for step in steps:
+            for action in step.actions:
+                try:
+                    perform(action, step)
+                except DeviceOutOfMemoryError:
+                    if step.kind not in RESIDENCY_STEPS:
+                        raise
+                    return failed_times("oom")
+    return device_times(device)
 
-    A known compiler failure or a device OOM while building residency
-    yields the failed record."""
+
+def run_schedule(pipeline: OffloadPipeline, schedule: Schedule) -> GpuTimes:
+    """Estimate mode (no physics): interpret ``schedule`` on the pipeline
+    (:func:`run_actions`). A known compiler failure yields the failed
+    record."""
     if schedule.known_failure(
         pipeline.options.compiler, pipeline.physics, pipeline.ndim
     ):
         return failed_times("compiler")
-    for step in schedule:
-        for action in step.actions:
-            try:
-                pipeline.perform(action, step)
-            except DeviceOutOfMemoryError:
-                if step.kind not in RESIDENCY_STEPS:
-                    raise
-                return failed_times("oom")
-    return pipeline.gpu_times()
+    return run_actions(pipeline.rt.device, schedule, pipeline.perform)
 
 
 def run_pipeline_modeling(

@@ -11,6 +11,11 @@ estimate, the PCIe model, the fault injector's hook) and then run as a
 :class:`~repro.gpusim.streams.PricedOp` through :meth:`Device.run_ops`, the
 one timeline. :meth:`Device.recording` keeps the priced ops a stretch of
 work ran, so a repeated step can replay them without pricing again.
+
+Inside a :meth:`Device.deferral` scope a replayed tape need not run at
+once: :meth:`Device.defer` keeps its ops pending, and :meth:`Device.fold`
+runs everything pending in bulk (:meth:`~repro.gpusim.streams.StreamPool.
+fold`) before any other device operation and when the scope exits.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.gpusim.streams import (
     H2D,
     KERNEL,
     WAIT,
+    FoldPlan,
     PricedOp,
     StreamPool,
 )
@@ -90,6 +96,11 @@ class Device:
         self._sinks: list[Callable[[ProfileEvent], None]] = []
         # the priced ops run while a recording is open (see recording())
         self._tape: list[PricedOp] | None = None
+        # replayed (ops, plan) pairs not yet run while a deferral scope is
+        # open (None outside one), and the profiler line of each kernel
+        # name a fold plan holds
+        self._pending: list[tuple[Sequence[PricedOp], FoldPlan]] | None = None
+        self._kernel_lines: dict[str | None, int] = {}
         self._tracer: Tracer | None = None
         self._trace_process = f"gpu:{spec.name}"
         # resilience hook: a (possibly rank-bound) FaultInjector consulted at
@@ -143,7 +154,10 @@ class Device:
         """Run priced ops against the clock and its per-category ledger,
         the streams, the profiler and every sink
         (:meth:`~repro.gpusim.streams.StreamPool.run_ops` on the current
-        pool). An open :meth:`recording` keeps them."""
+        pool), after any pending ones. An open :meth:`recording` keeps
+        them."""
+        if self._pending:
+            self.fold()
         self.streams.run_ops(ops, self)
         if self._tape is not None:
             self._tape.extend(ops)
@@ -152,6 +166,7 @@ class Device:
     def recording(self) -> Iterator[list[PricedOp]]:
         """Collect every priced op run inside the ``with`` body, in order:
         the tape a repeated step replays through :meth:`run_ops`."""
+        self.fold()
         tape: list[PricedOp] = []
         outer, self._tape = self._tape, tape
         try:
@@ -162,10 +177,56 @@ class Device:
                 outer.extend(tape)
 
     # ------------------------------------------------------------------
+    # deferred replays
+    # ------------------------------------------------------------------
+    @contextmanager
+    def deferral(self) -> Iterator[None]:
+        """Scope in which :meth:`defer` keeps replayed ops pending. They
+        are folded before any other device operation and when the scope
+        exits, also on a raised fault; a nested scope is part of the
+        outer one."""
+        if self._pending is not None:
+            yield
+            return
+        self._pending = []
+        try:
+            yield
+        finally:
+            try:
+                self.fold()
+            finally:
+                self._pending = None
+
+    @property
+    def defers(self) -> bool:
+        """Whether :meth:`defer` may be called: a :meth:`deferral` scope is
+        open and no :meth:`recording` is (a recording keeps what runs)."""
+        return self._pending is not None and self._tape is None
+
+    def defer(self, ops: Sequence[PricedOp], plan: FoldPlan) -> None:
+        """Keep ``ops`` (cut by ``plan``, see :meth:`fold_plan`) pending,
+        to run at the next :meth:`fold`; only while :attr:`defers`."""
+        self._pending.append((ops, plan))
+
+    def fold_plan(self, ops: Sequence[PricedOp]) -> FoldPlan:
+        """The :class:`~repro.gpusim.streams.FoldPlan` of a tape of ops
+        for this device, built once per tape by its owner."""
+        return FoldPlan(ops, self._kernel_lines)
+
+    def fold(self) -> None:
+        """Run every pending op, as :meth:`run_ops` would have run them
+        (:meth:`~repro.gpusim.streams.StreamPool.fold`)."""
+        pending = self._pending
+        if pending:
+            self._pending = []
+            self.streams.fold(pending, self)
+
+    # ------------------------------------------------------------------
     # memory management
     # ------------------------------------------------------------------
     def allocate(self, name: str, nbytes: int) -> None:
         """Device allocation (charges the driver round trip)."""
+        self.fold()
         if self.injector is not None:
             self.injector.on_allocate(name, int(nbytes), self.memory)
         self.memory.allocate(name, nbytes)
@@ -178,6 +239,7 @@ class Device:
             self._memory_gauges()
 
     def release(self, name: str) -> None:
+        self.fold()
         self.memory.release(name)
         self.clock.advance(self.ALLOC_COST_S * 0.5, "alloc")
         if self._tracer is not None:
@@ -259,10 +321,12 @@ class Device:
     @property
     def elapsed(self) -> float:
         """Host wall time of everything run so far (simulated seconds)."""
+        self.fold()
         return self.clock.now
 
     def reset(self) -> None:
         """Fresh timeline and profile; device memory is also cleared."""
+        self.fold()
         self.clock.reset()
         self.memory.release_all()
         self.streams = StreamPool(self.clock, max_queues=self.spec.max_concurrent_kernels)

@@ -132,13 +132,9 @@ class Profiler:
     first_start: float = float("inf")
     last_end: float = 0.0
 
-    def record(self, event: ProfileEvent) -> None:
-        """Fold one event into the totals."""
-        self.fold(event.kind, event.name, event.start, event.end, event.nbytes)
-
     def fold(self, kind: str, name: str, start: float, end: float, nbytes: int) -> None:
-        """Fold one timeline entry (what :meth:`record` does, without the
-        event object — the device timeline's path)."""
+        """Fold one timeline entry into the totals (the device timeline's
+        path, op by op)."""
         duration = end - start
         if kind == "kernel":
             line = self.kernels.get(name)

@@ -19,12 +19,21 @@ wait) against the engines, the queues and the clock, and — for the device
 that owns the pool — the clock's per-category ledger, its profiler and its
 event sinks. A single directive is a one-op sequence; a repeated schedule
 step replays the tape of priced ops its first run recorded.
+
+:meth:`StreamPool.fold` runs many replayed tapes at once. A default-stream
+kernel or copy that starts with both engines idle leaves them idle and only
+adds to the clock, so a stretch of such ops is a prefix sum; :meth:`fold`
+computes it, and the ledger and profiler totals it feeds, with strictly
+left-to-right accumulations over each tape's :class:`FoldPlan`, and hands
+everything else to :meth:`StreamPool.run_ops`, its reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from itertools import accumulate, chain, groupby
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from repro.gpusim.profiler import ProfileEvent
 from repro.utils.errors import ConfigurationError
@@ -57,6 +66,83 @@ class PricedOp(NamedTuple):
     nbytes: int = 0
     occupancy: float | None = None
     spilled_regs: int | None = None
+
+
+#: the clock categories a folded op can charge, and the profiler line of a
+#: copy direction; kernel names take the device's lines from ``_KERNEL_LINE0``
+_KINDS = (KERNEL, H2D, D2H)
+_COPY_LINE = {H2D: 0, D2H: 1}
+_KERNEL_LINE0 = 2
+
+
+class FoldRun(NamedTuple):
+    """A run of foldable ops, as tuples built once per tape."""
+
+    #: each op's host cost and seconds, interleaved
+    pairs: tuple[float, ...]
+    #: each op's profiler line
+    lines: tuple[int, ...]
+    #: the seconds of the run's ops of each kind in ``_KINDS``, in order
+    seconds: tuple[tuple[float, ...], ...]
+    #: the kinds, in the order the run first charges them
+    kinds: tuple[str, ...]
+    h2d_bytes: int
+    d2h_bytes: int
+
+
+def _foldable(op: PricedOp) -> bool:
+    """A default-stream kernel or copy whose host cost and seconds are
+    finite and not negative (anything else raises or is left to
+    :meth:`StreamPool.run_ops`)."""
+    return (
+        op.queue is None and op.kind in _KINDS
+        and 0.0 <= op.host < math.inf and 0.0 <= op.seconds < math.inf
+    )
+
+
+class FoldPlan:
+    """One tape's ops cut for :meth:`StreamPool.fold`.
+
+    ``segments`` covers the ops in order with ``(lo, hi, run)``: a maximal
+    stretch of foldable ops carries its :class:`FoldRun`; one of queued
+    ops and waits carries None. ``kernel_lines`` is the device's table of
+    kernel names to profiler lines, which grows as plans name new kernels.
+    """
+
+    __slots__ = ("segments",)
+
+    def __init__(self, ops: Sequence[PricedOp], kernel_lines: dict):
+        segments = []
+        lo = 0
+        for foldable, stretch in groupby(ops, _foldable):
+            stretch = tuple(stretch)
+            run = _fold_run(stretch, kernel_lines) if foldable else None
+            segments.append((lo, lo + len(stretch), run))
+            lo += len(stretch)
+        self.segments = tuple(segments)
+
+
+def _fold_run(ops: Sequence[PricedOp], kernel_lines: dict) -> FoldRun:
+    pairs: list[float] = []
+    lines: list[int] = []
+    seconds: dict[str, list[float]] = {}
+    nbytes = {H2D: 0, D2H: 0}
+    for kind, name, secs, host, _queue, size, _occupancy, _spilled in ops:
+        pairs += (host, secs)
+        seconds.setdefault(kind, []).append(secs)
+        if kind == KERNEL:
+            line = kernel_lines.get(name)
+            if line is None:
+                line = kernel_lines[name] = _KERNEL_LINE0 + len(kernel_lines)
+        else:
+            line = _COPY_LINE[kind]
+            nbytes[kind] += size
+        lines.append(line)
+    return FoldRun(
+        tuple(pairs), tuple(lines),
+        tuple(tuple(seconds.get(kind, ())) for kind in _KINDS), tuple(seconds),
+        nbytes[H2D], nbytes[D2H],
+    )
 
 
 @dataclass
@@ -162,34 +248,105 @@ class StreamPool:
             self.compute_free, self.copy_free = compute_free, copy_free
         return start, end
 
-    def run_kernel_sync(self, duration: float, launch_overhead: float) -> tuple[float, float]:
-        """Default-stream kernel: host pays the launch overhead, kernel runs
-        when the compute engine frees, host blocks until completion."""
-        return self.run_ops((PricedOp(KERNEL, None, duration, launch_overhead),))
+    def fold(self, pending: Sequence[tuple], device: "Device") -> None:
+        """Run ``(ops, plan)`` pairs in order for ``device``, leaving the
+        state :meth:`run_ops` would leave.
 
-    def run_kernel_async(
-        self, queue: int, duration: float, enqueue_cost: float = ASYNC_ENQUEUE_COST
-    ) -> tuple[float, float]:
-        """Queued kernel: host pays only the enqueue cost; the kernel body
-        still serializes on the compute engine (no SM sharing)."""
-        return self.run_ops((PricedOp(KERNEL, None, duration, enqueue_cost, queue),))
+        Each stretch of the plans' runs that starts with both engines idle
+        is folded in bulk (:meth:`_fold`), across tape boundaries. Queued
+        ops, waits, a run that starts with an engine busy, and every op of
+        a device with sinks go through :meth:`run_ops`."""
+        clock = self.clock
+        batch: list[FoldRun] = []
+        for ops, plan in pending:
+            for lo, hi, run in plan.segments:
+                if run is not None and not device._sinks and (batch or (
+                    self.compute_free <= clock.now and self.copy_free <= clock.now
+                )):
+                    batch.append(run)
+                    continue
+                if batch:
+                    self._fold(batch, device)
+                    batch = []
+                self.run_ops(ops[lo:hi], device)
+        if batch:
+            self._fold(batch, device)
 
-    def run_copy_sync(self, duration: float, setup: float = 0.0) -> tuple[float, float]:
-        """Blocking memcpy on the copy engine."""
-        return self.run_ops((PricedOp(H2D, None, duration, setup),))
+    def _fold(self, runs: Sequence[FoldRun], device: "Device") -> None:
+        """Fold runs of default-stream kernels and copies that start with
+        both engines idle.
 
-    def run_copy_async(
-        self, queue: int, duration: float, enqueue_cost: float = ASYNC_ENQUEUE_COST
-    ) -> tuple[float, float]:
-        """Queued memcpy: overlaps host work and (on a second engine) compute;
-        ordered after prior work on the same queue."""
-        return self.run_ops((PricedOp(H2D, None, duration, enqueue_cost, queue),))
-
-    def wait(self, queue: int | None = None) -> float:
-        """``acc wait``: block the host until the queue (or all work when
-        None) completes."""
-        self.run_ops((PricedOp(WAIT, queue=queue),))
-        return self.clock.now
+        Each op starts once the host has paid ``host``, finds its engine
+        free, ends ``seconds`` later and holds the host until then, so both
+        engines stay idle and the clock is the prefix sum of ``now``, host,
+        seconds, host, ... Each clock category is a left fold of its ops'
+        seconds from its current value, and each profiler line (a copy
+        direction's or a kernel's) one of their durations. Every one is
+        added strictly left to right (``itertools.accumulate`` and one
+        ``+=`` per op, in op order), so each number has the bits the loop
+        of :meth:`run_ops` gives."""
+        clock, profiler = self.clock, device.profiler
+        ledger, kernels = clock.categories, profiler.kernels
+        names = list(device._kernel_lines)
+        # a line new to the profiler starts from 0.0, and 0.0 + d is d:
+        # a duration (end - start, end >= start) is never -0.0
+        totals = [
+            profiler.h2d_seconds, profiler.d2h_seconds,
+            *(kernels[name][1] if name in kernels else 0.0 for name in names),
+        ]
+        counts = [0] * len(totals)
+        ends = [0.0] * len(totals)  # each line's last end
+        now = clock.now
+        times = accumulate(chain((now,), *[run.pairs for run in runs]))
+        next(times)
+        for line, start, end in zip(chain(*[run.lines for run in runs]), times, times):
+            totals[line] += end - start
+            counts[line] += 1
+            ends[line] = end
+        present = [line for line, count in enumerate(counts) if count]
+        if any(
+            line >= _KERNEL_LINE0 and names[line - _KERNEL_LINE0] not in kernels
+            for line in present
+        ):  # new kernel lines join the profiler in first-seen order
+            present = list(dict.fromkeys(chain(*[run.lines for run in runs])))
+        for line in present:
+            if line >= _KERNEL_LINE0:
+                name = names[line - _KERNEL_LINE0]
+                entry = kernels.get(name)
+                if entry is None:
+                    kernels[name] = [counts[line], totals[line]]
+                else:
+                    entry[0] += counts[line]
+                    entry[1] = totals[line]
+        if counts[_COPY_LINE[H2D]]:
+            profiler.h2d_seconds = totals[_COPY_LINE[H2D]]
+        if counts[_COPY_LINE[D2H]]:
+            profiler.d2h_seconds = totals[_COPY_LINE[D2H]]
+        # the clock's categories, new ones in first-seen order
+        for kind in dict.fromkeys(chain(*[run.kinds for run in runs])):
+            index = _KINDS.index(kind)
+            total = ledger.get(kind, 0.0)
+            for total in accumulate(
+                chain((total,), *[run.seconds[index] for run in runs])
+            ):
+                pass
+            ledger[kind] = total
+        # ends only grow, so each engine comes free at its latest end
+        kernel_ends = [ends[line] for line in present if line >= _KERNEL_LINE0]
+        if kernel_ends:
+            self.compute_free = max(kernel_ends)
+        copy_ends = [ends[line] for line in present if line < _KERNEL_LINE0]
+        if copy_ends:
+            self.copy_free = max(copy_ends)
+        for run in runs:
+            profiler.h2d_bytes += run.h2d_bytes
+            profiler.d2h_bytes += run.d2h_bytes
+        first = now + runs[0].pairs[0]  # the first op's start
+        if first < profiler.first_start:
+            profiler.first_start = first
+        if end > profiler.last_end:
+            profiler.last_end = end
+        clock.now = end
 
     def pending_queues(self) -> tuple[int, ...]:
         """Queues with enqueued work that has not retired relative to the

@@ -1,30 +1,52 @@
 import pytest
 
-from repro.gpusim import K40, Device, Profiler, ProfileEvent, StreamPool
-from repro.gpusim.streams import KERNEL, PricedOp
+from repro.gpusim import K40, Device, Profiler, StreamPool
+from repro.gpusim.streams import ASYNC_ENQUEUE_COST as ENQUEUE
+from repro.gpusim.streams import H2D, KERNEL, WAIT, PricedOp
 from repro.utils.errors import ConfigurationError
 from repro.utils.timer import SimClock
+
+
+def kernel(seconds, host=0.0, queue=None):
+    return PricedOp(KERNEL, "k", seconds, host, queue)
+
+
+def copy(seconds, host=0.0, queue=None):
+    return PricedOp(H2D, "c", seconds, host, queue)
+
+
+def folded(ops) -> Device:
+    """A fresh device that ran ``ops`` as one deferred replay, folded."""
+    device = Device(K40)
+    with device.deferral():
+        device.defer(ops, device.fold_plan(ops))
+    return device
 
 
 class TestStreamPool:
     def test_sync_kernel_blocks_host(self):
         clock = SimClock()
         pool = StreamPool(clock)
-        start, end = pool.run_kernel_sync(1e-3, 1e-5)
+        start, end = pool.run_ops((kernel(1e-3, 1e-5),))
         assert clock.now == pytest.approx(end)
         assert end - start == pytest.approx(1e-3)
+        device = folded((kernel(1e-3, 1e-5),))
+        assert device.clock.now == device.streams.compute_free == end
 
     def test_sync_kernels_serialize(self):
         clock = SimClock()
         pool = StreamPool(clock)
-        pool.run_kernel_sync(1e-3, 1e-5)
-        start2, _ = pool.run_kernel_sync(1e-3, 1e-5)
+        pool.run_ops((kernel(1e-3, 1e-5),))
+        start2, end2 = pool.run_ops((kernel(1e-3, 1e-5),))
         assert start2 >= 1e-3
+        device = folded((kernel(1e-3, 1e-5),) * 2)
+        assert device.clock.now == end2
+        assert device.profiler.kernels["k"][0] == 2
 
     def test_async_kernel_frees_host(self):
         clock = SimClock()
         pool = StreamPool(clock)
-        _, end = pool.run_kernel_async(1, 1e-3)
+        _, end = pool.run_ops((kernel(1e-3, ENQUEUE, 1),))
         assert clock.now < end  # host moved only by the enqueue cost
 
     def test_async_kernels_pack_without_gaps(self):
@@ -33,58 +55,56 @@ class TestStreamPool:
         overhead, dur, n = 5e-5, 1e-4, 10
         clock_s = SimClock()
         pool_s = StreamPool(clock_s)
-        for _ in range(n):
-            pool_s.run_kernel_sync(dur, overhead)
+        pool_s.run_ops([kernel(dur, overhead)] * n)
         clock_a = SimClock()
         pool_a = StreamPool(clock_a)
-        for i in range(n):
-            pool_a.run_kernel_async(1 + i % 3, dur)
-        pool_a.wait()
+        pool_a.run_ops([kernel(dur, ENQUEUE, 1 + i % 3) for i in range(n)])
+        pool_a.run_ops((PricedOp(WAIT),))
         assert clock_a.now < clock_s.now
         assert clock_s.now == pytest.approx(n * (dur + overhead))
+        assert folded([kernel(dur, overhead)] * n).clock.now == clock_s.now
 
     def test_kernels_do_not_overlap_on_compute(self):
         """No SM sharing: two async kernels on different queues still
         serialize their bodies."""
         clock = SimClock()
         pool = StreamPool(clock)
-        _, end1 = pool.run_kernel_async(1, 1e-3)
-        start2, _ = pool.run_kernel_async(2, 1e-3)
+        _, end1 = pool.run_ops((kernel(1e-3, ENQUEUE, 1),))
+        start2, _ = pool.run_ops((kernel(1e-3, ENQUEUE, 2),))
         assert start2 >= end1
 
     def test_copy_engine_independent_of_compute(self):
         clock = SimClock()
         pool = StreamPool(clock)
-        _, kend = pool.run_kernel_async(1, 1e-3)
-        cstart, _ = pool.run_copy_async(2, 1e-4)
+        _, kend = pool.run_ops((kernel(1e-3, ENQUEUE, 1),))
+        cstart, _ = pool.run_ops((copy(1e-4, ENQUEUE, 2),))
         assert cstart < kend  # copy overlaps the kernel
 
     def test_same_queue_ordering(self):
         clock = SimClock()
         pool = StreamPool(clock)
-        _, end1 = pool.run_copy_async(1, 1e-4)
-        start2, _ = pool.run_copy_async(1, 1e-4)
+        _, end1 = pool.run_ops((copy(1e-4, ENQUEUE, 1),))
+        start2, _ = pool.run_ops((copy(1e-4, ENQUEUE, 1),))
         assert start2 >= end1
 
     def test_wait_specific_queue(self):
         clock = SimClock()
         pool = StreamPool(clock)
-        _, end1 = pool.run_kernel_async(1, 1e-3)
-        pool.wait(1)
+        _, end1 = pool.run_ops((kernel(1e-3, ENQUEUE, 1),))
+        pool.run_ops((PricedOp(WAIT, queue=1),))
         assert clock.now == pytest.approx(end1)
 
     def test_wait_all(self):
         clock = SimClock()
         pool = StreamPool(clock)
-        pool.run_kernel_async(1, 1e-3)
-        pool.run_copy_async(2, 5e-3)
-        pool.wait()
+        pool.run_ops((kernel(1e-3, ENQUEUE, 1), copy(5e-3, ENQUEUE, 2)))
+        pool.run_ops((PricedOp(WAIT),))
         assert pool.idle()
 
     def test_invalid_queue(self):
         pool = StreamPool(SimClock(), max_queues=4)
         with pytest.raises(ConfigurationError):
-            pool.run_kernel_async(9, 1e-3)
+            pool.run_ops((kernel(1e-3, ENQUEUE, 9),))
 
     def test_failing_op_keeps_the_ops_before_it(self):
         device = Device(K40)
@@ -103,11 +123,11 @@ class TestStreamPool:
 
 class TestProfiler:
     def _fill(self, prof):
-        prof.record(ProfileEvent("kernel", "main", 0.0, 3.0))
-        prof.record(ProfileEvent("kernel", "main", 3.0, 6.0))
-        prof.record(ProfileEvent("kernel", "inject", 6.0, 7.0))
-        prof.record(ProfileEvent("h2d", "copyin", 7.0, 8.0, nbytes=1000))
-        prof.record(ProfileEvent("d2h", "copyout", 8.0, 8.5, nbytes=500))
+        prof.fold("kernel", "main", 0.0, 3.0, 0)
+        prof.fold("kernel", "main", 3.0, 6.0, 0)
+        prof.fold("kernel", "inject", 6.0, 7.0, 0)
+        prof.fold("h2d", "copyin", 7.0, 8.0, 1000)
+        prof.fold("d2h", "copyout", 8.0, 8.5, 500)
 
     def test_shares(self):
         prof = Profiler()
